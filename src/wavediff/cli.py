@@ -44,8 +44,8 @@ from .orders import (
     reverse_pair,
     verify_constraint_chain,
 )
-from .probe import decay_fit, default_oracle_scan, gain_report, window_plan
-from .tracer import gbb_trace
+from .probe import WindowPlanError, decay_fit, default_oracle_scan, gain_report, window_plan
+from .tracer import gbb_trace, ray_on_characteristic
 from .wave import run as wave_run
 
 
@@ -199,10 +199,7 @@ def stage_calc(cfg: ExperimentConfig, out: Path) -> dict:
 
 def stage_trace(cfg: ExperimentConfig, out_csv: Path, out_events: Path):
     metric = cfg.build_metric()
-    c0 = float(metric.speed(np.asarray([cfg.trace_x0]))[0])
-    q0 = PhasePoint(
-        [cfg.trace_x0, 0.0], [-cfg.trace_direction * 1.0, c0]
-    )
+    q0 = ray_on_characteristic(metric, cfg.trace_x0, 0.0, cfg.trace_direction)
     paths = gbb_trace(metric, q0, t_span=cfg.trace_t_span, policy=cfg.trace_policy)
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -404,7 +401,9 @@ def main(argv=None) -> int:
     p_wave_run = wave_sub.add_parser("run", help="run the configured scenario")
     p_wave_run.add_argument("--config", type=Path, required=True)
 
-    p_probe = sub.add_parser("probe", help="regularity probe on a stored field")
+    p_probe = sub.add_parser(
+        "probe", help="recompute the trace and the wave field, then probe their regularity"
+    )
     p_probe.add_argument("--config", type=Path, required=True)
 
     p_comm = sub.add_parser("verify-commutant", help="escape-function checks")
@@ -445,16 +444,13 @@ def main(argv=None) -> int:
             return 0
         if args.command == "probe":
             cfg = load_config(args.config)
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            metric = cfg.build_metric()
-            c0 = float(metric.speed(np.asarray([cfg.trace_x0]))[0])
-            q0 = PhasePoint([cfg.trace_x0, 0.0], [-1.0, c0])
-            paths = gbb_trace(metric, q0, t_span=cfg.trace_t_span, policy="tree")
+            out = cfg.out_dir
+            out.mkdir(parents=True, exist_ok=True)
+            paths = stage_trace(cfg, out / "trace.csv", out / "events.json")
             scenario = cfg.build_scenario()
-            fld = wave_run(scenario)
             rep = stage_probe(
-                cfg, fld, scenario, paths, cfg.out_dir / "probe.json",
-                cfg.out_dir / "probe_bands.csv",
+                cfg, wave_run(scenario), scenario, paths, out / "probe.json",
+                out / "probe_bands.csv",
             )
             print("verdict: %s" % rep.verdict)
             return 0 if rep.verdict == "pass" else 1
@@ -473,7 +469,7 @@ def main(argv=None) -> int:
             code, manifest = run_pipeline(cfg)
             print(json.dumps({k: manifest[k] for k in manifest if k != "stages"}, indent=2))
             return code
-    except ConfigError as err:
+    except (ConfigError, WindowPlanError) as err:
         print("configuration error: %s" % err, file=sys.stderr)
         return 2
     return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,8 +29,8 @@ _SCHEMA = {
         "kind", "k", "n", "s0", "amp", "c_bg", "core_radius",
         "c_left", "c_right", "c_smooth", "y_dependence",
     },
-    "calc": {"eps0", "s", "batch"},
-    "trace": {"x0", "direction", "policy", "t_span", "h"},
+    "calc": {"eps0", "s"},
+    "trace": {"x0", "direction", "policy", "t_span"},
     "wave": {
         "x_lo", "x_hi", "duration", "nx", "cfl",
         "pulse_center", "pulse_width", "pulse_s_in", "pulse_seed",
@@ -155,7 +155,7 @@ def load_config(path) -> ExperimentConfig:
         if cp["metric"]["y_dependence"].strip().lower() != "none":
             raise ConfigError(
                 "y_dependence supports only 'none'; y-dependent singular"
-                " amplitudes are limited to smooth modulation in code"
+                " amplitudes are not supported"
             )
 
     def get(section, key, default=None, cast=str):

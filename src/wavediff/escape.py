@@ -17,8 +17,8 @@ the two localization scales through ``eps >= C' delta^alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.stats import qmc
@@ -67,17 +67,6 @@ def chi1_prime(t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class CutoffPair:
-    chi0: Callable = chi0
-    chi0_prime: Callable = chi0_prime
-    chi1: Callable = chi1
-    chi1_prime: Callable = chi1_prime
-
-
-STANDARD_CUTOFFS = CutoffPair()
-
-
 # ---------------------------------------------------------------------------
 # parameters and frames
 
@@ -99,12 +88,11 @@ class EscapeParams:
     c0: float = 1.0
     C_prime: float = 1.0
     alpha: float = 1.0
-    delta0: float = 1.0
     schedule_active: bool = False
 
     def __post_init__(self):
-        if not (0 < self.delta < 1 and self.delta < self.delta0):
-            raise ValueError("need 0 < delta < min(1, delta0)")
+        if not 0 < self.delta < 1:
+            raise ValueError("need delta in (0, 1)")
         if not (0 < self.eps <= 1 and 0 < self.beta <= 1):
             raise ValueError("need eps, beta in (0, 1]")
         if self.F <= 0 or self.c0 <= 0:
@@ -294,17 +282,22 @@ def eval_phi(q, frame: EscapeFrame, params: EscapeParams):
     return np.asarray(frame.eta(q)) + frame.omega(q) / (params.eps**2 * params.delta)
 
 
+def eval_hp_phi(q, frame: EscapeFrame, params: EscapeParams):
+    """Flow derivative H_p phi = H_p eta + H_p omega / (eps^2 delta)."""
+    return np.asarray(frame.hp_eta(q)) + frame.hp_omega(q) / (params.eps**2 * params.delta)
+
+
 def _chi_args(q, frame, params):
     eta = np.asarray(frame.eta(q))
-    phi = eta + frame.omega(q) / (params.eps**2 * params.delta)
+    phi = eval_phi(q, frame, params)
     t0 = (2.0 * params.beta - phi / params.delta) / params.F
     u1 = (eta + params.delta) / (params.eps * params.delta) + 1.0
     return eta, phi, t0, u1
 
 
-def eval_a(q, frame: EscapeFrame, params: EscapeParams, cutoffs: CutoffPair = STANDARD_CUTOFFS):
+def eval_a(q, frame: EscapeFrame, params: EscapeParams):
     _, _, t0, u1 = _chi_args(q, frame, params)
-    return np.asarray(cutoffs.chi0(t0)) * np.asarray(cutoffs.chi1(u1))
+    return np.asarray(chi0(t0)) * np.asarray(chi1(u1))
 
 
 @dataclass
@@ -320,9 +313,7 @@ class SupportReport:
         return not self.violations
 
 
-def check_support_estimates(
-    samples, frame: EscapeFrame, params: EscapeParams, cutoffs: CutoffPair = STANDARD_CUTOFFS
-) -> SupportReport:
+def check_support_estimates(samples, frame: EscapeFrame, params: EscapeParams) -> SupportReport:
     """Verify the support bounds of the symbol on a sample set.
 
     Wherever a > 0:  -delta - eps*delta <= eta <= 2*beta*delta and
@@ -331,7 +322,7 @@ def check_support_estimates(
     """
     samples = np.asarray(samples, float)
     eta, _, t0, u1 = _chi_args(samples, frame, params)
-    a = np.asarray(cutoffs.chi0(t0)) * np.asarray(cutoffs.chi1(u1))
+    a = np.asarray(chi0(t0)) * np.asarray(chi1(u1))
     om_sqrt = np.sqrt(frame.omega(samples))
     d, e, b = params.delta, params.eps, params.beta
 
@@ -340,7 +331,7 @@ def check_support_estimates(
     lo, hi = -d - e * d, 2 * b * d
     bad_eta = sup & ((eta < lo - 1e-15) | (eta > hi + 1e-15))
     bad_om = sup & (om_sqrt > 2 * e * d + 1e-15)
-    edge = sup & (np.asarray(cutoffs.chi1_prime(u1)) > 0)
+    edge = sup & (np.asarray(chi1_prime(u1)) > 0)
     bad_edge = edge & ((eta < lo - 1e-15) | (eta > -d + 1e-15))
     for name, mask in (("eta", bad_eta), ("omega", bad_om), ("chi1_edge", bad_edge)):
         for idx in np.nonzero(mask)[0]:
@@ -366,9 +357,7 @@ class CommutatorParts:
     positivity_failed: np.ndarray  # mask: hp_phi < 0 on supp a
 
 
-def decompose_commutator(
-    q, frame: EscapeFrame, params: EscapeParams, cutoffs: CutoffPair = STANDARD_CUTOFFS
-) -> CommutatorParts:
+def decompose_commutator(q, frame: EscapeFrame, params: EscapeParams) -> CommutatorParts:
     """Split the flow derivative of the symbol as H_p a = -b^2 + e.
 
     The three returned fields are assembled independently (hp_a by the chain
@@ -381,13 +370,13 @@ def decompose_commutator(
     eta, phi, t0, u1 = _chi_args(q, frame, params)
     d, e_, F = params.delta, params.eps, params.F
 
-    c0v = np.asarray(cutoffs.chi0(t0))
-    c0p = np.asarray(cutoffs.chi0_prime(t0))
-    c1v = np.asarray(cutoffs.chi1(u1))
-    c1p = np.asarray(cutoffs.chi1_prime(u1))
+    c0v = np.asarray(chi0(t0))
+    c0p = np.asarray(chi0_prime(t0))
+    c1v = np.asarray(chi1(u1))
+    c1p = np.asarray(chi1_prime(u1))
 
     hp_eta = np.asarray(frame.hp_eta(q))
-    hp_phi = hp_eta + frame.hp_omega(q) / (e_**2 * d)
+    hp_phi = eval_hp_phi(q, frame, params)
 
     a = c0v * c1v
     hp_a = -c0p * hp_phi / (F * d) * c1v + c0v * c1p * hp_eta / (e_ * d)
@@ -465,7 +454,6 @@ def check_positivity(
     params: EscapeParams,
     hoelder: tuple[float, float],
     samples,
-    cutoffs: CutoffPair = STANDARD_CUTOFFS,
 ) -> PositivityReport:
     """Minimum of H_p phi over the sampled support of the symbol.
 
@@ -477,11 +465,9 @@ def check_positivity(
     """
     C0, alpha = hoelder
     samples = np.asarray(samples, float)
-    a = eval_a(samples, frame, params, cutoffs)
+    a = eval_a(samples, frame, params)
     sup = a > 0
-    hp_phi = np.asarray(frame.hp_eta(samples)) + frame.hp_omega(samples) / (
-        params.eps**2 * params.delta
-    )
+    hp_phi = eval_hp_phi(samples, frame, params)
     c_prime = derive_c_prime(C0, params.c0, frame.n_sigma, alpha)
     schedule_valid = params.eps >= min(1.0, c_prime * params.delta**alpha) - 1e-12
     min_val = float(hp_phi[sup].min()) if np.any(sup) else float("inf")
@@ -598,9 +584,7 @@ def run_commutant_check(
     positivity = check_positivity(frame, params, (C0, alpha), pts)
     on_sup = parts.a > 0
     phi_over_delta = eval_phi(pts, frame, params) / delta
-    hp_phi_sup = (
-        np.asarray(frame.hp_eta(pts)) + frame.hp_omega(pts) / (eps**2 * delta)
-    )[on_sup]
+    hp_phi_sup = eval_hp_phi(pts, frame, params)[on_sup]
     f_thresh = find_F_threshold(
         s=0.5,
         r_weight=1.0,

@@ -103,8 +103,3 @@ def reflection_scan(
     T = 1.0 / a
     return ReflectionScan(omegas=omegas, R=R, T=T, c_left=c_left, c_right=c_right)
 
-
-def jump_reflection(c_left: float, c_right: float) -> float:
-    """Plane-wave matching at a speed jump in divergence form: continuity of
-    u and c^2 u_x gives R = (c_left - c_right) / (c_left + c_right)."""
-    return (c_left - c_right) / (c_left + c_right)

@@ -18,7 +18,7 @@ so rays travel at speed ``c`` and the time-dual ``tau`` is conserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -90,7 +90,6 @@ class ConormalMetric:
         amp: float = 0.4,
         c_bg: float | Callable = 1.0,
         core_radius: float = 0.5,
-        smooth_mod: Callable | None = None,
     ):
         if not (isinstance(k, int) and isinstance(n, int) and 1 <= k < n):
             raise ValueError("need integers 1 <= k < n")
@@ -103,13 +102,8 @@ class ConormalMetric:
         self._bg = c_bg
         self.c_bg = float(c_bg) if not callable(c_bg) else float(np.asarray(c_bg(np.zeros(1)))[0])
         self.core_radius = float(core_radius)
-        self.smooth_mod = smooth_mod
         self.exponent = s0 - 1.0 if k == 1 else s0 - k
         self.alpha = min(1.0, s0 - k - 1.0)
-
-    @property
-    def background_constant(self) -> bool:
-        return not callable(self._bg)
 
     def background(self, x):
         if callable(self._bg):
@@ -156,8 +150,6 @@ class ConormalMetric:
         else:
             xp = x[..., : self.k]
             c = self.c_bg + self.singular_part(np.linalg.norm(xp, axis=-1))
-        if self.smooth_mod is not None:
-            c = c * self.smooth_mod(x)
         return c if np.asarray(c).ndim else float(c)
 
     def dspeed(self, x):
@@ -166,13 +158,7 @@ class ConormalMetric:
             raise ValueError("scalar derivative only defined for k = 1")
         x = np.asarray(x, float)
         d = self.dsingular_part(np.abs(x)) * np.sign(x) + self._dbackground(x)
-        if self.smooth_mod is not None:
-            raise NotImplementedError("derivative with modulation not needed")
         return d if np.asarray(d).ndim else float(d)
-
-    def max_speed(self, x_lo: float, x_hi: float, samples: int = 4097) -> float:
-        xs = np.linspace(x_lo, x_hi, samples)
-        return float(np.max(self.speed(xs)))
 
     # -- dual metric ------------------------------------------------------
     def split(self, q: PhasePoint):

@@ -16,10 +16,10 @@ point enters any code path here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 Rational = Union[Fraction, int, str]
 
@@ -51,20 +51,9 @@ class Tag(Enum):
     CONORMAL_Y = "conormal_y"        # N*Y on a single factor
 
 
-class Role(Enum):
-    MAIN = "main"
-    RELATIVE = "relative"
-
-
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class LagrangianId:
-    tag: Tag
-    role: Role
 
 
 # Pair combinations (relative-carrier tag, main tag) that the generating rules
@@ -96,11 +85,6 @@ class PairOrder:
         object.__setattr__(self, "l", frac(self.l))
         if not isinstance(self.k, int) or self.k < 1:
             raise OrderError("codimension k must be a positive integer, got %r" % (self.k,))
-
-    @property
-    def off_order(self) -> Fraction:
-        """Order p + l carried away from the main Lagrangian."""
-        return self.p + self.l
 
     def __str__(self):
         return "(p=%s, l=%s, k=%d)" % (self.p, self.l, self.k)

@@ -16,13 +16,13 @@ coefficient of the same profile, fitted over the same dyadic bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .escape import chi1
 from .helmholtz import ReflectionScan, reflection_scan
-from .tracer import EventType, GBBPath
+from .tracer import EventType
 from .wave import WaveField, WaveScenario
 
 
@@ -168,8 +168,7 @@ def decay_fit(
 
 def oracle_band_exponent(scan: ReflectionScan, band: tuple, n_bands: int = 8):
     """Fit the oracle's |R| over the same dyadic bands the field probe uses."""
-    k_lo, k_top = band[0] if isinstance(band[0], tuple) else band
-    edges = _band_edges(k_top, n_bands)
+    edges = _band_edges(band[1], n_bands)
     means, centers, weights = [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = (scan.omegas >= lo) & (scan.omegas < hi)
@@ -199,13 +198,6 @@ def default_oracle_scan(metric, band: tuple, points_per_octave: int = 6) -> Refl
 
 # ---------------------------------------------------------------------------
 # window planning from a traced broken bicharacteristic
-
-
-def _leg_position(leg, t):
-    ts = np.array([s.q[1] for s in leg])
-    xs = np.array([s.q[0] for s in leg])
-    order = np.argsort(ts)
-    return float(np.interp(t, ts[order], xs[order]))
 
 
 def _leg_time_at(leg, x):

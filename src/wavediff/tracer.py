@@ -182,13 +182,12 @@ def transversal_integrate(
 # generalized broken bicharacteristics for the k = 1 product metric
 
 
-def ray_on_characteristic(metric: ConormalMetric, x, t, direction: int, xi_mag: float = 1.0):
-    """State on the characteristic set moving toward +x (direction=+1) or -x,
-    with positive time dual so physical time increases along the flow."""
-    c = float(metric.speed(np.asarray(x, float)))
-    xi = -direction * xi_mag
-    tau = c * xi_mag
-    return np.array([float(x), float(t), xi, tau])
+def ray_on_characteristic(metric: ConormalMetric, x: float, t: float, direction: int) -> PhasePoint:
+    """Point of the characteristic set over (x, t) with unit normal momentum,
+    moving toward +x (direction=+1) or -x, with positive time dual so physical
+    time increases along the flow."""
+    c = float(metric.speed(np.asarray([x], float))[0])
+    return PhasePoint([x, t], [-direction, c])
 
 
 def _project_to_sigma(metric: ConormalMetric, state):

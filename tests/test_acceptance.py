@@ -19,7 +19,6 @@ from wavediff.escape import (
     sample_chart,
     synthetic_hoelder_frame,
 )
-from wavediff.helmholtz import reflection_scan
 from wavediff.metric import ConormalMetric, PhasePoint, PiecewiseSpeed
 from wavediff.orders import (
     PairOrder,

@@ -31,6 +31,7 @@ s = {s}
 [trace]
 x0 = -2.2
 t_span = 6.6
+{extra}
 
 [wave]
 nx = 8192
@@ -43,7 +44,6 @@ sponge_cells = 300
 
 [commutant]
 grid = 3000
-{extra}
 """
 
 
@@ -94,9 +94,12 @@ class TestConfig:
         assert str(cfg.s0) == "5/2"
         assert cfg.wave["nx"] == 16384
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, key", [("metric", "whatever"), ("trace", "h"), ("calc", "batch")]
+    )
+    def test_unknown_key_rejected(self, tmp_path, section, key):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[metric]\nk = 1\nwhatever = 3\n")
+        bad.write_text("[%s]\n%s = 3\n" % (section, key))
         with pytest.raises(ConfigError):
             load_config(bad)
 
@@ -194,6 +197,15 @@ class TestPipeline:
         code = main(["calc", "--config", str(cfgf)])
         assert code == 0
         assert "gate_ok" in capsys.readouterr().out
+
+    def test_window_plan_refusal_exit_2(self, tmp_path, capsys):
+        # a reflect-only trace has no transmitted branch to place a window on
+        cfgf = tmp_path / "reflect.ini"
+        text = small_config_text(tmp_path / "out", extra="policy = reflect")
+        cfgf.write_text(text.replace("nx = 8192", "nx = 2048"))
+        for command in ("pipeline", "probe"):
+            assert main([command, "--config", str(cfgf)]) == 2
+            assert "reflection and one transmission branch" in capsys.readouterr().err
 
     def test_cli_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -3,7 +3,6 @@ import pytest
 
 from wavediff.escape import (
     EscapeParams,
-    STANDARD_CUTOFFS,
     absorption_factor,
     check_positivity,
     check_support_estimates,

@@ -3,7 +3,6 @@ import pytest
 
 from wavediff.metric import ConormalMetric, PhasePoint
 from wavediff.tracer import (
-    CurveSample,
     EventType,
     GlancingHalt,
     OracleContractViolation,
@@ -161,10 +160,9 @@ class TestGBBTrace:
 
     def test_ray_constructor_on_sigma(self):
         m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.4)
-        st = ray_on_characteristic(m, -1.0, 0.0, direction=+1)
-        q = PhasePoint(st[:2], st[2:])
+        q = ray_on_characteristic(m, -1.0, 0.0, direction=+1)
         assert m.on_characteristic_set(q)
-        assert m.hamilton_field(st)[0] > 0
+        assert m.hamilton_field(np.concatenate([q.x, q.xi]))[0] > 0
 
 
 class TestDyadic:
