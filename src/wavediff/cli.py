@@ -197,8 +197,7 @@ def stage_calc(cfg: ExperimentConfig, out: Path) -> dict:
     return result
 
 
-def stage_trace(cfg: ExperimentConfig, out_csv: Path, out_events: Path):
-    metric = cfg.build_metric()
+def stage_trace(cfg: ExperimentConfig, metric, out_csv: Path, out_events: Path):
     q0 = ray_on_characteristic(metric, cfg.trace_x0, 0.0, cfg.trace_direction)
     paths = gbb_trace(metric, q0, t_span=cfg.trace_t_span, policy=cfg.trace_policy)
     with open(out_csv, "w", newline="") as fh:
@@ -229,8 +228,7 @@ def stage_trace(cfg: ExperimentConfig, out_csv: Path, out_events: Path):
     return paths
 
 
-def stage_wave(cfg: ExperimentConfig, out_npz: Path):
-    scenario = cfg.build_scenario()
+def stage_wave(scenario, out_npz: Path):
     fld = wave_run(scenario)
     np.savez_compressed(
         out_npz,
@@ -243,15 +241,21 @@ def stage_wave(cfg: ExperimentConfig, out_npz: Path):
         max_trust_freq=fld.max_trust_freq,
         scenario_hash=fld.scenario_hash,
     )
-    return fld, scenario
+    return fld
 
 
-def stage_probe(cfg: ExperimentConfig, fld, scenario, paths, out_json: Path, out_csv: Path):
-    windows = window_plan(scenario, paths)
+def stage_probe(cfg: ExperimentConfig, fld, scenario, windows, out_json: Path, out_csv: Path):
     oracle = None
+    notes = []
     if cfg.probe["oracle"] and cfg.metric_kind == "conormal":
-        band = decay_fit(fld, windows[0]).band
-        oracle = default_oracle_scan(cfg.build_metric(), band)
+        if cfg.c_smooth is None:
+            band = decay_fit(fld, windows[0]).band
+            oracle = default_oracle_scan(scenario.metric, band)
+        else:
+            notes.append(
+                "oracle skipped: it matches plane waves at a constant speed outside"
+                " the core, and c_smooth varies there"
+            )
     rep = gain_report(
         fld,
         windows,
@@ -264,6 +268,7 @@ def stage_probe(cfg: ExperimentConfig, fld, scenario, paths, out_json: Path, out
         gain_floor=cfg.probe["gain_floor"],
         margin=cfg.probe["margin"],
     )
+    rep.notes += notes
     out_json.write_text(json.dumps(rep.asdict(), indent=2))
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -313,32 +318,40 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
             entry["outputs"][p.name] = _sha256_file(p)
         manifest["stages"][stage] = entry
 
+    def refuse(reason, message):
+        manifest["refused"] = reason
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        print("pipeline refused: %s" % message, file=sys.stderr)
+        return 2, manifest
+
     t0 = time.time()
     calc_path = out / "calc.json"
     gate = stage_calc(cfg, calc_path)
     record("calc", [calc_path], t0)
     if not gate["gate_ok"]:
-        manifest["refused"] = gate.get("violated", "inadmissible")
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        print(
-            "pipeline refused: admissibility gate failed (%s) for s0=%s eps0=%s s=%s k=%d"
-            % (manifest["refused"], cfg.s0, cfg.eps0, cfg.s, cfg.k)
-        )
-        return 2, manifest
+        reason = gate.get("violated", "inadmissible")
+        return refuse(reason, "admissibility gate failed (%s) for s0=%s eps0=%s s=%s k=%d"
+                      % (reason, cfg.s0, cfg.eps0, cfg.s, cfg.k))
+    # config faults raise ConfigError here, before any physical work
+    scenario = cfg.build_scenario()
 
     t0 = time.time()
     trace_csv, events_json = out / "trace.csv", out / "events.json"
-    paths = stage_trace(cfg, trace_csv, events_json)
+    paths = stage_trace(cfg, scenario.metric, trace_csv, events_json)
     record("trace", [trace_csv, events_json], t0)
+    try:
+        windows = window_plan(scenario, paths)
+    except WindowPlanError as err:
+        return refuse(str(err), "window plan failed: %s" % err)
 
     t0 = time.time()
     wave_npz = out / "field.npz"
-    fld, scenario = stage_wave(cfg, wave_npz)
+    fld = stage_wave(scenario, wave_npz)
     record("wave", [wave_npz], t0)
 
     t0 = time.time()
     probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
-    rep = stage_probe(cfg, fld, scenario, paths, probe_json, probe_csv)
+    rep = stage_probe(cfg, fld, scenario, windows, probe_json, probe_csv)
     record("probe", [probe_json, probe_csv], t0)
 
     t0 = time.time()
@@ -433,23 +446,25 @@ def main(argv=None) -> int:
         if args.command == "trace":
             cfg = load_config(args.config)
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_trace(cfg, cfg.out_dir / "trace.csv", cfg.out_dir / "events.json")
+            stage_trace(cfg, cfg.build_metric(), cfg.out_dir / "trace.csv",
+                        cfg.out_dir / "events.json")
             print("trace written to %s" % cfg.out_dir)
             return 0
         if args.command == "wave":
             cfg = load_config(args.config)
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_wave(cfg, cfg.out_dir / "field.npz")
+            stage_wave(cfg.build_scenario(), cfg.out_dir / "field.npz")
             print("field written to %s" % (cfg.out_dir / "field.npz"))
             return 0
         if args.command == "probe":
             cfg = load_config(args.config)
+            scenario = cfg.build_scenario()
             out = cfg.out_dir
             out.mkdir(parents=True, exist_ok=True)
-            paths = stage_trace(cfg, out / "trace.csv", out / "events.json")
-            scenario = cfg.build_scenario()
+            paths = stage_trace(cfg, scenario.metric, out / "trace.csv", out / "events.json")
+            windows = window_plan(scenario, paths)
             rep = stage_probe(
-                cfg, wave_run(scenario), scenario, paths, out / "probe.json",
+                cfg, wave_run(scenario), scenario, windows, out / "probe.json",
                 out / "probe_bands.csv",
             )
             print("verdict: %s" % rep.verdict)

@@ -99,41 +99,51 @@ class ExperimentConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
     def build_metric(self):
+        if self.k != 1 or self.n != 2:
+            raise ConfigError(
+                "the physical stages support only k = 1 and n = 2, got k = %d and n = %d"
+                % (self.k, self.n)
+            )
         if self.metric_kind == "conormal":
             background = self.c_bg
             if self.c_smooth is not None:
                 background = _compile_speed_expression(self.c_smooth)
-            return ConormalMetric(
-                k=self.k,
-                n=self.n,
-                s0=float(self.s0),
-                amp=self.amp,
-                c_bg=background,
-                core_radius=self.core_radius,
-            )
+            try:
+                return ConormalMetric(
+                    s0=float(self.s0),
+                    amp=self.amp,
+                    c_bg=background,
+                    core_radius=self.core_radius,
+                )
+            except ValueError as err:
+                raise ConfigError("[metric] %s" % err) from err
         if self.metric_kind == "jump":
             return PiecewiseSpeed(self.c_left, self.c_right)
         raise ConfigError("unknown metric kind %r" % (self.metric_kind,))
 
     def build_scenario(self) -> WaveScenario:
         w = self.wave
+        metric = self.build_metric()
         source = PulseSpec(
             center=w["pulse_center"],
             width=w["pulse_width"],
             s_in=w["pulse_s_in"],
             seed=int(w["pulse_seed"]),
         )
-        return WaveScenario(
-            metric=self.build_metric(),
-            x_lo=w["x_lo"],
-            x_hi=w["x_hi"],
-            duration=w["duration"],
-            nx=int(w["nx"]),
-            cfl=w["cfl"],
-            source=source,
-            sponge=SpongeSpec(cells=int(w["sponge_cells"]), strength=w["sponge_strength"]),
-            store_stride=int(w["store_stride"]),
-        )
+        try:
+            return WaveScenario(
+                metric=metric,
+                x_lo=w["x_lo"],
+                x_hi=w["x_hi"],
+                duration=w["duration"],
+                nx=int(w["nx"]),
+                cfl=w["cfl"],
+                source=source,
+                sponge=SpongeSpec(cells=int(w["sponge_cells"]), strength=w["sponge_strength"]),
+                store_stride=int(w["store_stride"]),
+            )
+        except ValueError as err:  # CFLViolation and the sponge/source checks
+            raise ConfigError("[wave] %s" % err) from err
 
 
 def load_config(path) -> ExperimentConfig:

@@ -60,20 +60,21 @@ def reflection_scan(
 ) -> ReflectionScan:
     """Reflection/transmission coefficients of the profile at each frequency.
 
-    ``speed`` maps position arrays to sound speeds and must be constant
-    outside [-x_match, x_match].  All frequencies are integrated together as
-    one complex vector system from the transmission side back to the incidence
-    side, then matched against left-going/right-going plane waves.
+    ``speed`` maps a position (float) to the sound speed (float) and must be
+    constant outside [-x_match, x_match].  All frequencies are integrated
+    together as one complex vector system from the transmission side back to
+    the incidence side, then matched against left-going/right-going plane
+    waves.
     """
     omegas = np.asarray(omegas, float)
-    c_left = float(np.asarray(speed(np.asarray([-x_match - 1.0])))[0])
-    c_right = float(np.asarray(speed(np.asarray([x_match + 1.0])))[0])
+    c_left = speed(-x_match - 1.0)
+    c_right = speed(x_match + 1.0)
     k_l = omegas / c_left
     k_r = omegas / c_right
     m = omegas.size
 
     def rhs(x, y):
-        c2 = float(np.asarray(speed(np.asarray([x])))[0]) ** 2
+        c2 = speed(x) ** 2
         v = y[:m]
         w = y[m:]
         return np.concatenate([w / c2, -(omegas**2) * v])

@@ -1,17 +1,17 @@
 """Product-form Lorentzian metrics with a conormal sound-speed singularity.
 
-The canonical family is isotropic and static: on coordinates
-``(x', y, t)`` with the interface ``Y = {x' = 0}`` of codimension ``k``, the
-sound speed is
+The canonical family is isotropic, static and of codimension one: on
+coordinates ``(x, y, t)`` with the interface ``Y = {x = 0}``, the sound speed
+is
 
-    c(x') = c_bg + amp * |x'|^e * bump(|x'| / core),   e = s0 - 1 (k = 1),
-                                                       e = s0 - k (k >= 2),
+    c(x) = c_bg + amp * |x|^(s0 - 1) * bump(|x| / core),
 
 smooth away from ``Y`` and of class C^{1,alpha} across it with
-``alpha = s0 - k - 1``; the bump keeps the profile compactly modulated so the
-medium is exactly homogeneous outside the core.  The dual metric function is
+``alpha = s0 - 2``; the bump keeps the profile compactly modulated so the
+medium is exactly homogeneous outside the core.  ``c_bg`` may also be a
+smooth function of ``x``.  The dual metric function is
 
-    p(x, xi) = tau^2 - c(x')^2 (|xi'|^2 + |eta_y|^2),
+    p(x, xi) = tau^2 - c(x)^2 (xi_x^2 + |eta_y|^2),
 
 so rays travel at speed ``c`` and the time-dual ``tau`` is conserved.
 """
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .escape import chi1, chi1_prime
+from .escape import chi0
 
 CHAR_TOL = 1e-9
 
@@ -43,18 +43,6 @@ class GlancingError(ValueError):
 
 
 _PLATEAU = 0.3  # fraction of the core radius held exactly at profile value
-
-
-def _bump(u):
-    """Smooth plateau: 1 for u <= 0.3, 0 for u >= 1; the wide transition keeps
-    the modulation's own reflections well below the singular ones."""
-    u = np.asarray(u, float)
-    return 1.0 - np.asarray(chi1((u - _PLATEAU) / (1.0 - _PLATEAU)))
-
-
-def _bump_prime(u):
-    u = np.asarray(u, float)
-    return -np.asarray(chi1_prime((u - _PLATEAU) / (1.0 - _PLATEAU))) / (1.0 - _PLATEAU)
 
 
 @dataclass(frozen=True)
@@ -80,85 +68,72 @@ class BPoint:
 
 
 class ConormalMetric:
-    """Sound-speed field with a radial conormal singularity at {x' = 0}."""
+    """Sound-speed field with a conormal singularity at the interface {x = 0}."""
 
     def __init__(
         self,
-        k: int = 1,
         n: int = 2,
         s0: float = 2.5,
         amp: float = 0.4,
         c_bg: float | Callable = 1.0,
         core_radius: float = 0.5,
     ):
-        if not (isinstance(k, int) and isinstance(n, int) and 1 <= k < n):
-            raise ValueError("need integers 1 <= k < n")
-        if not s0 > k + 1:
-            raise ValueError("need s0 > k + 1 for a C^1 metric")
-        self.k = k
+        if not (isinstance(n, int) and n >= 2):
+            raise ValueError("need an integer n >= 2")
+        if not s0 > 2:
+            raise ValueError("need s0 > 2 for a C^1 metric")
+        self.k = 1
         self.n = n
         self.s0 = float(s0)
         self.amp = float(amp)
         self._bg = c_bg
-        self.c_bg = float(c_bg) if not callable(c_bg) else float(np.asarray(c_bg(np.zeros(1)))[0])
+        self.c_bg = float(c_bg(0.0)) if callable(c_bg) else float(c_bg)
         self.core_radius = float(core_radius)
-        self.exponent = s0 - 1.0 if k == 1 else s0 - k
-        self.alpha = min(1.0, s0 - k - 1.0)
+        self.exponent = self.s0 - 1.0
+        self.alpha = min(1.0, self.s0 - 2.0)
 
-    def background(self, x):
-        if callable(self._bg):
-            return np.asarray(self._bg(np.asarray(x, float)), float)
-        return np.full_like(np.asarray(x, float), self._bg)
+    # -- speed profile -----------------------------------------------------
+    def _profile(self, x, slope: bool):
+        """Speed at x, and with ``slope`` also its signed derivative d/dx.
 
-    def _dbackground(self, x):
-        if not callable(self._bg):
-            return np.zeros_like(np.asarray(x, float))
+        The singular part is amp |x|^e bump(|x| / core), e = s0 - 1 > 1, so
+        its slope vanishes at x = 0.  The bump is 1 for u <= 0.3 and 0 for
+        u >= 1; the wide transition keeps the modulation's own reflections
+        well below the singular ones.  With t = (u - 0.3) / 0.7 it is
+        1 - f / (f + g), f = chi0(t), g = chi0(1 - t), and the slope reuses
+        f and g, since chi0'(t) = chi0(t) / t^2.
+        """
         x = np.asarray(x, float)
-        h = 1e-6
-        return (self.background(x + h) - self.background(x - h)) / (2 * h)
-
-    # -- radial profile ----------------------------------------------------
-    def singular_part(self, r):
-        r = np.abs(np.asarray(r, float))
-        return self.amp * r**self.exponent * _bump(r / self.core_radius)
-
-    def dsingular_part(self, r):
-        """d/dr of the singular part; exponent > 1 makes it vanish at r = 0."""
-        r = np.abs(np.asarray(r, float))
+        r = np.abs(x)
         u = r / self.core_radius
+        t = np.asarray((u - _PLATEAU) / (1.0 - _PLATEAU))
+        s = np.asarray(1.0 - t)
+        f, g = np.asarray(chi0(t)), np.asarray(chi0(s))
+        bump = 1.0 - f / (f + g)
         e = self.exponent
-        return self.amp * (
-            e * r ** (e - 1.0) * _bump(u)
-            + r**e * _bump_prime(u) / self.core_radius
-        )
-
-    def speed_radial(self, r):
-        """Speed as a function of interface distance (constant background)."""
-        r = np.asarray(r, float)
-        c = self.c_bg + self.singular_part(r)
-        return c if c.ndim else float(c)
-
-    def dspeed_radial(self, r):
-        d = self.dsingular_part(r)
-        return d if np.asarray(d).ndim else float(d)
+        bg = np.asarray(self._bg(x), float) if callable(self._bg) else self.c_bg
+        c = bg + self.amp * r**e * bump
+        if not slope:
+            return c if c.ndim else float(c)
+        fp, gp = np.zeros_like(f), np.zeros_like(g)
+        fp[t > 0] = f[t > 0] / (t[t > 0] * t[t > 0])
+        gp[s > 0] = g[s > 0] / (s[s > 0] * s[s > 0])
+        dbump = -((fp * g + f * gp) / (f + g) ** 2) / (1.0 - _PLATEAU)
+        dc = self.amp * (e * r ** (e - 1.0) * bump + r**e * dbump / self.core_radius)
+        dc = dc * np.sign(x)
+        if callable(self._bg):  # central difference of the smooth background
+            h, bg = 1e-6, self._bg
+            dc = dc + (np.asarray(bg(x + h), float) - np.asarray(bg(x - h), float)) / (2 * h)
+        return (c, dc) if c.ndim else (float(c), float(dc))
 
     def speed(self, x):
-        """Speed at positions; 1D input means the single normal coordinate."""
-        x = np.asarray(x, float)
-        if self.k == 1 and x.ndim <= 1:
-            c = self.background(x) + self.singular_part(np.abs(x))
-        else:
-            xp = x[..., : self.k]
-            c = self.c_bg + self.singular_part(np.linalg.norm(xp, axis=-1))
-        return c if np.asarray(c).ndim else float(c)
+        """Speed at the normal coordinate x: float in, float out; array in,
+        array out."""
+        return self._profile(x, slope=False)
 
     def dspeed(self, x):
-        """Signed d/dx of the speed for the k = 1 scalar-coordinate case."""
-        if self.k != 1:
-            raise ValueError("scalar derivative only defined for k = 1")
-        x = np.asarray(x, float)
-        d = self.dsingular_part(np.abs(x)) * np.sign(x) + self._dbackground(x)
-        return d if np.asarray(d).ndim else float(d)
+        """Signed d/dx of the speed, with the same float/array rule."""
+        return self._profile(x, slope=True)[1]
 
     # -- dual metric ------------------------------------------------------
     def split(self, q: PhasePoint):
@@ -175,10 +150,7 @@ class ConormalMetric:
 
     def dual_hamiltonian(self, q: PhasePoint) -> float:
         xp, _, _, xip, eta, tau = self.split(q)
-        if self.k == 1:
-            c = float(self.speed(float(xp[0])))
-        else:
-            c = self.speed_radial(np.linalg.norm(xp))
+        c = self.speed(float(xp[0]))
         return float(tau**2 - c**2 * (np.dot(xip, xip) + np.dot(eta, eta)))
 
     def on_characteristic_set(self, q: PhasePoint, tol: float = CHAR_TOL) -> bool:
@@ -192,20 +164,12 @@ class ConormalMetric:
         state = np.asarray(state, float)
         n = self.n
         x, xi = state[:n], state[n:]
-        k = self.k
-        xp = x[:k]
         spatial = xi[:-1]
         kin = float(np.dot(spatial, spatial))
+        c, dc = self._profile(float(x[0]), slope=True)
         dx = np.empty(n)
         dxi = np.zeros(n)
-        if k == 1:
-            c = float(self.speed(float(x[0])))
-            dxi[0] = 2.0 * c * float(self.dspeed(float(x[0]))) * kin
-        else:
-            r = float(np.linalg.norm(xp))
-            c = self.speed_radial(r)
-            if r > 0:
-                dxi[:k] = 2.0 * c * self.dspeed_radial(r) * xp / r * kin
+        dxi[0] = 2.0 * c * dc * kin
         dx[:-1] = -2.0 * c**2 * spatial
         dx[-1] = 2.0 * xi[-1]
         return np.concatenate([dx, dxi])
@@ -215,11 +179,11 @@ class ConormalMetric:
         m = self
 
         def a_coeff(x, y):
-            return -m.speed_radial(abs(x)) ** 2
+            return -m.speed(x) ** 2
 
         def b_matrix(x, y):
             d = m.n - m.k
-            c2 = m.speed_radial(abs(x)) ** 2
+            c2 = m.speed(x) ** 2
             diag = np.full(d, -c2)
             diag[-1] = 1.0  # time-dual slot
             return np.diag(diag)

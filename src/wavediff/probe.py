@@ -201,8 +201,11 @@ def default_oracle_scan(metric, band: tuple, points_per_octave: int = 6) -> Refl
 
 
 def _leg_time_at(leg, x):
+    """Time at which the leg passes position x, or None if it never gets there."""
     ts = np.array([s.q[1] for s in leg])
     xs = np.array([s.q[0] for s in leg])
+    if not xs.min() <= x <= xs.max():
+        return None
     order = np.argsort(xs)
     return float(np.interp(x, xs[order], ts[order]))
 
@@ -259,7 +262,7 @@ def window_plan(
     # incident measurement must end before the packet's leading edge enters
     # the clearance zone
     t_inc_end = _leg_time_at(inc_leg, -(clear + support + 2 * dx))
-    if t_inc_end <= 0:
+    if t_inc_end is None or t_inc_end <= 0:
         raise WindowPlanError("source too close to the interface; move it outward")
     incident = ProbeWindow(
         x_lo=-clear - width, x_hi=-clear, t_lo=0.0, t_hi=t_inc_end, label="incident"
@@ -278,17 +281,23 @@ def window_plan(
     transmitted = ProbeWindow(
         x_lo=clear, x_hi=clear + width, t_lo=t_ref_start, t_hi=t_end, label="transmitted"
     )
-    # the main reflected arrival must cross the window before the run ends
-    t_cross = _leg_time_at(refl_leg, -(clear + 0.6 * width))
-    if t_cross > t_end:
-        raise WindowPlanError("reflected packet does not reach its window; extend the duration")
-    t_cross_t = _leg_time_at(trans_leg, clear + 0.6 * width)
-    if t_cross_t > t_end:
-        raise WindowPlanError("transmitted packet does not reach its window; extend the duration")
+    # the main reflected and transmitted arrivals must cross their windows
+    # within the traced legs and before the run ends
+    for label, leg, x in (("reflected", refl_leg, -(clear + 0.6 * width)),
+                          ("transmitted", trans_leg, clear + 0.6 * width)):
+        t_cross = _leg_time_at(leg, x)
+        if t_cross is None:
+            raise WindowPlanError(
+                "traced %s leg ends before its window; extend the trace t_span" % label
+            )
+        if t_cross > t_end:
+            raise WindowPlanError(
+                "%s packet does not reach its window; extend the duration" % label
+            )
 
     # disjointness: incident/reflected share space but are separated in time
     # by the interface transit; enforce a five-pulse-width margin
-    gap = (t_ref_start - t_inc_end) * float(m.speed(np.asarray([incident.x_hi]))[0])
+    gap = (t_ref_start - t_inc_end) * m.speed(incident.x_hi)
     if gap < 5.0 * src.width:
         raise WindowPlanError("incident and reflected windows are not separated enough")
     return [incident, reflected, transmitted]

@@ -186,8 +186,7 @@ def ray_on_characteristic(metric: ConormalMetric, x: float, t: float, direction:
     """Point of the characteristic set over (x, t) with unit normal momentum,
     moving toward +x (direction=+1) or -x, with positive time dual so physical
     time increases along the flow."""
-    c = float(metric.speed(np.asarray([x], float))[0])
-    return PhasePoint([x, t], [-direction, c])
+    return PhasePoint([x, t], [-direction, metric.speed(x)])
 
 
 def _project_to_sigma(metric: ConormalMetric, state):
@@ -195,8 +194,7 @@ def _project_to_sigma(metric: ConormalMetric, state):
     characteristic set."""
     state = np.asarray(state, float).copy()
     x, _t, xi, tau = state
-    c = float(metric.speed(x))
-    target = abs(tau) / c
+    target = abs(tau) / metric.speed(x)
     state[2] = np.copysign(target, xi) if xi != 0 else target
     return state
 

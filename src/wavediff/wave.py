@@ -183,7 +183,7 @@ def _one_way_previous(u0, scenario: WaveScenario, dt: float) -> np.ndarray:
     """
     src = scenario.source
     xs = scenario.grid()
-    c_ref = float(scenario.metric.speed(np.asarray([src.center]))[0])
+    c_ref = scenario.metric.speed(src.center)
     n = xs.size
     spec = np.fft.rfft(u0)
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=scenario.dx)

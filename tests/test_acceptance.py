@@ -63,7 +63,7 @@ def experiment_scenario(metric, nx=2**14):
 
 
 def run_experiment(s0, with_oracle=True):
-    m = ConormalMetric(k=1, n=2, s0=s0, amp=0.4, core_radius=1.0)
+    m = ConormalMetric(n=2, s0=s0, amp=0.4, core_radius=1.0)
     sc = experiment_scenario(m)
     q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
     paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
@@ -289,7 +289,7 @@ def test_criterion_7_regularity_gain(experiments):
     # negative control: jump interface probed with the same geometry
     jump = PiecewiseSpeed(1.0, 1.3)
     scj = experiment_scenario(jump)
-    m_ref = ConormalMetric(k=1, n=2, s0=2.5, amp=0.4, core_radius=1.0)
+    m_ref = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
     paths = gbb_trace(m_ref, PhasePoint([-2.2, 0.0], [-1.0, 1.0]), t_span=scj.duration,
                       policy="tree")
     windows = window_plan(experiment_scenario(m_ref), paths)
@@ -309,7 +309,7 @@ def test_criterion_7_regularity_gain(experiments):
 
 
 def test_criterion_8_calibration_closure():
-    m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.0)
+    m = ConormalMetric(n=2, s0=2.5, amp=0.0)
     errs = {}
     for s_in in (-0.5, 0.0, 1.0, 2.0):
         sc = WaveScenario(

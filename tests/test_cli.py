@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from wavediff.cli import calc_batch, main, run_calc_query, run_pipeline
-from wavediff.config import ConfigError, load_config
+from wavediff.config import ConfigError, ExperimentConfig, load_config
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
 
@@ -161,7 +161,15 @@ class TestPipeline:
         assert (tmp_path / "out" / "calc.json").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    def test_small_pipeline_and_determinism(self, tmp_path):
+    def test_small_pipeline_and_determinism(self, tmp_path, monkeypatch):
+        builds = []
+        build_metric = ExperimentConfig.build_metric
+
+        def counted(self):
+            builds.append(1)
+            return build_metric(self)
+
+        monkeypatch.setattr(ExperimentConfig, "build_metric", counted)
         cfgf = tmp_path / "smoke.ini"
         cfgf.write_text(small_config_text(tmp_path / "out"))
         cfg = load_config(cfgf)
@@ -169,10 +177,13 @@ class TestPipeline:
         assert code == 0, manifest
         assert manifest["verdict"] == "pass"
         assert manifest["commutant_ok"]
-        # identical rerun reproduces identical checksums for the
-        # deterministic stages
+        assert len(builds) == 1  # trace, wave and oracle share one metric
+        # identical rerun reproduces identical checksums for every stage
         code2, manifest2 = run_pipeline(cfg)
-        for stage in ("calc", "trace", "wave"):
+        assert len(builds) == 2
+        stages = ("calc", "trace", "wave", "probe", "verify-commutant")
+        assert list(manifest["stages"]) == list(stages)
+        for stage in stages:
             assert manifest["stages"][stage]["outputs"] == manifest2["stages"][stage]["outputs"]
         out = tmp_path / "out"
         for name in ("calc.json", "trace.csv", "events.json", "field.npz",
@@ -206,6 +217,39 @@ class TestPipeline:
         for command in ("pipeline", "probe"):
             assert main([command, "--config", str(cfgf)]) == 2
             assert "reflection and one transmission branch" in capsys.readouterr().err
+        # the plan is refused before the wave solve, and the manifest says why
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "reflection and one transmission branch" in manifest["refused"]
+        assert not (tmp_path / "out" / "field.npz").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("k = 1\nn = 2\ns0 = 5/2", "k = 2\nn = 3\ns0 = 7/2"),
+            ("n = 2", "n = 3"),
+            ("nx = 8192", "nx = 8192\ncfl = 0.95"),
+            ("sponge_cells = 300", "sponge_cells = 10"),
+        ],
+        ids=["k2-n3", "n3", "cfl", "sponge"],
+    )
+    def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new):
+        cfgf = tmp_path / "fault.ini"
+        text = small_config_text(tmp_path / "out")
+        assert old in text
+        cfgf.write_text(text.replace(old, new))
+        assert main(["pipeline", "--config", str(cfgf)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_smooth_background_runs_no_oracle(self, tmp_path):
+        cfgf = tmp_path / "smooth.ini"
+        text = small_config_text(tmp_path / "out")
+        cfgf.write_text(text.replace("core_radius = 1.0", "core_radius = 1.0\n"
+                                     "c_smooth = 1.0 + 0.05*np.sin(x)"))
+        main(["probe", "--config", str(cfgf)])
+        probe = json.loads((tmp_path / "out" / "probe.json").read_text())
+        assert probe["oracle_exponent"] is None and probe["oracle_mismatch"] is None
+        assert any(note.startswith("oracle skipped") for note in probe["notes"])
 
     def test_cli_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"

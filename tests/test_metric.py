@@ -16,11 +16,11 @@ from wavediff.metric import (
 
 
 def flat_metric():
-    return ConormalMetric(k=1, n=2, s0=2.5, amp=0.0)
+    return ConormalMetric(n=2, s0=2.5, amp=0.0)
 
 
 def conormal_metric(s0=2.5, amp=0.4):
-    return ConormalMetric(k=1, n=2, s0=s0, amp=amp)
+    return ConormalMetric(n=2, s0=s0, amp=amp)
 
 
 class TestDualHamiltonian:
@@ -33,7 +33,10 @@ class TestDualHamiltonian:
     def test_speed_scaling(self):
         m = conormal_metric()
         x = 0.2
-        c = m.speed_radial(x)
+        c = m.speed(x)
+        # float in gives float out, array in gives array out
+        assert type(c) is float and type(m.dspeed(x)) is float
+        assert m.speed(np.array([x])).shape == m.dspeed(np.array([x])).shape == (1,)
         q = PhasePoint([x, 0.0], [1.0, c])  # tau = c * xi
         assert m.dual_hamiltonian(q) == pytest.approx(0.0, abs=1e-12)
 
@@ -56,22 +59,22 @@ class TestDualHamiltonian:
 
     def test_tau_slot_and_char_set(self):
         m = conormal_metric()
-        q = PhasePoint([0.1, 1.7], [2.0, m.speed_radial(0.1) * 2.0])
+        q = PhasePoint([0.1, 1.7], [2.0, m.speed(0.1) * 2.0])
         assert m.on_characteristic_set(q)
 
 
 class TestNormalForm:
     def test_product_normal_form_valid(self):
         for n in (2, 3, 4):
-            m = ConormalMetric(k=1, n=n, s0=2.5, amp=0.4)
+            m = ConormalMetric(n=n, s0=2.5, amp=0.4)
             nf = m.normal_form()
             assert nf.validate_at(np.zeros(n - 1))
 
     def test_classification_instances(self):
-        m = ConormalMetric(k=1, n=3, s0=2.5, amp=0.4)
+        m = ConormalMetric(n=3, s0=2.5, amp=0.4)
         nf = m.normal_form()
         y0 = np.zeros(2)
-        c0 = m.speed_radial(0.0)
+        c0 = m.speed(0.0)
         # eta = (eta_y, tau): timelike for B means tau^2 > c^2 eta_y^2
         assert classify_boundary_point(nf, y0, [0.0, 1.0]) is BoundaryClass.HYPERBOLIC
         assert classify_boundary_point(nf, y0, [1.0, c0]) is BoundaryClass.GLANCING
@@ -79,7 +82,7 @@ class TestNormalForm:
             classify_boundary_point(nf, y0, [1.0, 0.0])
 
     def test_classification_conic(self):
-        m = ConormalMetric(k=1, n=3, s0=2.5, amp=0.4)
+        m = ConormalMetric(n=3, s0=2.5, amp=0.4)
         nf = m.normal_form()
         y0 = np.zeros(2)
         eta = np.array([0.3, 1.0])
@@ -134,7 +137,7 @@ class TestRelatedRays:
             related_rays(self._nf(-1.0), np.zeros(2), [1.0, 1.0])
 
     def test_outputs_on_characteristic_set(self):
-        m = ConormalMetric(k=1, n=3, s0=2.5, amp=0.4)
+        m = ConormalMetric(n=3, s0=2.5, amp=0.4)
         nf = m.normal_form()
         y0 = np.zeros(2)
         rays = related_rays(nf, y0, [0.2, 1.0])
@@ -143,7 +146,7 @@ class TestRelatedRays:
             a0 = nf.A(0.0, y0)
             b = eta @ nf.B(0.0, y0) @ eta
             assert abs(a0 * xp**2 + b) <= 1e-12 * float(q.xi @ q.xi)
-        m_full = ConormalMetric(k=1, n=3, s0=2.5, amp=0.4)
+        m_full = ConormalMetric(n=3, s0=2.5, amp=0.4)
         for q in rays:
             assert abs(m_full.dual_hamiltonian(q)) <= 1e-12 * float(q.xi @ q.xi)
 
@@ -211,7 +214,7 @@ class TestHamiltonField:
     def test_p_invariant_direction(self):
         # dp along the field vanishes: grad p . X_p = 0 by antisymmetry
         m = conormal_metric()
-        state = np.array([0.17, 0.3, -1.1, m.speed_radial(0.17) * 1.1])
+        state = np.array([0.17, 0.3, -1.1, m.speed(0.17) * 1.1])
         v = m.hamilton_field(state)
         h = 1e-6
 

@@ -16,7 +16,7 @@ from wavediff.wave import (
 
 def flat_scenario(**kw):
     defaults = dict(
-        metric=ConormalMetric(k=1, n=2, s0=2.5, amp=0.0),
+        metric=ConormalMetric(n=2, s0=2.5, amp=0.0),
         x_lo=-2.0,
         x_hi=2.0,
         duration=1.0,
@@ -39,7 +39,7 @@ class TestSolverBasics:
             SpongeSpec(cells=10)
 
     def test_source_distance_guard(self):
-        m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
         with pytest.raises(ValueError):
             flat_scenario(metric=m, source=PulseSpec(center=-0.1, width=0.04))
 
@@ -83,7 +83,7 @@ class TestSolverBasics:
     def test_refinement_second_order_for_smooth_speed(self):
         # halving the grid shrinks the final-time error by ~4
         errs = []
-        m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.0, c_bg=1.0)
+        m = ConormalMetric(n=2, s0=2.5, amp=0.0, c_bg=1.0)
         for nx in (1000, 2000, 4000):
             sc = flat_scenario(metric=m, nx=nx, duration=0.5, store_stride=1000000)
             fld = run(sc)
@@ -96,7 +96,7 @@ class TestSolverBasics:
     def test_refinement_order_reported_for_conormal_speed(self):
         # with a Hoelder coefficient the refinement order is measured and
         # reported, asserted positive but not pinned to 2
-        m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.4, core_radius=0.3)
+        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.3)
         t_probe = 0.85
 
         def field_at(nx):
@@ -142,7 +142,7 @@ class TestEnergy:
         assert np.max(np.abs(vals - vals[0])) <= 1e-3 * vals[0]
 
     def test_conormal_energy_budget(self):
-        m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
         sc = WaveScenario(
             metric=m,
             x_lo=-3.0,
@@ -204,7 +204,7 @@ class TestStructure:
     def test_reciprocity(self):
         # swap source and receiver: traces agree (self-adjoint operator,
         # symmetric scheme)
-        m = ConormalMetric(k=1, n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
         x_a, x_b = -1.0, 0.8
 
         def forcing_at(x0):
