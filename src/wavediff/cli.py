@@ -74,7 +74,10 @@ def _fmt_decomp(dec) -> str:
 
 
 def _side(token: str) -> Side:
-    return Side.LEFT if token.lower().startswith("l") else Side.RIGHT
+    try:
+        return {"left": Side.LEFT, "right": Side.RIGHT}[token.lower()]
+    except KeyError:
+        raise ValueError("side must be left or right, got %r" % token) from None
 
 
 def run_calc_query(op: str, args: list):
@@ -247,7 +250,7 @@ def stage_wave(scenario, out_npz: Path):
 def stage_probe(cfg: ExperimentConfig, fld, scenario, windows, out_json: Path, out_csv: Path):
     oracle = None
     notes = []
-    if cfg.probe["oracle"] and cfg.metric_kind == "conormal":
+    if cfg.probe["oracle"]:
         if cfg.c_smooth is None:
             band = decay_fit(fld, windows[0]).band
             oracle = default_oracle_scan(scenario.metric, band)

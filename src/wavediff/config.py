@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .metric import ConormalMetric, PiecewiseSpeed
+from .escape import FRAMES
+from .metric import ConormalMetric
 from .wave import PulseSpec, SpongeSpec, WaveScenario
 
 
@@ -25,10 +26,7 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "experiment": {"name", "out_dir", "seed"},
-    "metric": {
-        "kind", "k", "n", "s0", "amp", "c_bg", "core_radius",
-        "c_left", "c_right", "c_smooth", "y_dependence",
-    },
+    "metric": {"k", "n", "s0", "amp", "c_bg", "core_radius", "c_smooth"},
     "calc": {"eps0", "s"},
     "trace": {"x0", "direction", "policy", "t_span"},
     "wave": {
@@ -74,15 +72,12 @@ class ExperimentConfig:
     name: str
     out_dir: Path
     seed: int
-    metric_kind: str
     k: int
     n: int
     s0: Fraction
     amp: float
     c_bg: float
     core_radius: float
-    c_left: float
-    c_right: float
     c_smooth: str | None
     eps0: Fraction
     s: Fraction
@@ -104,22 +99,18 @@ class ExperimentConfig:
                 "the physical stages support only k = 1 and n = 2, got k = %d and n = %d"
                 % (self.k, self.n)
             )
-        if self.metric_kind == "conormal":
-            background = self.c_bg
-            if self.c_smooth is not None:
-                background = _compile_speed_expression(self.c_smooth)
-            try:
-                return ConormalMetric(
-                    s0=float(self.s0),
-                    amp=self.amp,
-                    c_bg=background,
-                    core_radius=self.core_radius,
-                )
-            except ValueError as err:
-                raise ConfigError("[metric] %s" % err) from err
-        if self.metric_kind == "jump":
-            return PiecewiseSpeed(self.c_left, self.c_right)
-        raise ConfigError("unknown metric kind %r" % (self.metric_kind,))
+        background = self.c_bg
+        if self.c_smooth is not None:
+            background = _compile_speed_expression(self.c_smooth)
+        try:
+            return ConormalMetric(
+                s0=float(self.s0),
+                amp=self.amp,
+                c_bg=background,
+                core_radius=self.core_radius,
+            )
+        except ValueError as err:
+            raise ConfigError("[metric] %s" % err) from err
 
     def build_scenario(self) -> WaveScenario:
         w = self.wave
@@ -161,12 +152,6 @@ def load_config(path) -> ExperimentConfig:
         for key in cp[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
-    if "metric" in cp and "y_dependence" in cp["metric"]:
-        if cp["metric"]["y_dependence"].strip().lower() != "none":
-            raise ConfigError(
-                "y_dependence supports only 'none'; y-dependent singular"
-                " amplitudes are not supported"
-            )
 
     def get(section, key, default=None, cast=str):
         if section in cp and key in cp[section]:
@@ -220,6 +205,11 @@ def load_config(path) -> ExperimentConfig:
         "dim": get("commutant", "dim", 3, int),
         "grid": get("commutant", "grid", 10000, int),
     }
+    if commutant["frame"] not in FRAMES:
+        raise ConfigError(
+            "[commutant] frame must be one of %s, got %r"
+            % (", ".join(FRAMES), commutant["frame"])
+        )
     out_dir = Path(get("experiment", "out_dir", "out"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
@@ -227,15 +217,12 @@ def load_config(path) -> ExperimentConfig:
         name=get("experiment", "name", path.stem),
         out_dir=out_dir,
         seed=get("experiment", "seed", 1234, int),
-        metric_kind=get("metric", "kind", "conormal"),
         k=get("metric", "k", 1, int),
         n=get("metric", "n", 2, int),
         s0=get("metric", "s0", Fraction(5, 2), _rational),
         amp=get("metric", "amp", 0.4, float),
         c_bg=get("metric", "c_bg", 1.0, float),
         core_radius=get("metric", "core_radius", 1.0, float),
-        c_left=get("metric", "c_left", 1.0, float),
-        c_right=get("metric", "c_right", 1.3, float),
         c_smooth=(
             cp["metric"]["c_smooth"].strip()
             if "metric" in cp and "c_smooth" in cp["metric"]

@@ -5,13 +5,15 @@ The central object is a two-cutoff symbol family
     a = chi0(F^-1 (2 beta - phi/delta)) * chi1((eta + delta)/(eps delta) + 1),
     phi = eta + omega / (eps^2 delta),
 
-built from a function ``eta`` increasing along the flow at a base point and a
-quadratic localizer ``omega = sum sigma_j^2``.  Differentiating along the flow
-splits ``H_p a`` into ``-b^2 + e`` with ``b`` square-root factors and ``e``
-supported where the second cutoff is active; positivity of ``H_p phi`` on the
-support of ``a`` is what makes the sign work, and for localizers whose flow
-derivatives are merely Hoelder of exponent ``alpha`` it is bought by coupling
-the two localization scales through ``eps >= C' delta^alpha``.
+built in a flow-box chart around a base point: ``eta`` is the flow coordinate
+(``H_p eta = 1``) and ``omega = sum sigma_j^2`` is the quadratic localizer in
+the transverse coordinates; frames differ only in ``H_p sigma``.
+Differentiating along the flow splits ``H_p a`` into ``-b^2 + e`` with ``b``
+square-root factors and ``e`` supported where the second cutoff is active;
+positivity of ``H_p phi`` on the support of ``a`` is what makes the sign work,
+and for localizers whose flow derivatives are merely Hoelder of exponent
+``alpha`` it is bought by coupling the two localization scales through
+``eps >= min(1, C' delta^alpha)`` (``epsilon_schedule``).
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class EscapeParams:
 
     delta localizes along the flow, eps transverse to it, beta caps the
     forward endpoint, F absorbs weights and regularizers.  c0 is the lower
-    bound for the flow derivative of eta near the base point; (C_prime,
-    alpha) parameterize the scale coupling eps >= C_prime * delta^alpha.
+    bound for the flow derivative of eta near the base point.  The scale
+    coupling eps >= min(1, C' delta^alpha) is a property of the frame's
+    Hoelder data, so ``check_positivity`` reports it as ``schedule_valid``.
     """
 
     delta: float
@@ -86,9 +89,6 @@ class EscapeParams:
     beta: float
     F: float = 8.0
     c0: float = 1.0
-    C_prime: float = 1.0
-    alpha: float = 1.0
-    schedule_active: bool = False
 
     def __post_init__(self):
         if not 0 < self.delta < 1:
@@ -97,11 +97,6 @@ class EscapeParams:
             raise ValueError("need eps, beta in (0, 1]")
         if self.F <= 0 or self.c0 <= 0:
             raise ValueError("need positive F and c0")
-        if self.schedule_active and self.eps < self.C_prime * self.delta**self.alpha - 1e-12:
-            raise ValueError(
-                "scale schedule violated: eps=%g < C'*delta^alpha=%g"
-                % (self.eps, self.C_prime * self.delta**self.alpha)
-            )
 
 
 def epsilon_schedule(delta: float, alpha: float, C_prime: float) -> float:
@@ -114,164 +109,80 @@ def epsilon_schedule(delta: float, alpha: float, C_prime: float) -> float:
 
 
 class EscapeFrame:
-    """A chart around a base point with the localizing functions and a
-    directional-derivative provider for the flow.
+    """A flow-box chart around the base point 0.
 
-    Points are arrays of shape (d,) or (N, d) in chart coordinates.  When
-    analytic flow derivatives of eta and the sigma_j are not registered they
-    are formed by central differences along ``flow_field`` with one Richardson
-    step; analytic mode is the test of record for the exact decomposition
-    identity.
+    eta = q_0 is the flow coordinate with H_p eta = 1, the sigma_j = q_1..
+    are the transverse coordinates and omega = sum sigma_j^2.  A frame is
+    therefore fixed by the flow derivatives ``hp_sigmas(q) -> (..., dim - 1)``
+    of its transverse coordinates.  Points are arrays of shape (d,) or (N, d).
     """
 
-    def __init__(
-        self,
-        dim: int,
-        eta: Callable,
-        sigmas: Callable,
-        flow_field: Callable,
-        base_point: np.ndarray | None = None,
-        hp_eta: Callable | None = None,
-        hp_sigmas: Callable | None = None,
-        fd_step: float = 1e-5,
-    ):
+    def __init__(self, dim: int, hp_sigmas: Callable):
         self.dim = dim
-        self.eta = eta
-        self.sigmas = sigmas  # q -> (..., m)
-        self.flow_field = flow_field
-        self.base_point = np.zeros(dim) if base_point is None else np.asarray(base_point, float)
-        self._hp_eta = hp_eta
+        self.n_sigma = dim - 1
+        self.base_point = np.zeros(dim)
         self._hp_sigmas = hp_sigmas
-        self.fd_step = fd_step
-        self.analytic = hp_eta is not None and hp_sigmas is not None
 
-    @property
-    def n_sigma(self) -> int:
-        return np.asarray(self.sigmas(self.base_point)).shape[-1]
+    def eta(self, q):
+        return np.asarray(q, float)[..., 0]
+
+    def sigmas(self, q):
+        return np.asarray(q, float)[..., 1:]
 
     def omega(self, q):
-        s = np.asarray(self.sigmas(q))
+        s = self.sigmas(q)
         return np.sum(s * s, axis=-1)
 
-    def _directional(self, f, q):
-        # central difference along the flow with one Richardson step
-        q = np.asarray(q, float)
-        v = np.asarray(self.flow_field(q))
-        h = self.fd_step
-
-        def diff(step):
-            return (np.asarray(f(q + step * v)) - np.asarray(f(q - step * v))) / (2 * step)
-
-        d1 = diff(h)
-        d2 = diff(h / 2)
-        return (4.0 * d2 - d1) / 3.0
-
     def hp_eta(self, q):
-        if self._hp_eta is not None:
-            return np.asarray(self._hp_eta(q))
-        return self._directional(self.eta, q)
+        return np.ones(np.asarray(q, float).shape[:-1])
 
     def hp_sigmas(self, q):
-        if self._hp_sigmas is not None:
-            return np.asarray(self._hp_sigmas(q))
-        return self._directional(lambda x: np.asarray(self.sigmas(x)), q)
+        return np.asarray(self._hp_sigmas(np.asarray(q, float)))
 
     def hp_omega(self, q):
-        s = np.asarray(self.sigmas(q))
-        return 2.0 * np.sum(s * self.hp_sigmas(q), axis=-1)
+        return 2.0 * np.sum(self.sigmas(q) * self.hp_sigmas(q), axis=-1)
 
-    def check_base_point(self, rtol=1e-9):
-        qb = self.base_point
-        ok = abs(float(self.eta(qb))) <= rtol
-        ok &= float(self.hp_eta(qb)) > 0
-        ok &= float(self.omega(qb)) <= rtol
-        ok &= bool(np.all(np.abs(self.hp_sigmas(qb)) <= 1e-6))
-        return ok
+    def check_base_point(self, tol=1e-6):
+        """The flow must not move the transverse coordinates at the base point."""
+        return bool(np.all(np.abs(self.hp_sigmas(self.base_point)) <= tol))
 
 
 def precise_localizer_frame(dim: int) -> EscapeFrame:
-    """Flow-box frame: eta is the flow coordinate, the sigma_j are the
-    remaining coordinates, and the flow kills every sigma_j identically."""
-
-    def eta(q):
-        return np.asarray(q, float)[..., 0]
-
-    def sigmas(q):
-        return np.asarray(q, float)[..., 1:]
-
-    def flow(q):
-        q = np.asarray(q, float)
-        v = np.zeros_like(q)
-        v[..., 0] = 1.0
-        return v
-
-    def hp_eta(q):
-        return np.ones(np.asarray(q, float).shape[:-1])
+    """The flow kills every sigma_j identically."""
 
     def hp_sigmas(q):
-        q = np.asarray(q, float)
         return np.zeros(q.shape[:-1] + (q.shape[-1] - 1,))
 
-    return EscapeFrame(dim, eta, sigmas, flow, hp_eta=hp_eta, hp_sigmas=hp_sigmas)
+    return EscapeFrame(dim, hp_sigmas)
 
 
 def smooth_frame(dim: int, mixing: float = 0.3) -> EscapeFrame:
-    """Smooth non-flow-box frame: the flow tilts into the sigma directions at
-    a rate vanishing linearly at the base point (Lipschitz case)."""
-
-    def eta(q):
-        return np.asarray(q, float)[..., 0]
-
-    def sigmas(q):
-        return np.asarray(q, float)[..., 1:]
-
-    def flow(q):
-        q = np.asarray(q, float)
-        v = np.zeros_like(q)
-        v[..., 0] = 1.0
-        v[..., 1:] = mixing * (q[..., :1] - q[..., 1:])
-        return v
-
-    def hp_eta(q):
-        return np.ones(np.asarray(q, float).shape[:-1])
+    """The flow tilts into the sigma directions at a rate vanishing linearly
+    at the base point (Lipschitz case)."""
 
     def hp_sigmas(q):
-        q = np.asarray(q, float)
         return mixing * (q[..., :1] - q[..., 1:])
 
-    return EscapeFrame(dim, eta, sigmas, flow, hp_eta=hp_eta, hp_sigmas=hp_sigmas)
+    return EscapeFrame(dim, hp_sigmas)
 
 
 def synthetic_hoelder_frame(dim: int, alpha: float, C0: float) -> EscapeFrame:
-    """Worst-case frame saturating |H_p sigma_j| <= C0 (omega^{1/2}+|eta|)^alpha
+    """Worst case saturating |H_p sigma_j| <= C0 (omega^{1/2}+|eta|)^alpha
     with the sign that drives H_p omega as negative as possible."""
 
-    def eta(q):
-        return np.asarray(q, float)[..., 0]
-
-    def sigmas(q):
-        return np.asarray(q, float)[..., 1:]
-
-    def envelope(q):
-        q = np.asarray(q, float)
-        om = np.sum(q[..., 1:] ** 2, axis=-1)
-        return (np.sqrt(om) + np.abs(q[..., 0])) ** alpha
-
     def hp_sigmas(q):
-        q = np.asarray(q, float)
-        return -C0 * np.sign(q[..., 1:]) * envelope(q)[..., None]
+        envelope = (np.sqrt(np.sum(q[..., 1:] ** 2, axis=-1)) + np.abs(q[..., 0])) ** alpha
+        return -C0 * np.sign(q[..., 1:]) * envelope[..., None]
 
-    def flow(q):
-        q = np.asarray(q, float)
-        v = np.zeros_like(q)
-        v[..., 0] = 1.0
-        v[..., 1:] = hp_sigmas(q)
-        return v
+    return EscapeFrame(dim, hp_sigmas)
 
-    def hp_eta(q):
-        return np.ones(np.asarray(q, float).shape[:-1])
 
-    return EscapeFrame(dim, eta, sigmas, flow, hp_eta=hp_eta, hp_sigmas=hp_sigmas)
+# frame name -> builder(dim, alpha, C0); the names [commutant] frame accepts
+FRAMES = {
+    "precise-localizer": lambda dim, alpha, C0: precise_localizer_frame(dim),
+    "smooth": lambda dim, alpha, C0: smooth_frame(dim),
+    "synthetic-hoelder": synthetic_hoelder_frame,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +273,8 @@ def decompose_commutator(q, frame: EscapeFrame, params: EscapeParams) -> Commuta
 
     The three returned fields are assembled independently (hp_a by the chain
     rule on the composite symbol, b and e from their own closed forms), so the
-    residual hp_a + b^2 - e is an exact identity check: it vanishes to rounding
-    with analytic flow derivatives, and to finite-difference accuracy otherwise.
-    Weight-free version (unit weight).
+    residual hp_a + b^2 - e is an exact identity check that vanishes to
+    rounding.  Weight-free version (unit weight).
     """
     q = np.asarray(q, float)
     eta, phi, t0, u1 = _chi_args(q, frame, params)
@@ -458,10 +368,11 @@ def check_positivity(
     """Minimum of H_p phi over the sampled support of the symbol.
 
     With the frame's flow derivatives obeying the Hoelder bound with constants
-    ``hoelder = (C0, alpha)`` and the scale schedule eps >= C' delta^alpha in
-    force (C' derived from C0 and c0), the minimum is guaranteed >= c0/2; the
-    report records the margin either way, so undersized eps shows up as a
-    negative control rather than an exception.
+    ``hoelder = (C0, alpha)`` and the scale schedule in force, the minimum is
+    guaranteed >= c0/2.  ``schedule_valid`` is the one check of that schedule,
+    eps >= ``epsilon_schedule(delta, alpha, C')`` = min(1, C' delta^alpha)
+    with C' derived from C0 and c0.  The report records the margin either way,
+    so undersized eps shows up as a negative control rather than an exception.
     """
     C0, alpha = hoelder
     samples = np.asarray(samples, float)
@@ -469,7 +380,7 @@ def check_positivity(
     sup = a > 0
     hp_phi = eval_hp_phi(samples, frame, params)
     c_prime = derive_c_prime(C0, params.c0, frame.n_sigma, alpha)
-    schedule_valid = params.eps >= min(1.0, c_prime * params.delta**alpha) - 1e-12
+    schedule_valid = params.eps >= epsilon_schedule(params.delta, alpha, c_prime) - 1e-12
     min_val = float(hp_phi[sup].min()) if np.any(sup) else float("inf")
     threshold = params.c0 / 2.0
     return PositivityReport(
@@ -562,21 +473,14 @@ def run_commutant_check(
 ) -> dict:
     """Build a frame, sample its chart, and report support violations,
     decomposition residual, positivity margin, and the absorption threshold."""
-    if frame_kind == "precise-localizer":
-        frame = precise_localizer_frame(dim)
-    elif frame_kind == "smooth":
-        frame = smooth_frame(dim)
-    elif frame_kind == "synthetic-hoelder":
-        frame = synthetic_hoelder_frame(dim, alpha, C0)
-    else:
+    if frame_kind not in FRAMES:
         raise ValueError("unknown frame kind %r" % (frame_kind,))
+    frame = FRAMES[frame_kind](dim, alpha, C0)
 
     c_prime = derive_c_prime(C0, c0, dim - 1, alpha)
     if eps is None:
         eps = epsilon_schedule(delta, alpha, c_prime)
-    params = EscapeParams(
-        delta=delta, eps=eps, beta=beta, F=F, c0=c0, C_prime=c_prime, alpha=alpha
-    )
+    params = EscapeParams(delta=delta, eps=eps, beta=beta, F=F, c0=c0)
     pts = sample_chart(params, frame, n_grid=grid, n_quasi=quasi, seed=seed)
     support = check_support_estimates(pts, frame, params)
     parts = decompose_commutator(pts, frame, params)

@@ -199,7 +199,8 @@ class PiecewiseSpeed:
 
     A jump sits one conormal order above a delta layer (s0 = 1 = codim), far
     below the C^1 regime; it serves as the negative control where no
-    regularity gain is expected.
+    regularity gain is expected.  It has no Hamilton field, so it drives the
+    wave solve and the oracle directly and no config builds it.
     """
 
     def __init__(self, c_left: float = 1.0, c_right: float = 1.3):

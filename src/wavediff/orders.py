@@ -10,11 +10,14 @@ Everything in this module is exact: orders are ``fractions.Fraction``,
 predicates are decided with zero tolerance, and the strict / non-strict
 distinctions between the various Sobolev boundedness criteria are preserved
 exactly as they come out of the underlying kernel estimates.  No floating
-point enters any code path here.
+point enters any code path here.  Predicates scale their rational inputs to
+one integer lattice (``_lattice``) and compare ``int``s; results that are
+orders stay ``Fraction``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,9 +31,31 @@ def frac(x: Rational) -> Fraction:
     """Coerce to an exact rational; floats are rejected."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise TypeError("floating point not allowed in exact order arithmetic: %r" % (x,))
+    _reject_float(x)
     return Fraction(x)
+
+
+def _reject_float(*xs) -> None:
+    for x in xs:
+        if isinstance(x, float):
+            raise TypeError("floating point not allowed in exact order arithmetic: %r" % (x,))
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _half(j: int) -> Fraction:
+    """``Fraction(j, 2)``, built once per ``j``: every rule needs ``k/2`` or ``n/2``."""
+    return Fraction(j, 2)
+
+
+def _lattice(*xs: Fraction) -> tuple[int, list[int]]:
+    """Scale exact rationals to integers over one even common denominator ``2h``.
+
+    Returns ``(h, [x * 2h for x in xs])``.  A half-integer ``j/2`` scales to
+    ``j * h``, so any (in)equality among the ``xs`` and half-integers is the
+    same (in)equality among ``int``s.
+    """
+    d = math.lcm(2, *[x.denominator for x in xs])
+    return d // 2, [x.numerator * (d // x.denominator) for x in xs]
 
 
 class OrderError(ValueError):
@@ -186,7 +211,7 @@ class FlowoutCompositionError(OrderError):
         a, b = self.a, self.b
         if ell <= a.l + b.l:
             raise OrderError("fallback shift must exceed l + l' = %s" % (a.l + b.l,))
-        half_k = Fraction(a.k, 2)
+        half_k = _half(a.k)
         big_l = max(a.l - ell, b.l, a.l - ell + b.l + half_k)
         return PairOrder(a.p + b.p + ell, big_l, a.k)
 
@@ -202,7 +227,8 @@ def _check_same_k(a: PairOrder, b: PairOrder) -> int:
 def include_filter(a: PairOrder, b: PairOrder) -> bool:
     """Inclusion of pair spaces: needs p1 <= p2 and p1 + l1 <= p2 + l2."""
     _check_same_k(a, b)
-    return a.p <= b.p and a.p + a.l <= b.p + b.l
+    _, (ap, al, bp, bl) = _lattice(a.p, a.l, b.p, b.l)
+    return ap <= bp and ap + al <= bp + bl
 
 
 def embed_lambda0(p: Rational, k: int) -> PairOrder:
@@ -215,7 +241,7 @@ def embed_lambda0(p: Rational, k: int) -> PairOrder:
     p = frac(p)
     if not isinstance(k, int) or k < 1:
         raise OrderError("codimension k must be a positive integer")
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     return PairOrder(p - half_k, half_k, k)
 
 
@@ -231,7 +257,7 @@ def reverse_pair(o: PairOrder, eps: Rational) -> SpaceDecomposition:
     eps = frac(eps)
     if eps <= 0:
         raise OrderError("eps must be positive")
-    half_k = Fraction(o.k, 2)
+    half_k = _half(o.k)
     reversed_pair = (Tag.DIAG, Tag.FLOW_OUT)
     if o.l < -half_k:
         return SpaceDecomposition(
@@ -251,7 +277,7 @@ def reverse_pair(o: PairOrder, eps: Rational) -> SpaceDecomposition:
 def compose_au(a: PairOrder, b: PairOrder) -> PairOrder:
     """Flow-out composition rule with the diagonal conormal listed first."""
     k = _check_same_k(a, b)
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     return PairOrder(a.p + b.p + half_k, a.l + b.l - half_k, k)
 
 
@@ -267,7 +293,7 @@ def compose_flowout(a: PairOrder, b: PairOrder) -> PairOrder:
     k = _check_same_k(a, b)
     if a.l + b.l >= 0:
         raise FlowoutCompositionError(a, b)
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     return PairOrder(a.p + b.p, max(a.l, b.l, a.l + b.l + half_k), k)
 
 
@@ -280,10 +306,9 @@ def bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
     inclusion filter), but the stated criterion itself is unchanged, so this
     predicate implements it as printed.
     """
-    m_src, m_dst = frac(m_src), frac(m_dst)
-    gap = m_src - m_dst
-    half_k = Fraction(o.k, 2)
-    return o.p + half_k <= gap and o.p + o.l <= gap
+    h, (p, l, src, dst) = _lattice(o.p, o.l, frac(m_src), frac(m_dst))
+    gap = src - dst
+    return p + o.k * h <= gap and p + l <= gap
 
 
 def bounded_diag_flowout(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
@@ -292,10 +317,9 @@ def bounded_diag_flowout(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool
     First condition is non-strict, second strict; the distinction is meaningful
     and preserved exactly.
     """
-    m_src, m_dst = frac(m_src), frac(m_dst)
-    gap = m_src - m_dst
-    half_k = Fraction(o.k, 2)
-    return o.p <= gap and o.p + o.l < gap - half_k
+    h, (p, l, src, dst) = _lattice(o.p, o.l, frac(m_src), frac(m_dst))
+    gap = src - dst
+    return p <= gap and p + l < gap - o.k * h
 
 
 def bounded_one_sided(
@@ -307,14 +331,13 @@ def bounded_one_sided(
     LEFT for N*{x'=0} (kernel singular in the left variables), RIGHT for
     N*{y'=0}.  Both conditions are strict.
     """
-    m, m_src = frac(m), frac(m_src)
-    half_k = Fraction(o.k, 2)
-    half_n = Fraction(n, 2)
-    first = o.p + o.l < m + m_src - half_k
+    _reject_float(n)
+    h, (p, l, dst, src) = _lattice(o.p, o.l, frac(m), frac(m_src))
+    first = p + l < dst + src - o.k * h
     if side is Side.LEFT:
-        second = o.p < m - half_n
+        second = p < dst - n * h
     elif side is Side.RIGHT:
-        second = o.p < m_src - half_n
+        second = p < src - n * h
     else:
         raise OrderError("side must be Side.LEFT or Side.RIGHT")
     return first and second
@@ -349,7 +372,7 @@ def mult_decompose(
     s0, op_order = frac(s0), frac(op_order)
     if not (isinstance(k, int) and isinstance(n, int) and n > k >= 1):
         raise OrderError("need integers n > k >= 1")
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     conormal_tag = Tag.LEFT_CONORMAL if side is Side.LEFT else Tag.RIGHT_CONORMAL
     diag_term = SpaceTerm(
         (Tag.FLOW_OUT, Tag.DIAG), PairOrder(op_order, -s0 + half_k, k)
@@ -357,7 +380,7 @@ def mult_decompose(
     dim_y = n - k
     conormal_term = SpaceTerm(
         (Tag.FLOW_OUT, conormal_tag),
-        PairOrder(-s0 - Fraction(dim_y, 2), op_order + Fraction(n, 2), k),
+        PairOrder(-s0 - _half(dim_y), op_order + _half(n), k),
     )
     return SpaceDecomposition(paired=(diag_term, conormal_term))
 
@@ -366,7 +389,7 @@ def mult_bounded_range(s0: Rational, k: int) -> RegularityWindow:
     """Orders ``s`` for which multiplication by the singular coefficient
     preserves H^s: admissible iff ``s0 > k``, window ``(-s0 + k/2, s0 - k/2)``."""
     s0 = frac(s0)
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     return RegularityWindow(
         lo=-s0 + half_k, hi=s0 - half_k, admissible=s0 > k, s0=s0, k=k
     )
@@ -378,7 +401,7 @@ def elliptic_window(s0: Rational, eps0: Rational, k: int) -> RegularityWindow:
     s0, eps0 = frac(s0), frac(eps0)
     if eps0 <= 0:
         raise OrderError("eps0 must be positive")
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     return RegularityWindow(
         lo=-s0 + eps0 + 1 + half_k,
         hi=s0 - eps0 - half_k,
@@ -401,7 +424,7 @@ def hyperbolic_window(s0: Rational, eps0: Rational, k: int) -> HyperbolicWindow:
     s0, eps0 = frac(s0), frac(eps0)
     if eps0 <= 0:
         raise OrderError("eps0 must be positive")
-    half_k = Fraction(k, 2)
+    half_k = _half(k)
     admissible = k + 1 + 2 * eps0 < s0
     hi = s0 - eps0 - 1 - half_k
     theorem = RegularityWindow(
@@ -453,30 +476,34 @@ class ConstraintChainReport:
 def verify_constraint_chain(
     s0: Rational, eps0: Rational, s: Rational, k: int, n: int
 ) -> ConstraintChainReport:
-    """Evaluate the full constraint chain at one exact-rational sample."""
+    """Evaluate the full constraint chain at one exact-rational sample.
+
+    Every inequality is decided on the integer lattice of ``_lattice``: the
+    scaled ``s0, eps0, s`` against ``1 -> 2h`` and ``j/2 -> j*h``.
+    """
     s0, eps0, s = frac(s0), frac(eps0), frac(s)
-    half_k = Fraction(k, 2)
-    half_n = Fraction(n, 2)
-    dim_y = n - k
+    _reject_float(k, n)
+    h, (S0, E, S) = _lattice(s0, eps0, s)
+    one, half_k, half_n, half_y = 2 * h, k * h, n * h, (n - k) * h
 
     prelim = (
-        -s0 + 2 * s + 1 + half_k < 2 * s - 2 * eps0 - half_k,
-        -s0 + 1 - Fraction(dim_y, 2) < s - eps0 - half_n,
-        -s0 + 2 * s + 1 + half_k < s - eps0,
+        -S0 + 2 * S + one + half_k < 2 * S - 2 * E - half_k,
+        -S0 + one - half_y < S - E - half_n,
+        -S0 + 2 * S + one + half_k < S - E,
     )
     reduced = (
-        k + 1 + 2 * eps0 < s0,
-        s > -s0 + eps0 + 1 + half_k,
-        s < s0 - eps0 - 1 - half_k,
+        k * one + one + 2 * E < S0,
+        S > -S0 + E + one + half_k,
+        S < S0 - E - one - half_k,
     )
     reduction = (
-        s0 > k,
-        -s0 + half_k < s - 1,
-        s - 1 < s0 - half_k,
+        S0 > k * one,
+        -S0 + half_k < S - one,
+        S - one < S0 - half_k,
     )
     prelim_matches_reduced = all(a == b for a, b in zip(prelim, reduced))
     reduced_implies_reduction = (not all(reduced)) or all(reduction)
-    second_automatic = (not (reduced[0] and s > -half_k)) or reduced[1]
+    second_automatic = (not (reduced[0] and S > -half_k)) or reduced[1]
     return ConstraintChainReport(
         s0=s0,
         eps0=eps0,

@@ -73,8 +73,23 @@ class DecayFit:
         return self.r_hat - 0.5
 
 
-def _band_edges(k_top: float, n_bands: int) -> np.ndarray:
-    return k_top / 2.0 ** np.arange(n_bands, -1, -1)
+def _dyadic_bands(grid, values, k_top: float, n_bands: int, what: str):
+    """Means of ``values`` over the n_bands dyadic bands [k_top/2^j, k_top/2^(j-1)),
+    lowest first, with the geometric band centers, the fit weights sqrt(count)
+    and the band edges.  A band holding no grid point is an error naming ``what``,
+    the kind of grid point it lacks.
+    """
+    edges = k_top / 2.0 ** np.arange(n_bands, -1, -1)
+    means, centers, weights = [], [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = (grid >= lo) & (grid < hi)
+        cnt = int(np.count_nonzero(m))
+        if cnt == 0:
+            raise InsufficientBandsError("band [%g, %g) holds no %s" % (lo, hi, what))
+        means.append(float(np.mean(values[m])))
+        centers.append(float(np.sqrt(lo * hi)))
+        weights.append(np.sqrt(cnt))
+    return np.asarray(means), np.asarray(centers), np.asarray(weights), edges
 
 
 def _weighted_slope(x, y, w):
@@ -119,30 +134,11 @@ def decay_fit(
     if k_top > nyquist / 4.0 + 1e-9:
         raise InsufficientBandsError("top band must stay at or below a quarter Nyquist")
 
-    agg = np.zeros(k.size)
-    n_slices = 0
-    for idx in np.nonzero(sel_t)[0]:
-        mag = np.abs(np.fft.rfft(taper * fld.u[idx, sel_x]))
-        np.maximum(agg, mag, out=agg)
-        n_slices += 1
-
-    edges = _band_edges(k_top, n_bands)
-    means = []
-    centers = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = (k >= lo) & (k < hi)
-        cnt = int(np.count_nonzero(m))
-        if cnt == 0:
-            raise InsufficientBandsError(
-                "band [%g, %g) resolves no wavenumbers; widen the window" % (lo, hi)
-            )
-        means.append(float(np.mean(agg[m])))
-        centers.append(float(np.sqrt(lo * hi)))
-        weights.append(np.sqrt(cnt))
-    means = np.asarray(means)
-    centers = np.asarray(centers)
-    weights = np.asarray(weights)
+    # per-bin maximum over the window's slices, one batched transform
+    agg = np.abs(np.fft.rfft(taper * fld.u[np.ix_(sel_t, sel_x)], axis=1)).max(axis=0)
+    means, centers, weights, edges = _dyadic_bands(
+        k, agg, k_top, n_bands, "wavenumber of the window; widen the window"
+    )
 
     floor_band = (k >= 1.5 * k_top) & (k <= min(2.5 * k_top, 0.95 * nyquist))
     floor = float(np.median(agg[floor_band])) if np.any(floor_band) else 0.0
@@ -162,24 +158,16 @@ def decay_fit(
         dynamic_range_decades=decades,
         low_confidence=decades < 3.0,
         smooth_at_resolution=smooth_here,
-        n_slices=n_slices,
+        n_slices=int(np.count_nonzero(sel_t)),
     )
 
 
 def oracle_band_exponent(scan: ReflectionScan, band: tuple, n_bands: int = 8):
     """Fit the oracle's |R| over the same dyadic bands the field probe uses."""
-    edges = _band_edges(band[1], n_bands)
-    means, centers, weights = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = (scan.omegas >= lo) & (scan.omegas < hi)
-        if not np.any(m):
-            raise InsufficientBandsError("oracle scan misses band [%g, %g)" % (lo, hi))
-        means.append(float(np.mean(np.abs(scan.R[m]))))
-        centers.append(float(np.sqrt(lo * hi)))
-        weights.append(np.sqrt(np.count_nonzero(m)))
-    slope, _, stderr = _weighted_slope(
-        np.log(np.asarray(centers)), np.log(np.asarray(means)), np.asarray(weights)
+    means, centers, weights, _ = _dyadic_bands(
+        scan.omegas, np.abs(scan.R), band[1], n_bands, "oracle frequency"
     )
+    slope, _, stderr = _weighted_slope(np.log(centers), np.log(means), weights)
     return -slope, stderr
 
 

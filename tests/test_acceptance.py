@@ -203,8 +203,7 @@ def test_criterion_4_positivity_schedule():
         for j in range(3, 9):
             delta = 2.0**-j
             eps = epsilon_schedule(delta, alpha, c_prime)
-            params = EscapeParams(delta=delta, eps=eps, beta=1.0, c0=c0,
-                                  C_prime=c_prime, alpha=alpha, schedule_active=True)
+            params = EscapeParams(delta=delta, eps=eps, beta=1.0, c0=c0)
             pts = sample_chart(params, frame, n_grid=6000, n_quasi=2000, seed=j)
             rep = check_positivity(frame, params, (C0, alpha), pts)
             if not (rep.schedule_valid and rep.passed):

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -17,7 +18,6 @@ out_dir = {out_dir}
 seed = 7
 
 [metric]
-kind = conormal
 k = 1
 n = 2
 s0 = {s0}
@@ -86,6 +86,15 @@ bogus_op 1 2 3
         assert "window=(-2,2)" in rows[3].replace(" ", "")
         assert "error" in rows[4]
 
+    def test_batch_rejects_unknown_side(self, tmp_path):
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("psdo_shift 0 0 1 1 sideways\npsdo_shift 0 0 1 1 LEFT\n")
+        out = tmp_path / "res.csv"
+        assert calc_batch(qfile, out) == 2
+        rows = list(csv.reader(out.open()))
+        assert rows[1][3] == "error" and "sideways" in rows[1][4]
+        assert rows[2][3] != "error"
+
 
 class TestConfig:
     def test_bundled_scenario_loads(self):
@@ -95,7 +104,15 @@ class TestConfig:
         assert cfg.wave["nx"] == 16384
 
     @pytest.mark.parametrize(
-        "section, key", [("metric", "whatever"), ("trace", "h"), ("calc", "batch")]
+        "section, key",
+        [
+            ("metric", "whatever"),
+            ("metric", "kind"),
+            ("metric", "c_left"),
+            ("metric", "y_dependence"),
+            ("trace", "h"),
+            ("calc", "batch"),
+        ],
     )
     def test_unknown_key_rejected(self, tmp_path, section, key):
         bad = tmp_path / "bad.ini"
@@ -140,12 +157,11 @@ class TestConfig:
             cfg.build_metric()
 
     def test_y_dependence_none_only(self, tmp_path):
+        # the key is gone: even its one former legal value is rejected
         cfgf = tmp_path / "ydep.ini"
-        cfgf.write_text("[metric]\ny_dependence = x*0.1\n")
-        with pytest.raises(ConfigError):
-            load_config(cfgf)
         cfgf.write_text("[metric]\ny_dependence = none\n")
-        load_config(cfgf)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(cfgf)
 
 
 class TestPipeline:
@@ -229,8 +245,9 @@ class TestPipeline:
             ("n = 2", "n = 3"),
             ("nx = 8192", "nx = 8192\ncfl = 0.95"),
             ("sponge_cells = 300", "sponge_cells = 10"),
+            ("grid = 3000", "grid = 3000\nframe = bogus"),
         ],
-        ids=["k2-n3", "n3", "cfl", "sponge"],
+        ids=["k2-n3", "n3", "cfl", "sponge", "frame"],
     )
     def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new):
         cfgf = tmp_path / "fault.ini"
