@@ -200,9 +200,11 @@ def stage_calc(cfg: ExperimentConfig, out: Path) -> dict:
     return result
 
 
-def stage_trace(cfg: ExperimentConfig, metric, out_csv: Path, out_events: Path):
-    q0 = ray_on_characteristic(metric, cfg.trace_x0, 0.0, cfg.trace_direction)
-    paths = gbb_trace(metric, q0, t_span=cfg.trace_t_span, policy=cfg.trace_policy)
+def stage_trace(cfg: ExperimentConfig, scenario, out_csv: Path, out_events: Path):
+    """Trace the ray of the scenario's own packet for the scenario's duration."""
+    metric, src = scenario.metric, scenario.source
+    q0 = ray_on_characteristic(metric, src.center, 0.0, src.direction)
+    paths = gbb_trace(metric, q0, t_span=scenario.duration, policy=cfg.trace_policy)
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["path", "leg", "param", "x", "t", "xi", "tau", "p_residual"])
@@ -262,9 +264,7 @@ def stage_probe(cfg: ExperimentConfig, fld, scenario, windows, out_json: Path, o
     rep = gain_report(
         fld,
         windows,
-        s0=float(cfg.s0),
-        eps0=float(cfg.eps0),
-        k=cfg.k,
+        hyperbolic_window(cfg.s0, cfg.eps0, cfg.k),
         oracle=oracle,
         transmit_tol=cfg.probe["transmit_tol"],
         oracle_tol=cfg.probe["oracle_tol"],
@@ -277,11 +277,8 @@ def stage_probe(cfg: ExperimentConfig, fld, scenario, windows, out_json: Path, o
         w = csv.writer(fh)
         w.writerow(["window", "band_center", "band_mean", "fit"])
         for label, fit in rep.fits.items():
-            scale = np.exp(np.mean(np.log(np.maximum(fit.band_means, 1e-300))))
             for c, mval in zip(fit.band_centers, fit.band_means):
-                fitted = scale * (c / np.exp(np.mean(np.log(fit.band_centers)))) ** (
-                    -fit.r_hat
-                )
+                fitted = np.exp(fit.intercept) * c ** -fit.r_hat
                 w.writerow([label, "%.6g" % c, "%.6g" % mval, "%.6g" % fitted])
     return rep
 
@@ -340,7 +337,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     t0 = time.time()
     trace_csv, events_json = out / "trace.csv", out / "events.json"
-    paths = stage_trace(cfg, scenario.metric, trace_csv, events_json)
+    paths = stage_trace(cfg, scenario, trace_csv, events_json)
     record("trace", [trace_csv, events_json], t0)
     try:
         windows = window_plan(scenario, paths)
@@ -409,7 +406,9 @@ def main(argv=None) -> int:
     p_calc.add_argument("--out", type=Path, default=Path("calc_results.csv"))
     p_calc.add_argument("--config", type=Path, help="evaluate the config's admissibility gate")
 
-    p_trace = sub.add_parser("trace", help="trace broken bicharacteristics")
+    p_trace = sub.add_parser(
+        "trace", help="trace the broken bicharacteristics of the configured packet"
+    )
     p_trace.add_argument("--config", type=Path, required=True)
 
     p_wave = sub.add_parser("wave", help="wave solver")
@@ -449,7 +448,7 @@ def main(argv=None) -> int:
         if args.command == "trace":
             cfg = load_config(args.config)
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_trace(cfg, cfg.build_metric(), cfg.out_dir / "trace.csv",
+            stage_trace(cfg, cfg.build_scenario(), cfg.out_dir / "trace.csv",
                         cfg.out_dir / "events.json")
             print("trace written to %s" % cfg.out_dir)
             return 0
@@ -464,7 +463,7 @@ def main(argv=None) -> int:
             scenario = cfg.build_scenario()
             out = cfg.out_dir
             out.mkdir(parents=True, exist_ok=True)
-            paths = stage_trace(cfg, scenario.metric, out / "trace.csv", out / "events.json")
+            paths = stage_trace(cfg, scenario, out / "trace.csv", out / "events.json")
             windows = window_plan(scenario, paths)
             rep = stage_probe(
                 cfg, wave_run(scenario), scenario, windows, out / "probe.json",

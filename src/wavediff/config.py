@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .escape import FRAMES
+from .escape import commutant_setup
 from .metric import ConormalMetric
+from .tracer import POLICIES
 from .wave import PulseSpec, SpongeSpec, WaveScenario
 
 
@@ -28,7 +29,7 @@ _SCHEMA = {
     "experiment": {"name", "out_dir", "seed"},
     "metric": {"k", "n", "s0", "amp", "c_bg", "core_radius", "c_smooth"},
     "calc": {"eps0", "s"},
-    "trace": {"x0", "direction", "policy", "t_span"},
+    "trace": {"policy"},
     "wave": {
         "x_lo", "x_hi", "duration", "nx", "cfl",
         "pulse_center", "pulse_width", "pulse_s_in", "pulse_seed",
@@ -43,6 +44,13 @@ _PROBE_TOL_DEFAULTS = {"transmit_tol": 0.25, "oracle_tol": 0.25, "margin": 0.25}
 
 def _rational(text: str) -> Fraction:
     return Fraction(text.strip())
+
+
+def _boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("not a boolean: %r" % text.strip())
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
 def _compile_speed_expression(expr: str):
@@ -81,10 +89,7 @@ class ExperimentConfig:
     c_smooth: str | None
     eps0: Fraction
     s: Fraction
-    trace_x0: float
-    trace_direction: int
     trace_policy: str
-    trace_t_span: float
     wave: dict
     probe: dict
     commutant: dict
@@ -153,22 +158,21 @@ def load_config(path) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
 
-    def get(section, key, default=None, cast=str):
+    def get(section, key, default, cast=str):
         if section in cp and key in cp[section]:
-            return cast(cp[section][key])
-        if default is None:
-            raise ConfigError("missing key %r in section [%s]" % (key, section))
+            try:
+                return cast(cp[section][key])
+            except ValueError as err:
+                raise ConfigError("[%s] %s: %s" % (section, key, err)) from err
         return default
 
     probe = {
-        "oracle": get("probe", "oracle", "true").lower() in ("1", "true", "yes"),
-        "transmit_tol": get("probe", "transmit_tol", 0.25, float),
-        "oracle_tol": get("probe", "oracle_tol", 0.25, float),
+        "oracle": get("probe", "oracle", True, _boolean),
         "gain_floor": get("probe", "gain_floor", 1.0, float),
-        "margin": get("probe", "margin", 0.25, float),
     }
-    loosened = get("probe", "loosened", "false").lower() in ("1", "true", "yes")
+    loosened = get("probe", "loosened", False, _boolean)
     for key, default in _PROBE_TOL_DEFAULTS.items():
+        probe[key] = get("probe", key, default, float)
         if probe[key] > default and not loosened:
             raise ConfigError(
                 "tolerance %s=%g exceeds its default %g; set loosened=true to allow"
@@ -192,11 +196,7 @@ def load_config(path) -> ExperimentConfig:
     commutant = {
         "frame": get("commutant", "frame", "synthetic-hoelder"),
         "delta": get("commutant", "delta", 0.125, float),
-        "eps": (
-            float(cp["commutant"]["eps"])
-            if "commutant" in cp and "eps" in cp["commutant"]
-            else None
-        ),
+        "eps": get("commutant", "eps", None, float),
         "beta": get("commutant", "beta", 1.0, float),
         "F": get("commutant", "F", 8.0, float),
         "c0": get("commutant", "c0", 1.0, float),
@@ -205,10 +205,16 @@ def load_config(path) -> ExperimentConfig:
         "dim": get("commutant", "dim", 3, int),
         "grid": get("commutant", "grid", 10000, int),
     }
-    if commutant["frame"] not in FRAMES:
+    c = commutant
+    try:  # the constructors of the commutant check own the legal ranges
+        commutant_setup(c["frame"], c["delta"], c["eps"], c["beta"], c["F"], c["c0"],
+                        c["alpha"], c["C0"], c["dim"])
+    except ValueError as err:
+        raise ConfigError("[commutant] %s" % err) from err
+    trace_policy = get("trace", "policy", "tree")
+    if trace_policy not in POLICIES:
         raise ConfigError(
-            "[commutant] frame must be one of %s, got %r"
-            % (", ".join(FRAMES), commutant["frame"])
+            "[trace] policy must be one of %s, got %r" % (", ".join(POLICIES), trace_policy)
         )
     out_dir = Path(get("experiment", "out_dir", "out"))
     if not out_dir.is_absolute():
@@ -223,17 +229,10 @@ def load_config(path) -> ExperimentConfig:
         amp=get("metric", "amp", 0.4, float),
         c_bg=get("metric", "c_bg", 1.0, float),
         core_radius=get("metric", "core_radius", 1.0, float),
-        c_smooth=(
-            cp["metric"]["c_smooth"].strip()
-            if "metric" in cp and "c_smooth" in cp["metric"]
-            else None
-        ),
+        c_smooth=get("metric", "c_smooth", None, str.strip),
         eps0=get("calc", "eps0", Fraction(1, 20), _rational),
         s=get("calc", "s", Fraction(1, 2), _rational),
-        trace_x0=get("trace", "x0", -2.2, float),
-        trace_direction=get("trace", "direction", 1, int),
-        trace_policy=get("trace", "policy", "tree"),
-        trace_t_span=get("trace", "t_span", 6.6, float),
+        trace_policy=trace_policy,
         wave=wave,
         probe=probe,
         commutant=commutant,

@@ -457,6 +457,19 @@ def find_F_threshold(
 # scenario-level check used by the CLI
 
 
+def commutant_setup(frame_kind: str, delta: float, eps: float | None, beta: float, F: float,
+                    c0: float, alpha: float = 1.0, C0: float = 0.05, dim: int = 3):
+    """The frame, the symbol constants and C' of one commutant check; ``eps``
+    None takes the scale schedule.  A value out of range raises ValueError."""
+    if frame_kind not in FRAMES:
+        raise ValueError("frame must be one of %s, got %r" % (", ".join(FRAMES), frame_kind))
+    frame = FRAMES[frame_kind](dim, alpha, C0)
+    c_prime = derive_c_prime(C0, c0, dim - 1, alpha)
+    if eps is None:
+        eps = epsilon_schedule(delta, alpha, c_prime)
+    return frame, EscapeParams(delta=delta, eps=eps, beta=beta, F=F, c0=c0), c_prime
+
+
 def run_commutant_check(
     frame_kind: str,
     delta: float,
@@ -473,14 +486,7 @@ def run_commutant_check(
 ) -> dict:
     """Build a frame, sample its chart, and report support violations,
     decomposition residual, positivity margin, and the absorption threshold."""
-    if frame_kind not in FRAMES:
-        raise ValueError("unknown frame kind %r" % (frame_kind,))
-    frame = FRAMES[frame_kind](dim, alpha, C0)
-
-    c_prime = derive_c_prime(C0, c0, dim - 1, alpha)
-    if eps is None:
-        eps = epsilon_schedule(delta, alpha, c_prime)
-    params = EscapeParams(delta=delta, eps=eps, beta=beta, F=F, c0=c0)
+    frame, params, c_prime = commutant_setup(frame_kind, delta, eps, beta, F, c0, alpha, C0, dim)
     pts = sample_chart(params, frame, n_grid=grid, n_quasi=quasi, seed=seed)
     support = check_support_estimates(pts, frame, params)
     parts = decompose_commutator(pts, frame, params)
@@ -503,7 +509,7 @@ def run_commutant_check(
     return {
         "frame": frame_kind,
         "delta": delta,
-        "eps": eps,
+        "eps": params.eps,
         "beta": beta,
         "F": F,
         "c0": c0,

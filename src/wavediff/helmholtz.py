@@ -7,8 +7,9 @@ For each frequency the time-harmonic reduction of  u_tt = (c^2 u_x)_x  is
 integrated as the first-order system v' = w / c^2, w' = -omega^2 v, which
 never differentiates the merely-Hoelder coefficient.  With the speed constant
 outside [-x_match, x_match], plane-wave matching at the ends yields the
-reflection and transmission coefficients; fitting log |R| against log omega
-gives the oracle decay exponent that the wave-field probe is compared to.
+reflection and transmission coefficients.  ``probe.oracle_band_exponent``
+fits |R| over the probe's own dyadic bands, which gives the oracle decay
+exponent that the wave-field probe is compared to.
 """
 
 from __future__ import annotations
@@ -31,24 +32,6 @@ class ReflectionScan:
         """|R|^2 + (k_R c_R^2)/(k_L c_L^2) |T|^2 - 1, zero for a lossless profile."""
         ratio = (self.c_right**2 / self.c_left**2) * (self.c_left / self.c_right)
         return np.abs(self.R) ** 2 + ratio * np.abs(self.T) ** 2 - 1.0
-
-    def decay_exponent(self, omega_lo=None, omega_hi=None):
-        """Least-squares slope of log |R| vs log omega over [omega_lo, omega_hi];
-        returns (rho, stderr)."""
-        om = self.omegas
-        mask = np.ones_like(om, dtype=bool)
-        if omega_lo is not None:
-            mask &= om >= omega_lo
-        if omega_hi is not None:
-            mask &= om <= omega_hi
-        x = np.log(om[mask])
-        y = np.log(np.abs(self.R[mask]))
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        dof = max(x.size - 2, 1)
-        sxx = np.sum((x - x.mean()) ** 2)
-        stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx))
-        return float(-slope), stderr
 
 
 def reflection_scan(

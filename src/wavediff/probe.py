@@ -22,6 +22,7 @@ import numpy as np
 
 from .escape import chi1
 from .helmholtz import ReflectionScan, reflection_scan
+from .orders import HyperbolicWindow
 from .tracer import EventType
 from .wave import WaveField, WaveScenario
 
@@ -59,6 +60,7 @@ class DecayFit:
     label: str
     r_hat: float
     stderr: float
+    intercept: float  # log band mean = intercept - r_hat * log band center
     band: tuple
     n_bands: int
     band_centers: np.ndarray
@@ -146,11 +148,14 @@ def decay_fit(
     decades = float(np.log10(max(means.max(), 1e-300) / floor))
     smooth_here = bool(means[-1] < 10.0 * floor)
 
-    slope, _, stderr = _weighted_slope(np.log(centers), np.log(np.maximum(means, 1e-300)), weights)
+    slope, intercept, stderr = _weighted_slope(
+        np.log(centers), np.log(np.maximum(means, 1e-300)), weights
+    )
     return DecayFit(
         label=window.label,
         r_hat=-slope,
         stderr=stderr,
+        intercept=intercept,
         band=(float(edges[0]), float(edges[-1])),
         n_bands=n_bands,
         band_centers=centers,
@@ -276,7 +281,7 @@ def window_plan(
         t_cross = _leg_time_at(leg, x)
         if t_cross is None:
             raise WindowPlanError(
-                "traced %s leg ends before its window; extend the trace t_span" % label
+                "traced %s leg ends before its window; extend the duration" % label
             )
         if t_cross > t_end:
             raise WindowPlanError(
@@ -322,9 +327,7 @@ class RegularityReport:
 def gain_report(
     fld: WaveField,
     windows: list,
-    s0: float,
-    eps0: float,
-    k: int,
+    window: HyperbolicWindow,
     oracle: ReflectionScan | None = None,
     transmit_tol: float = 0.25,
     oracle_tol: float = 0.25,
@@ -337,8 +340,9 @@ def gain_report(
     ``transmit_tol``; the reflected exponent must match incident + oracle
     exponent within ``oracle_tol`` when an oracle scan is supplied, and must
     in any case reach min(incident gain floor, interface ceiling - margin) in
-    inferred Sobolev order.  Low-confidence fits make the verdict
-    "inconclusive", never "pass".
+    inferred Sobolev order.  The gate, the theorem window and the interface
+    ceiling all come from the exact ``window`` (``orders.hyperbolic_window``).
+    Low-confidence fits make the verdict "inconclusive", never "pass".
     """
     fits = {}
     for w in windows:
@@ -349,10 +353,7 @@ def gain_report(
     gain_r = refl.r_hat - inc.r_hat
     gain_t = trans.r_hat - inc.r_hat
 
-    admissible = (k + 1 + 2 * eps0) < s0
-    sup = s0 - eps0 - 1 - k / 2.0
-    lo = -k / 2.0
-
+    theorem = window.theorem
     oracle_exp = oracle_err = predicted = mismatch = None
     if oracle is not None:
         oracle_exp, oracle_err = oracle_band_exponent(oracle, inc.band, inc.n_bands)
@@ -367,7 +368,8 @@ def gain_report(
         checks.append(abs(mismatch) <= oracle_tol)
         if not checks[-1]:
             notes.append("reflected exponent misses the oracle prediction by %.3f" % mismatch)
-    ceiling = (s0 - 1 - k / 2.0) - margin
+    # interface ceiling s0 - 1 - k/2: the top of the window as eps0 -> 0
+    ceiling = float(theorem.hi + theorem.eps0) - margin
     target_s = min(inc.s_hat + gain_floor, ceiling)
     checks.append(refl.s_hat >= target_s)
     if not checks[-1]:
@@ -390,9 +392,9 @@ def gain_report(
         oracle_stderr=oracle_err,
         predicted_reflected_r=predicted,
         oracle_mismatch=mismatch,
-        window_admissible=admissible,
-        window_sup=sup,
-        window_lo=lo,
+        window_admissible=window.admissible,
+        window_sup=float(theorem.hi),
+        window_lo=float(theorem.lo),
         transmit_tol=transmit_tol,
         verdict=verdict,
         notes=notes,

@@ -25,6 +25,9 @@ from .metric import ConormalMetric, PhasePoint
 
 GLANCING_FLOOR = 1e-6
 
+# branches gbb_trace spawns at an interface crossing: the [trace] policy names
+POLICIES = ("reflect", "transmit", "tree")
+
 
 class GlancingHalt(RuntimeError):
     """Transversality lost: the clock component of the field hit the floor."""
@@ -219,8 +222,8 @@ def gbb_trace(
     """
     if metric.k != 1 or metric.n != 2:
         raise ValueError("tracer drives the 1+1D product metric")
-    if policy not in ("reflect", "transmit", "tree"):
-        raise ValueError("policy must be reflect, transmit, or tree")
+    if policy not in POLICIES:
+        raise ValueError("policy must be one of %s, got %r" % (", ".join(POLICIES), policy))
     if abs(q0.xi[0]) < GLANCING_FLOOR * np.linalg.norm(q0.xi):
         raise GlancingHalt([], "initial point is glancing")
     if not metric.on_characteristic_set(q0, tol=1e-9):

@@ -72,7 +72,8 @@ def run_experiment(s0, with_oracle=True):
     oracle = None
     if with_oracle:
         oracle = default_oracle_scan(m, decay_fit(fld, windows[0]).band)
-    return gain_report(fld, windows, s0=s0, eps0=0.05, k=1, oracle=oracle)
+    window = hyperbolic_window(Fraction(str(s0)), Fraction(1, 20), 1)
+    return gain_report(fld, windows, window, oracle=oracle)
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +293,7 @@ def test_criterion_7_regularity_gain(experiments):
     paths = gbb_trace(m_ref, PhasePoint([-2.2, 0.0], [-1.0, 1.0]), t_span=scj.duration,
                       policy="tree")
     windows = window_plan(experiment_scenario(m_ref), paths)
-    repj = gain_report(run(scj), windows, s0=1.0, eps0=0.05, k=1)
+    repj = gain_report(run(scj), windows, hyperbolic_window(1, Fraction(1, 20), 1))
 
     ok = (
         rep.verdict == "pass"

@@ -1,10 +1,11 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from wavediff.cli import calc_batch, main, run_calc_query, run_pipeline
+from wavediff.cli import _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import ConfigError, ExperimentConfig, load_config
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
@@ -29,8 +30,6 @@ eps0 = {eps0}
 s = {s}
 
 [trace]
-x0 = -2.2
-t_span = 6.6
 {extra}
 
 [wave]
@@ -111,6 +110,9 @@ class TestConfig:
             ("metric", "c_left"),
             ("metric", "y_dependence"),
             ("trace", "h"),
+            ("trace", "x0"),
+            ("trace", "direction"),
+            ("trace", "t_span"),
             ("calc", "batch"),
         ],
     )
@@ -134,6 +136,20 @@ class TestConfig:
         cfgf.write_text("[probe]\noracle_tol = 0.5\nloosened = true\n")
         cfg = load_config(cfgf)
         assert cfg.probe["oracle_tol"] == 0.5
+
+    @pytest.mark.parametrize("word, value", [("on", True), ("off", False)])
+    def test_probe_booleans(self, tmp_path, word, value):
+        cfgf = tmp_path / "flags.ini"
+        cfgf.write_text("[probe]\noracle = %s\nloosened = %s\n" % (word, word))
+        cfg = load_config(cfgf)
+        assert cfg.probe["oracle"] is value
+
+    @pytest.mark.parametrize("key", ["oracle", "loosened"])
+    def test_probe_boolean_typo_rejected(self, tmp_path, key):
+        cfgf = tmp_path / "typo.ini"
+        cfgf.write_text("[probe]\n%s = flase\n" % key)
+        with pytest.raises(ConfigError, match="not a boolean"):
+            load_config(cfgf)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -187,7 +203,8 @@ class TestPipeline:
 
         monkeypatch.setattr(ExperimentConfig, "build_metric", counted)
         cfgf = tmp_path / "smoke.ini"
-        cfgf.write_text(small_config_text(tmp_path / "out"))
+        text = small_config_text(tmp_path / "out")
+        cfgf.write_text(text.replace("[commutant]", "[probe]\noracle = on\n\n[commutant]"))
         cfg = load_config(cfgf)
         code, manifest = run_pipeline(cfg)
         assert code == 0, manifest
@@ -207,6 +224,18 @@ class TestPipeline:
             assert (out / name).exists()
         probe = json.loads((out / "probe.json").read_text())
         assert probe["verdict"] == "pass"
+        assert probe["oracle_exponent"] is not None  # oracle = on runs the oracle
+        assert probe["window_sup"] == 0.95  # the exact 19/20, not a float recomputation
+        # each fit column entry is the fit's own line through its intercept
+        with open(out / "probe_bands.csv") as fh:
+            for row in csv.DictReader(fh):
+                fit = probe["fits"][row["window"]]
+                line = math.exp(fit["intercept"]) * float(row["band_center"]) ** -fit["r_hat"]
+                assert float(row["fit"]) == pytest.approx(line, rel=1e-5)
+        # `wavediff trace` launches the same packet the pipeline traces
+        assert main(["trace", "--config", str(cfgf)]) == 0
+        assert {name: _sha256_file(out / name) for name in ("trace.csv", "events.json")} \
+            == manifest["stages"]["trace"]["outputs"]
 
     def test_report_command(self, tmp_path, capsys):
         cfgf = tmp_path / "smoke.ini"
@@ -246,8 +275,11 @@ class TestPipeline:
             ("nx = 8192", "nx = 8192\ncfl = 0.95"),
             ("sponge_cells = 300", "sponge_cells = 10"),
             ("grid = 3000", "grid = 3000\nframe = bogus"),
+            ("grid = 3000", "grid = 3000\nalpha = 2"),
+            ("grid = 3000", "grid = 3000\ndelta = 1.5"),
+            ("[trace]\n", "[trace]\npolicy = bogus\n"),
         ],
-        ids=["k2-n3", "n3", "cfl", "sponge", "frame"],
+        ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy"],
     )
     def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new):
         cfgf = tmp_path / "fault.ini"

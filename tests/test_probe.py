@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from wavediff.probe import (
     InsufficientBandsError,
     ProbeWindow,
     WindowPlanError,
+    _weighted_slope,
     decay_fit,
     default_oracle_scan,
     gain_report,
@@ -14,6 +17,7 @@ from wavediff.probe import (
     window_plan,
     window_taper,
 )
+from wavediff.orders import hyperbolic_window
 from wavediff.tracer import gbb_trace, ray_on_characteristic
 from wavediff.wave import PulseSpec, SpongeSpec, WaveField, WaveScenario, make_pulse, run
 
@@ -123,7 +127,9 @@ class TestOracle:
     def test_conormal_asymptotic_exponent(self):
         m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
         scan = reflection_scan(m.speed, np.geomspace(200, 1600, 13), x_match=1.1)
-        rho, err = scan.decay_exponent()
+        om = scan.omegas  # per-frequency least squares with the probe's fit kernel
+        slope, _, _ = _weighted_slope(np.log(om), np.log(np.abs(scan.R)), np.ones_like(om))
+        rho = -slope
         assert rho == pytest.approx(m.s0 - 1.0, abs=0.05)
 
     def test_band_exponent_of_pure_power(self):
@@ -214,6 +220,10 @@ class TestWindowPlan:
         assert abs(x_meas - x_pred) <= 2 * fld.dx
 
 
+# the exact theorem window of s0 = 5/2, eps0 = 1/20, k = 1
+WINDOW = hyperbolic_window(Fraction(5, 2), Fraction(1, 20), 1)
+
+
 class TestGainReport:
     def test_small_grid_experiment_passes(self):
         m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
@@ -224,11 +234,12 @@ class TestGainReport:
         fld = run(sc)
         fit0 = decay_fit(fld, wins[0])
         oracle = default_oracle_scan(m, fit0.band, points_per_octave=4)
-        rep = gain_report(fld, wins, s0=2.5, eps0=0.05, k=1, oracle=oracle)
+        rep = gain_report(fld, wins, WINDOW, oracle=oracle)
         assert rep.verdict == "pass"
         assert abs(rep.gain_transmitted) <= 0.25
         assert abs(rep.oracle_mismatch) <= 0.25
         assert rep.window_admissible
+        assert (rep.window_lo, rep.window_sup) == (-0.5, 0.95)
 
     def test_no_interface_inconclusive(self):
         # smooth medium: the reflected window holds only noise
@@ -238,7 +249,7 @@ class TestGainReport:
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         wins = window_plan(sc_ref, gbb_trace(m_ref, q0, t_span=6.6, policy="tree"))
         fld = run(small_experiment(m_flat))
-        rep = gain_report(fld, wins, s0=2.5, eps0=0.05, k=1)
+        rep = gain_report(fld, wins, WINDOW)
         assert rep.fits["reflected"].low_confidence
         assert rep.verdict == "inconclusive"
 
@@ -250,6 +261,6 @@ class TestGainReport:
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         wins = window_plan(sc, gbb_trace(m, q0, t_span=sc.duration, policy="tree"))
         fld = run(sc)
-        rep = gain_report(fld, wins, s0=2.5, eps0=0.05, k=1)
+        rep = gain_report(fld, wins, WINDOW)
         js = json.dumps(rep.asdict())
         assert "reflected" in js
