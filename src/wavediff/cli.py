@@ -235,7 +235,7 @@ def stage_trace(cfg: ExperimentConfig, scenario, out_csv: Path, out_events: Path
 
 def stage_wave(scenario, out_npz: Path):
     fld = wave_run(scenario)
-    np.savez_compressed(
+    np.savez(
         out_npz,
         u=fld.u.astype(np.float32),
         ts=fld.ts,
@@ -244,7 +244,6 @@ def stage_wave(scenario, out_npz: Path):
         energy=fld.energy,
         dt=fld.dt,
         max_trust_freq=fld.max_trust_freq,
-        scenario_hash=fld.scenario_hash,
     )
     return fld
 

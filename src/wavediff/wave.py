@@ -11,8 +11,6 @@ one-directionally using the exact discrete dispersion relation.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +39,6 @@ class PulseSpec:
     s_in: float | None = None
     seed: int = 1234
     direction: int = +1  # +1 launches rightward
-    amplitude: float = 1.0
     carrier: float = 0.0
 
 
@@ -86,25 +83,6 @@ class WaveScenario:
     def grid(self) -> np.ndarray:
         return self.x_lo + self.dx * np.arange(self.nx + 1)
 
-    def fingerprint(self) -> str:
-        src = self.source
-        payload = dict(
-            s0=self.metric.s0,
-            amp=self.metric.amp,
-            k=self.metric.k,
-            x_lo=self.x_lo,
-            x_hi=self.x_hi,
-            duration=self.duration,
-            nx=self.nx,
-            cfl=self.cfl,
-            sponge=(self.sponge.cells, self.sponge.strength),
-            stride=self.store_stride,
-            source=None
-            if src is None
-            else (src.center, src.width, src.s_in, src.seed, src.direction, src.amplitude),
-        )
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
 
 @dataclass
 class WaveField:
@@ -113,7 +91,6 @@ class WaveField:
     xs: np.ndarray
     c: np.ndarray           # speed at the nodes
     dt: float
-    scenario_hash: str
     energy: np.ndarray      # staggered discrete energy per stored slice
     max_trust_freq: float   # dispersion-limited wavenumber for probing
 
@@ -148,7 +125,7 @@ def make_pulse(scenario: WaveScenario) -> np.ndarray:
         prof = np.exp(-0.5 * ((xs - src.center) / src.width) ** 2)
         if src.carrier:
             prof = prof * np.cos(src.carrier * (xs - src.center))
-        return src.amplitude * prof
+        return prof
     n = xs.size
     dx = scenario.dx
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
@@ -165,7 +142,7 @@ def make_pulse(scenario: WaveScenario) -> np.ndarray:
     raw = np.fft.irfft(spec, n=n)
     raw /= np.max(np.abs(raw))
     env = smooth_envelope(xs, src.center, src.width)
-    return src.amplitude * raw * env
+    return raw * env
 
 
 def _discrete_omega(k, c_ref, dt, dx):
@@ -227,47 +204,59 @@ def run(scenario: WaveScenario) -> WaveField:
     if c_max * dt / dx > 0.9 + 1e-12:
         raise CFLViolation("effective CFL number exceeds 0.9")
 
+    # three rotating time levels, updated in place
+    u_prev, u_curr, u_next = np.zeros((3, n))
     if scenario.source is not None:
-        u_curr = make_pulse(scenario)
-        u_prev = _one_way_previous(u_curr, scenario, dt)
-    else:
-        u_curr = np.zeros(n)
-        u_prev = np.zeros(n)
+        u_curr[:] = make_pulse(scenario)
+        u_prev[:] = _one_way_previous(u_curr, scenario, dt)
 
-    # sponge: exponential damping ramp applied multiplicatively to both levels
+    # sponge: exponential damping ramp applied multiplicatively to both levels;
+    # damp is exactly 1.0 between the two ramps, so only their cells are touched;
+    # on a grid narrower than two ramps the right slice starts where the left ends
     sp = scenario.sponge
     damp = np.ones(n)
     damp[: sp.cells] = np.exp(-sp.strength * dt * np.linspace(1.0, 0.0, sp.cells) ** 2)
     damp[-sp.cells :] = np.exp(-sp.strength * dt * np.linspace(0.0, 1.0, sp.cells) ** 2)
+    ramps = [(s, damp[s]) for s in (slice(0, sp.cells), slice(max(sp.cells, n - sp.cells), n))]
 
     lam2 = (dt / dx) ** 2
     c2h = c_half**2
+    flux = np.empty(n - 1)
+    lap = np.empty(n - 2)
     stride = max(1, scenario.store_stride)
-    out = [u_curr.copy()]
-    ts = [0.0]
-    energy = [staggered_energy(u_curr, u_prev, c_half, dt, dx)]
+    n_store = 1 + n_steps // stride + (n_steps % stride != 0)
+    out = np.empty((n_store, n))
+    ts = np.empty(n_store)
+    energy = np.empty(n_store)
+    out[0] = u_curr
+    ts[0] = 0.0
+    energy[0] = staggered_energy(u_curr, u_prev, c_half, dt, dx)
+    j = 1
     t = 0.0
     for m in range(1, n_steps + 1):
-        flux = c2h * np.diff(u_curr)
-        u_next = 2.0 * u_curr - u_prev
-        u_next[1:-1] += lam2 * (flux[1:] - flux[:-1])
+        np.subtract(u_curr[1:], u_curr[:-1], out=flux)
+        np.multiply(c2h, flux, out=flux)
+        np.multiply(2.0, u_curr, out=u_next)
+        np.subtract(u_next, u_prev, out=u_next)
+        np.subtract(flux[1:], flux[:-1], out=lap)
+        np.multiply(lam2, lap, out=lap)
+        np.add(u_next[1:-1], lap, out=u_next[1:-1])
         u_next[0] = 0.0
         u_next[-1] = 0.0
         if scenario.forcing is not None:
             u_next[1:-1] += dt * dt * np.asarray(scenario.forcing(xs, t), float)[1:-1]
-        u_next *= damp
-        u_curr = u_curr * damp
-        u_prev, u_curr = u_curr, u_next
+        for s, d in ramps:
+            u_next[s] *= d
+            u_curr[s] *= d
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
         t = m * dt
         if m % stride == 0 or m == n_steps:
             if not np.all(np.isfinite(u_curr)):
                 raise FieldBlowup("non-finite field at t=%g" % t)
-            out.append(u_curr.copy())
-            ts.append(t)
-            energy.append(staggered_energy(u_curr, u_prev, c_half, dt, dx))
-    out = np.asarray(out)
-    ts = np.asarray(ts)
-    energy = np.asarray(energy)
+            out[j] = u_curr
+            ts[j] = t
+            energy[j] = staggered_energy(u_curr, u_prev, c_half, dt, dx)
+            j += 1
 
     # trustworthy wavenumber: group-velocity error under 2 percent
     k_probe = np.linspace(1e-3, np.pi / dx * 0.5, 2048)
@@ -284,7 +273,6 @@ def run(scenario: WaveScenario) -> WaveField:
         xs=xs,
         c=c_nodes,
         dt=dt,
-        scenario_hash=scenario.fingerprint(),
         energy=energy,
         max_trust_freq=max_trust,
     )

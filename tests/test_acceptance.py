@@ -319,7 +319,7 @@ def test_criterion_8_calibration_closure():
         )
         u0 = make_pulse(sc)
         fld = WaveField(u=u0[None, :], ts=np.array([0.0]), xs=sc.grid(),
-                        c=np.ones(u0.size), dt=1.0, scenario_hash="cal",
+                        c=np.ones(u0.size), dt=1.0,
                         energy=np.array([1.0]), max_trust_freq=1e9)
         fit = decay_fit(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal"))
         errs[s_in] = fit.r_hat - (s_in + 0.55)

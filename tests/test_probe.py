@@ -30,7 +30,6 @@ def synthetic_field(u0, x_lo=-8.0, x_hi=8.0):
         xs=xs,
         c=np.ones(u0.size),
         dt=1.0,
-        scenario_hash="synthetic",
         energy=np.array([1.0]),
         max_trust_freq=1e9,
     )

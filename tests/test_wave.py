@@ -1,16 +1,21 @@
+import zipfile
+
 import numpy as np
 import pytest
 
+from wavediff.cli import _sha256_file, stage_wave
 from wavediff.metric import ConormalMetric, PiecewiseSpeed
 from wavediff.wave import (
     CFLViolation,
     PulseSpec,
     SpongeSpec,
     WaveScenario,
+    _one_way_previous,
     discrete_energy,
     make_pulse,
     run,
     smooth_envelope,
+    staggered_energy,
 )
 
 
@@ -47,7 +52,8 @@ class TestSolverBasics:
         a = run(flat_scenario(duration=0.2))
         b = run(flat_scenario(duration=0.2))
         assert np.array_equal(a.u, b.u)
-        assert a.scenario_hash == b.scenario_hash
+        assert np.array_equal(a.ts, b.ts)
+        assert np.array_equal(a.energy, b.energy)
 
     def test_translating_pulse_matches_dalembert(self):
         sc = flat_scenario()
@@ -119,6 +125,96 @@ class TestSolverBasics:
         rate = np.log(diffs[0] / diffs[1]) / np.log(2.0)
         print("conormal-speed refinement order: %.2f" % rate)
         assert rate > 0.5
+
+
+def reference_leapfrog(sc, dt):
+    """The allocating leapfrog: a new array per term, full-grid damping."""
+    xs, dx = sc.grid(), sc.dx
+    c_half = np.asarray(sc.metric.speed(0.5 * (xs[1:] + xs[:-1])), float)
+    u_curr = make_pulse(sc) if sc.source is not None else np.zeros(xs.size)
+    u_prev = _one_way_previous(u_curr, sc, dt) if sc.source is not None else np.zeros(xs.size)
+    cells, strength = sc.sponge.cells, sc.sponge.strength
+    damp = np.ones(xs.size)
+    damp[:cells] = np.exp(-strength * dt * np.linspace(1.0, 0.0, cells) ** 2)
+    damp[-cells:] = np.exp(-strength * dt * np.linspace(0.0, 1.0, cells) ** 2)
+    lam2, c2h = (dt / dx) ** 2, c_half**2
+    n_steps = int(np.ceil(sc.duration / dt))
+    us, ts, es = [u_curr.copy()], [0.0], [staggered_energy(u_curr, u_prev, c_half, dt, dx)]
+    for m in range(1, n_steps + 1):
+        flux = c2h * np.diff(u_curr)
+        u_next = 2.0 * u_curr - u_prev
+        u_next[1:-1] += lam2 * (flux[1:] - flux[:-1])
+        u_next[0] = u_next[-1] = 0.0
+        if sc.forcing is not None:
+            u_next[1:-1] += dt * dt * np.asarray(sc.forcing(xs, (m - 1) * dt), float)[1:-1]
+        u_next *= damp
+        u_prev, u_curr = u_curr * damp, u_next
+        if m % sc.store_stride == 0 or m == n_steps:
+            us.append(u_curr.copy())
+            ts.append(m * dt)
+            es.append(staggered_energy(u_curr, u_prev, c_half, dt, dx))
+    return np.asarray(us), np.asarray(ts), np.asarray(es), n_steps
+
+
+def forcing_at(x0):
+    """Ricker wavelet in time on a gaussian bump at ``x0``."""
+
+    def f(xs, t):
+        bump = np.exp(-0.5 * ((xs - x0) / 0.05) ** 2)
+        wavelet = (1 - 2 * (np.pi * 2.0 * (t - 0.3)) ** 2) * np.exp(
+            -((np.pi * 2.0 * (t - 0.3)) ** 2)
+        )
+        return bump * wavelet
+
+    return f
+
+
+class TestInPlaceLeapfrog:
+    """``run`` updates three levels in place and damps only the sponge cells;
+    its stored slices, times and energies carry the allocating loop's bits."""
+
+    @pytest.mark.parametrize(
+        "kw, ragged",
+        [
+            (dict(), False),
+            (dict(source=None, forcing=forcing_at(1.0)), False),
+            (dict(store_stride=7), True),
+            (dict(nx=200, store_stride=4), False),
+        ],
+        ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges"],
+    )
+    def test_matches_reference(self, kw, ragged):
+        # the packet and its reflection reach both sponges within the duration
+        defaults = dict(
+            metric=ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.3),
+            x_lo=-1.5, x_hi=1.5, duration=2.0, nx=1500,
+            source=PulseSpec(center=-0.6, width=0.04, s_in=0.0),
+            sponge=SpongeSpec(cells=150), store_stride=5,
+        )
+        defaults.update(kw)
+        sc = WaveScenario(**defaults)
+        fld = run(sc)
+        u, ts, energy, n_steps = reference_leapfrog(sc, fld.dt)
+        assert (n_steps % sc.store_stride != 0) == ragged
+        assert np.array_equal(fld.u, u)
+        assert np.array_equal(fld.ts, ts)
+        assert np.array_equal(fld.energy, energy)
+
+
+class TestFieldArchive:
+    def test_stage_wave_writes_stored_repeatable_npz(self, tmp_path):
+        sc = flat_scenario(duration=0.2)
+        fld = stage_wave(sc, tmp_path / "a.npz")
+        stage_wave(sc, tmp_path / "b.npz")
+        with zipfile.ZipFile(tmp_path / "a.npz") as zf:
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "a.npz") as z:
+            assert sorted(z.files) == ["c", "dt", "energy", "max_trust_freq", "ts", "u", "xs"]
+            assert z["u"].dtype == np.float32
+            assert np.array_equal(z["u"], fld.u.astype(np.float32))
+            for key in ("ts", "xs", "c", "energy", "dt", "max_trust_freq"):
+                assert np.array_equal(z[key], getattr(fld, key)), key
+        assert _sha256_file(tmp_path / "a.npz") == _sha256_file(tmp_path / "b.npz")
 
 
 class TestEnergy:
@@ -206,16 +302,6 @@ class TestStructure:
         # symmetric scheme)
         m = ConormalMetric(n=2, s0=2.5, amp=0.4)
         x_a, x_b = -1.0, 0.8
-
-        def forcing_at(x0):
-            def f(xs, t):
-                bump = np.exp(-0.5 * ((xs - x0) / 0.05) ** 2)
-                wavelet = (1 - 2 * (np.pi * 2.0 * (t - 0.3)) ** 2) * np.exp(
-                    -((np.pi * 2.0 * (t - 0.3)) ** 2)
-                )
-                return bump * wavelet
-
-            return f
 
         traces = {}
         for src, rec in ((x_a, x_b), (x_b, x_a)):
