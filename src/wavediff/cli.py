@@ -388,8 +388,8 @@ def cmd_report(out_dir: Path) -> int:
             print("  %-12s r=%.3f +- %.3f  (s proxy %.3f)" % (
                 label, fit["r_hat"], fit["stderr"], fit["r_hat"] - 0.5))
         if rep.get("oracle_exponent") is not None:
-            print("  oracle exponent %.3f, mismatch %.3f" % (
-                rep["oracle_exponent"], rep["oracle_mismatch"]))
+            print("  oracle exponent %.3f, mismatch %.3f, step halving %.1e" % (
+                rep["oracle_exponent"], rep["oracle_mismatch"], rep["oracle_halving"]))
         print("  verdict: %s" % rep["verdict"])
         return 0 if rep["verdict"] == "pass" else 1
     return 0

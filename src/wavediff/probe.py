@@ -307,6 +307,7 @@ class RegularityReport:
     gain_transmitted: float
     oracle_exponent: float | None
     oracle_stderr: float | None
+    oracle_halving: float | None
     predicted_reflected_r: float | None
     oracle_mismatch: float | None
     window_admissible: bool
@@ -354,9 +355,10 @@ def gain_report(
     gain_t = trans.r_hat - inc.r_hat
 
     theorem = window.theorem
-    oracle_exp = oracle_err = predicted = mismatch = None
+    oracle_exp = oracle_err = halving = predicted = mismatch = None
     if oracle is not None:
         oracle_exp, oracle_err = oracle_band_exponent(oracle, inc.band, inc.n_bands)
+        halving = oracle.halving
         predicted = inc.r_hat + oracle_exp
         mismatch = refl.r_hat - predicted
 
@@ -390,6 +392,7 @@ def gain_report(
         gain_transmitted=gain_t,
         oracle_exponent=oracle_exp,
         oracle_stderr=oracle_err,
+        oracle_halving=halving,
         predicted_reflected_r=predicted,
         oracle_mismatch=mismatch,
         window_admissible=window.admissible,

@@ -8,9 +8,10 @@ through a point is unique.  Interface crossings land exactly on the clock
 origin, which turns event detection into a step-size clamp instead of a root
 search.
 
-The module also builds the dyadic polygon family: points chosen by an oracle
-within C0 * delta^{1+alpha} of the Euler predictor at scale delta = 2^-N,
-whose uniform-Lipschitz limits carry the propagation statements.
+The module also builds the dyadic polygon vertices: the 2^N + 1 points
+chosen by an oracle within C0 * delta^{1+alpha} of the Euler predictor at
+scale delta = 2^-N, each run checked against the uniform Lipschitz bound
+that lets the polygons converge and carry the propagation statements.
 """
 
 from __future__ import annotations
@@ -333,22 +334,8 @@ class DyadicRun:
 
     @property
     def times(self):
+        """Curve parameter of each point, negative for a backward run."""
         return np.arange(self.points.shape[0]) * self.delta * self.direction
-
-    def polygon(self, t):
-        """Piecewise-linear evaluation at parameters t (sign convention of
-        ``times``)."""
-        t = np.atleast_1d(np.asarray(t, float))
-        tt = self.times
-        out = np.empty((t.size, self.points.shape[1]))
-        span = tt[-1] - tt[0]
-        for i, ti in enumerate(t):
-            u = (ti - tt[0]) / span * (len(tt) - 1)
-            u = min(max(u, 0.0), float(len(tt) - 1))
-            jj = min(int(np.floor(u)), len(tt) - 2)
-            w = u - jj
-            out[i] = (1 - w) * self.points[jj] + w * self.points[jj + 1]
-        return out
 
     @property
     def lipschitz_bound(self) -> float:

@@ -19,7 +19,7 @@ from wavediff.escape import (
     sample_chart,
     synthetic_hoelder_frame,
 )
-from wavediff.metric import ConormalMetric, PhasePoint, PiecewiseSpeed
+from wavediff.metric import ConormalMetric, PiecewiseSpeed
 from wavediff.orders import (
     PairOrder,
     Side,
@@ -34,7 +34,7 @@ from wavediff.orders import (
     verify_constraint_chain,
 )
 from wavediff.probe import decay_fit, default_oracle_scan, gain_report, window_plan, ProbeWindow
-from wavediff.tracer import dyadic_construct, gbb_trace, transversal_integrate
+from wavediff.tracer import dyadic_construct, gbb_trace, ray_on_characteristic, transversal_integrate
 from wavediff.wave import PulseSpec, SpongeSpec, WaveField, WaveScenario, make_pulse, run
 
 F = Fraction
@@ -65,7 +65,7 @@ def experiment_scenario(metric, nx=2**14):
 def run_experiment(s0, with_oracle=True):
     m = ConormalMetric(n=2, s0=s0, amp=0.4, core_radius=1.0)
     sc = experiment_scenario(m)
-    q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
+    q0 = ray_on_characteristic(m, sc.source.center, 0.0, direction=+1)
     paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
     windows = window_plan(sc, paths)
     fld = run(sc)
@@ -290,9 +290,10 @@ def test_criterion_7_regularity_gain(experiments):
     jump = PiecewiseSpeed(1.0, 1.3)
     scj = experiment_scenario(jump)
     m_ref = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
-    paths = gbb_trace(m_ref, PhasePoint([-2.2, 0.0], [-1.0, 1.0]), t_span=scj.duration,
-                      policy="tree")
-    windows = window_plan(experiment_scenario(m_ref), paths)
+    sc_ref = experiment_scenario(m_ref)
+    q0 = ray_on_characteristic(m_ref, sc_ref.source.center, 0.0, direction=+1)
+    paths = gbb_trace(m_ref, q0, t_span=scj.duration, policy="tree")
+    windows = window_plan(sc_ref, paths)
     repj = gain_report(run(scj), windows, hyperbolic_window(1, Fraction(1, 20), 1))
 
     ok = (

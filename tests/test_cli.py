@@ -225,6 +225,7 @@ class TestPipeline:
         probe = json.loads((out / "probe.json").read_text())
         assert probe["verdict"] == "pass"
         assert probe["oracle_exponent"] is not None  # oracle = on runs the oracle
+        assert probe["oracle_halving"] < 1e-3  # the layer scan's step-halving difference
         assert probe["window_sup"] == 0.95  # the exact 19/20, not a float recomputation
         # each fit column entry is the fit's own line through its intercept
         with open(out / "probe_bands.csv") as fh:
@@ -246,6 +247,7 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: pass" in out
+        assert "step halving" in out
 
     def test_cli_calc_gate(self, tmp_path, capsys):
         cfgf = tmp_path / "smoke.ini"
@@ -298,6 +300,7 @@ class TestPipeline:
         main(["probe", "--config", str(cfgf)])
         probe = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert probe["oracle_exponent"] is None and probe["oracle_mismatch"] is None
+        assert probe["oracle_halving"] is None
         assert any(note.startswith("oracle skipped") for note in probe["notes"])
 
     def test_cli_bad_config_exit_2(self, tmp_path):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wavediff.helmholtz import reflection_scan
+from wavediff import helmholtz
+from wavediff.helmholtz import layer_scan, reflection_scan, reflection_scan_ivp
 from wavediff.metric import ConormalMetric, PhasePoint, PiecewiseSpeed
 from wavediff.probe import (
     InsufficientBandsError,
@@ -144,6 +145,46 @@ class TestOracle:
         scan = default_oracle_scan(m, (10.0, 320.0), points_per_octave=4)
         assert scan.omegas.size >= 3
         assert np.max(np.abs(scan.flux_defect())) < 1e-6
+
+    def test_layers_match_dop853_on_bundled_band(self):
+        m, band = bundled_metric_and_band()
+        scan = default_oracle_scan(m, band)
+        assert scan.omegas.size == 49
+        ref = reflection_scan_ivp(m.speed, scan.omegas, x_match=1.1)
+        assert np.max(_rel_modulus_change(scan.R, ref.R)) <= 3e-4
+        rho, _ = oracle_band_exponent(scan, band)
+        rho_ref, _ = oracle_band_exponent(ref, band)
+        assert abs(rho - rho_ref) <= 2e-5
+        coarse = layer_scan(m.speed, scan.omegas, 1.1, helmholtz.HALVED_CELLS)
+        assert scan.halving == np.max(_rel_modulus_change(scan.R, coarse.R))
+
+    def test_halving_difference_is_second_order(self):
+        m, band = bundled_metric_and_band()
+        omegas = default_oracle_scan(m, band).omegas
+        R = {n: layer_scan(m.speed, omegas, 1.1, n).R for n in (2**13, 2**14, 2**15)}
+        # complex R too: sampling each cell at its left edge keeps |R| second
+        # order but makes R itself first order
+        for change in (_rel_modulus_change, lambda a, b: np.abs(a - b) / np.abs(a)):
+            coarse = np.max(change(R[2**14], R[2**13]))
+            fine = np.max(change(R[2**15], R[2**14]))
+            assert 3.0 <= coarse / fine <= 5.0
+
+    def test_jump_resolved_exactly(self):
+        jump = PiecewiseSpeed(1.0, 1.3)
+        scan = reflection_scan(jump.speed, np.geomspace(3, 3000, 13), x_match=0.4)
+        assert np.allclose(scan.R, jump.reflection_coefficient(), rtol=1e-12, atol=0.0)
+
+
+def bundled_metric_and_band():
+    """The bundled scenario's profile and the probe band of its 2^14 grid."""
+    m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+    sc = WaveScenario(metric=m, x_lo=-4.0, x_hi=4.0, duration=6.6, nx=2**14)
+    k_top = np.pi / sc.dx / 4.0
+    return m, (k_top / 2**8, k_top)
+
+
+def _rel_modulus_change(R, R_ref):
+    return np.abs(np.abs(R) - np.abs(R_ref)) / np.abs(R)
 
 
 def small_experiment(metric, duration=6.6, nx=2**13, width=0.06):
