@@ -201,21 +201,27 @@ def stage_calc(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def stage_trace(cfg: ExperimentConfig, scenario, out_csv: Path, out_events: Path):
-    """Trace the ray of the scenario's own packet for the scenario's duration."""
+    """Trace the ray of the scenario's own packet for the scenario's duration.
+
+    Returns the paths and the trace's health numbers: ``rk4_steps`` over the
+    distinct legs (branches share the legs before their event), and
+    ``p_residual_max``, the largest |p| / |xi|^2 over the rows written.
+    """
     metric, src = scenario.metric, scenario.source
     q0 = ray_on_characteristic(metric, src.center, 0.0, src.direction)
     paths = gbb_trace(metric, q0, t_span=scenario.duration, policy=cfg.trace_policy)
+    residual_max = 0.0
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["path", "leg", "param", "x", "t", "xi", "tau", "p_residual"])
-        for ip, p in enumerate(paths):
-            for il, leg in enumerate(p.legs):
+        for ip, path in enumerate(paths):
+            for il, leg in enumerate(path.legs):
                 for s in leg[:: max(1, len(leg) // 400)]:
                     q = PhasePoint(s.q[:2], s.q[2:])
+                    p = metric.dual_hamiltonian(q)
+                    residual_max = max(residual_max, abs(p) / float(np.dot(q.xi, q.xi)))
                     w.writerow(
-                        [ip, il, "%.9g" % s.t]
-                        + ["%.12g" % v for v in s.q]
-                        + ["%.3e" % metric.dual_hamiltonian(q)]
+                        [ip, il, "%.9g" % s.t] + ["%.12g" % v for v in s.q] + ["%.3e" % p]
                     )
     events = [
         {
@@ -226,11 +232,16 @@ def stage_trace(cfg: ExperimentConfig, scenario, out_csv: Path, out_events: Path
             "incoming": list(map(float, ev.incoming)),
             "outgoing": None if ev.outgoing is None else list(map(float, ev.outgoing)),
         }
-        for ip, p in enumerate(paths)
-        for ev in p.events
+        for ip, path in enumerate(paths)
+        for ev in path.events
     ]
     out_events.write_text(json.dumps(events, indent=2))
-    return paths
+    legs = {id(leg): leg for path in paths for leg in path.legs}
+    health = {
+        "rk4_steps": sum(len(leg) - 1 for leg in legs.values()),
+        "p_residual_max": residual_max,
+    }
+    return paths, health
 
 
 def stage_wave(scenario, out_npz: Path):
@@ -311,11 +322,11 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
         "stages": {},
     }
 
-    def record(stage, paths, t0):
+    def record(stage, paths, t0, **health):
         entry = {"seconds": round(time.time() - t0, 3), "outputs": {}}
         for p in paths:
             entry["outputs"][p.name] = _sha256_file(p)
-        manifest["stages"][stage] = entry
+        manifest["stages"][stage] = entry | health
 
     def refuse(reason, message):
         manifest["refused"] = reason
@@ -336,8 +347,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     t0 = time.time()
     trace_csv, events_json = out / "trace.csv", out / "events.json"
-    paths = stage_trace(cfg, scenario, trace_csv, events_json)
-    record("trace", [trace_csv, events_json], t0)
+    paths, health = stage_trace(cfg, scenario, trace_csv, events_json)
+    record("trace", [trace_csv, events_json], t0, **health)
     try:
         windows = window_plan(scenario, paths)
     except WindowPlanError as err:
@@ -378,6 +389,9 @@ def cmd_report(out_dir: Path) -> int:
     for stage, entry in manifest.get("stages", {}).items():
         print("  %-18s %6.2fs  %s" % (
             stage, entry["seconds"], " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
+        if "rk4_steps" in entry:
+            print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
+                "", entry["rk4_steps"], entry["p_residual_max"]))
     if "refused" in manifest:
         print("refused: %s" % manifest["refused"])
         return 2
@@ -462,7 +476,7 @@ def main(argv=None) -> int:
             scenario = cfg.build_scenario()
             out = cfg.out_dir
             out.mkdir(parents=True, exist_ok=True)
-            paths = stage_trace(cfg, scenario, out / "trace.csv", out / "events.json")
+            paths, _ = stage_trace(cfg, scenario, out / "trace.csv", out / "events.json")
             windows = window_plan(scenario, paths)
             rep = stage_probe(
                 cfg, wave_run(scenario), scenario, windows, out / "probe.json",

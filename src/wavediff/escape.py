@@ -31,7 +31,14 @@ from scipy.stats import qmc
 
 
 def chi0(t):
-    """exp(-1/t) for t > 0, zero otherwise."""
+    """exp(-1/t) for t > 0, zero otherwise: float in, float out.
+
+    A float takes ``np.exp``, not ``math.exp``: on a scalar it rounds like the
+    array loop below, and ``math.exp`` differs in the last bit on a few
+    percent of inputs.
+    """
+    if isinstance(t, float):
+        return float(np.exp(-1.0 / t)) if t > 0 else 0.0
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0

@@ -45,6 +45,16 @@ class GlancingError(ValueError):
 _PLATEAU = 0.3  # fraction of the core radius held exactly at profile value
 
 
+def _over_square(f, t):
+    """f / t^2 where t > 0, zero elsewhere: chi0'(t) from f = chi0(t)."""
+    if isinstance(t, float):
+        return f / (t * t) if t > 0 else 0.0
+    out = np.zeros_like(f)
+    pos = t > 0
+    out[pos] = f[pos] / (t[pos] * t[pos])
+    return out
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     x: np.ndarray
@@ -102,29 +112,35 @@ class ConormalMetric:
         well below the singular ones.  With t = (u - 0.3) / 0.7 it is
         1 - f / (f + g), f = chi0(t), g = chi0(1 - t), and the slope reuses
         f and g, since chi0'(t) = chi0(t) / t^2.
+
+        A scalar x runs the same expressions on Python floats (the tracer
+        calls this ~10^4 times per trace); only the cutoff terms branch on
+        float against array, and a callable background still sees arrays.
         """
-        x = np.asarray(x, float)
-        r = np.abs(x)
+        scalar = isinstance(x, float) or np.ndim(x) == 0
+        x = float(x) if scalar else np.asarray(x, float)
+        r = abs(x)
         u = r / self.core_radius
-        t = np.asarray((u - _PLATEAU) / (1.0 - _PLATEAU))
-        s = np.asarray(1.0 - t)
-        f, g = np.asarray(chi0(t)), np.asarray(chi0(s))
+        t = (u - _PLATEAU) / (1.0 - _PLATEAU)
+        s = 1.0 - t
+        f, g = chi0(t), chi0(s)
         bump = 1.0 - f / (f + g)
         e = self.exponent
-        bg = np.asarray(self._bg(x), float) if callable(self._bg) else self.c_bg
+        smooth = callable(self._bg)
+        if smooth:
+            xa = np.asarray(x, float)
+        bg = np.asarray(self._bg(xa), float) if smooth else self.c_bg
         c = bg + self.amp * r**e * bump
         if not slope:
-            return c if c.ndim else float(c)
-        fp, gp = np.zeros_like(f), np.zeros_like(g)
-        fp[t > 0] = f[t > 0] / (t[t > 0] * t[t > 0])
-        gp[s > 0] = g[s > 0] / (s[s > 0] * s[s > 0])
+            return float(c) if scalar else c
+        fp, gp = _over_square(f, t), _over_square(g, s)
         dbump = -((fp * g + f * gp) / (f + g) ** 2) / (1.0 - _PLATEAU)
         dc = self.amp * (e * r ** (e - 1.0) * bump + r**e * dbump / self.core_radius)
         dc = dc * np.sign(x)
-        if callable(self._bg):  # central difference of the smooth background
+        if smooth:  # central difference of the smooth background
             h, bg = 1e-6, self._bg
-            dc = dc + (np.asarray(bg(x + h), float) - np.asarray(bg(x - h), float)) / (2 * h)
-        return (c, dc) if c.ndim else (float(c), float(dc))
+            dc = dc + (np.asarray(bg(xa + h), float) - np.asarray(bg(xa - h), float)) / (2 * h)
+        return (float(c), float(dc)) if scalar else (c, dc)
 
     def speed(self, x):
         """Speed at the normal coordinate x: float in, float out; array in,
@@ -159,20 +175,24 @@ class ConormalMetric:
             raise ValueError("covector must be nonzero")
         return abs(self.dual_hamiltonian(q)) <= tol * scale
 
-    def hamilton_field(self, state: np.ndarray) -> np.ndarray:
-        """Hamilton vector field on flattened states (x..., xi...)."""
-        state = np.asarray(state, float)
+    def hamilton_field(self, state) -> np.ndarray:
+        """Hamilton vector field on flattened states (x..., xi...).
+
+        Computed on Python floats, each component in the operation order of
+        the vector form (-2 c^2 xi', 2 tau, 2 c c' |xi'|^2, 0...).
+        """
         n = self.n
-        x, xi = state[:n], state[n:]
-        spatial = xi[:-1]
-        kin = float(np.dot(spatial, spatial))
-        c, dc = self._profile(float(x[0]), slope=True)
-        dx = np.empty(n)
-        dxi = np.zeros(n)
-        dxi[0] = 2.0 * c * dc * kin
-        dx[:-1] = -2.0 * c**2 * spatial
-        dx[-1] = 2.0 * xi[-1]
-        return np.concatenate([dx, dxi])
+        z = state.tolist() if isinstance(state, np.ndarray) else state
+        c, dc = self._profile(z[0], slope=True)
+        a = -2.0 * c**2
+        out = np.zeros(2 * n)
+        kin = 0.0
+        for i, v in enumerate(z[n:-1]):
+            out[i] = a * v
+            kin += v * v
+        out[n - 1] = 2.0 * z[-1]
+        out[n] = 2.0 * c * dc * kin
+        return out
 
     def normal_form(self) -> "NormalFormCoeffs":
         """Boundary normal form of the dual metric for this product family."""
@@ -269,31 +289,10 @@ def compress(q: PhasePoint) -> BPoint:
     return BPoint(x=x, y=q.x[1:].copy(), sigma=x * float(q.xi[0]), eta=q.xi[1:].copy())
 
 
-@dataclass(frozen=True)
-class RelatedRaySphere:
-    """All covectors over a boundary point sharing tangential momentum: the
-    normal momentum sweeps a sphere of fixed radius."""
-
-    radius: float
-    y0: np.ndarray
-    eta0: np.ndarray
-    k: int
-
-    def point(self, direction) -> PhasePoint:
-        u = np.asarray(direction, float)
-        u = u / np.linalg.norm(u)
-        x = np.concatenate([np.zeros(self.k), np.asarray(self.y0, float)])
-        xi = np.concatenate([self.radius * u, np.asarray(self.eta0, float)])
-        return PhasePoint(x, xi)
-
-
-def related_rays(nf: NormalFormCoeffs, y0, eta0, tol: float = CHAR_TOL, k: int = 1):
-    """Normal momenta compatible with the characteristic set over (0, y0, eta0).
-
-    For k = 1 these are the two solutions of A xi^2 + B eta.eta = 0; for
-    higher codimension the whole sphere of that radius, returned as a
-    parameterized description.
-    """
+def related_rays(nf: NormalFormCoeffs, y0, eta0, tol: float = CHAR_TOL):
+    """Normal momenta compatible with the characteristic set over (0, y0, eta0):
+    the two solutions of A xi^2 + B eta.eta = 0 at the codimension-one
+    interface."""
     cls = classify_boundary_point(nf, y0, eta0, tol)
     if cls is not BoundaryClass.HYPERBOLIC:
         raise GlancingError("related rays undefined at glancing points")
@@ -302,14 +301,12 @@ def related_rays(nf: NormalFormCoeffs, y0, eta0, tol: float = CHAR_TOL, k: int =
     a0 = float(nf.A(0.0, y0))
     b = float(eta0 @ np.asarray(nf.B(0.0, y0), float) @ eta0)
     radius = float(np.sqrt(-b / a0))
-    if k == 1:
-        out = []
-        for sgn in (+1.0, -1.0):
-            x = np.concatenate([[0.0], y0])
-            xi = np.concatenate([[sgn * radius], eta0])
-            out.append(PhasePoint(x, xi))
-        return out
-    return RelatedRaySphere(radius=radius, y0=y0, eta0=eta0, k=k)
+    out = []
+    for sgn in (+1.0, -1.0):
+        x = np.concatenate([[0.0], y0])
+        xi = np.concatenate([[sgn * radius], eta0])
+        out.append(PhasePoint(x, xi))
+    return out
 
 
 def holder_estimate(field, ball, probe_scales, n_base: int = 400, seed: int = 0):

@@ -16,6 +16,7 @@ that lets the polygons converge and carry the propagation statements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -75,10 +76,10 @@ class GBBPath:
     legs: list
     events: list
 
-    def samples(self):
-        for leg in self.legs:
-            for s in leg:
-                yield s
+
+def _glancing(v, j: int, v_floor: float) -> bool:
+    """The clock component of the field ``v`` is below the floor."""
+    return abs(v[j]) < v_floor * max(math.hypot(*v), 1e-300)
 
 
 def _reparam_leg(
@@ -99,36 +100,38 @@ def _reparam_leg(
     parameter passes ``t_limit``, or ``stop_state(x)`` fires.  Returns
     (samples, reason) with reason in {"target", "t_limit", "state", "steps"};
     loss of transversality raises GlancingHalt with the samples so far.
+
+    The state is a list of Python floats, the accumulated curve parameter
+    last; ``V`` is called on the first ``d`` entries, and each RK4 stage is
+    formed elementwise in the order of the vector form
+    z + (step / 6) ((k1 + 2 k2) + 2 k3 + k4).
     """
     x0 = np.asarray(x0, float)
     d = x0.size
 
     def rhs(x):
-        v = np.asarray(V(x), float)
-        vj = v[j]
-        if abs(vj) < v_floor * max(float(np.linalg.norm(v)), 1e-300):
+        v = np.asarray(V(x), float).tolist()
+        if _glancing(v, j, v_floor):
             raise _FloorHit()
-        out = np.empty(d + 1)
-        out[:d] = v / vj
+        vj = v[j]
+        out = [vi / vj for vi in v]
         out[j] = 1.0
-        out[d] = 1.0 / vj
+        out.append(1.0 / vj)
         return out
 
-    def f(z, _s):
-        return rhs(z[:-1])
-
-    v0 = np.asarray(V(x0), float)
-    if abs(v0[j]) < v_floor * max(float(np.linalg.norm(v0)), 1e-300):
+    v0 = np.asarray(V(x0), float).tolist()
+    if _glancing(v0, j, v_floor):
         raise GlancingHalt([CurveSample(0.0, x0.copy())])
     backward = t_limit is not None and t_limit < 0
     ds = abs(h) * (1.0 if (v0[j] > 0) != backward else -1.0)
 
-    z = np.concatenate([x0, [0.0]])  # state plus accumulated curve parameter
-    s = x0[j]
+    z = x0.tolist() + [0.0]  # state plus accumulated curve parameter
+    s = z[j]
     samples = [CurveSample(0.0, x0.copy())]
     reason = "steps"
     for _ in range(max_steps):
-        step = ds if step_control is None else step_control(z[:d], ds)
+        x = z[:d]
+        step = ds if step_control is None else step_control(x, ds)
         if s_target is not None:
             remaining = s_target - s
             if remaining == 0.0:
@@ -136,17 +139,19 @@ def _reparam_leg(
                 break
             if (step > 0) == (remaining > 0) and abs(step) > abs(remaining):
                 step = remaining
+        half = 0.5 * step
         try:
-            k1 = f(z, s)
-            k2 = f(z + 0.5 * step * k1, s + 0.5 * step)
-            k3 = f(z + 0.5 * step * k2, s + 0.5 * step)
-            k4 = f(z + step * k3, s + step)
+            k1 = rhs(x)
+            k2 = rhs([xi + half * k for xi, k in zip(x, k1)])
+            k3 = rhs([xi + half * k for xi, k in zip(x, k2)])
+            k4 = rhs([xi + step * k for xi, k in zip(x, k3)])
         except _FloorHit:
             raise GlancingHalt(samples)
-        z = z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        w = step / 6.0
+        z = [zi + w * (((a + 2 * b) + 2 * c) + e) for zi, a, b, c, e in zip(z, k1, k2, k3, k4)]
         s += step
         z[j] = s  # keep the redundant clock coordinate exact
-        samples.append(CurveSample(float(z[d]), z[:d].copy()))
+        samples.append(CurveSample(z[d], z[:d]))
         if s_target is not None and s == s_target:
             reason = "target"
             break
@@ -243,7 +248,7 @@ def gbb_trace(
             mag = max(h_min, min(h_core, abs(x[0]) / 8.0))
         else:
             mag = abs(ds)
-        return np.copysign(mag, ds)
+        return math.copysign(mag, ds)
 
     # a metric without singular part has nothing to reflect from
     has_interface = metric.amp != 0.0

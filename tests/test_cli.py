@@ -211,6 +211,10 @@ class TestPipeline:
         assert manifest["verdict"] == "pass"
         assert manifest["commutant_ok"]
         assert len(builds) == 1  # trace, wave and oracle share one metric
+        # the trace's health numbers: its work and its characteristic-set residual
+        trace = manifest["stages"]["trace"]
+        assert trace["rk4_steps"] > 0
+        assert trace["p_residual_max"] <= 1e-8
         # identical rerun reproduces identical checksums for every stage
         code2, manifest2 = run_pipeline(cfg)
         assert len(builds) == 2
@@ -248,6 +252,7 @@ class TestPipeline:
         assert code == 0
         assert "verdict: pass" in out
         assert "step halving" in out
+        assert "rk4 steps" in out and "max |p|/|xi|^2" in out
 
     def test_cli_calc_gate(self, tmp_path, capsys):
         cfgf = tmp_path / "smoke.ini"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavediff.config import _compile_speed_expression
 from wavediff.metric import (
     BoundaryClass,
     ClassificationError,
@@ -150,17 +151,6 @@ class TestRelatedRays:
         for q in rays:
             assert abs(m_full.dual_hamiltonian(q)) <= 1e-12 * float(q.xi @ q.xi)
 
-    def test_sphere_for_higher_codimension(self):
-        nf = NormalFormCoeffs(
-            A=lambda x, y: -1.0,
-            B=lambda x, y: np.diag([-1.0, 1.0]),
-            C=lambda x, y: np.zeros(2),
-        )
-        sphere = related_rays(nf, np.zeros(2), [0.0, 1.0], k=2)
-        q = sphere.point([1.0, 1.0])
-        assert np.linalg.norm(q.xi[:2]) == pytest.approx(sphere.radius)
-        assert sphere.radius == pytest.approx(1.0)
-
 
 class TestHolderEstimate:
     def test_sqrt_profile(self):
@@ -223,3 +213,116 @@ class TestHamiltonField:
 
         dp = (p_of(state + h * v) - p_of(state - h * v)) / (2 * h)
         assert abs(dp) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the float kernel against the 0-d array code it replaced
+
+_PLATEAU = 0.3
+
+
+def reference_chi0(t):
+    """escape.chi0 before its float branch (verbatim)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = np.exp(-1.0 / t[pos])
+    return out if out.ndim else float(out)
+
+
+def reference_profile(self, x, slope: bool):
+    """ConormalMetric._profile as it ran a scalar through 0-d arrays (verbatim)."""
+    x = np.asarray(x, float)
+    r = np.abs(x)
+    u = r / self.core_radius
+    t = np.asarray((u - _PLATEAU) / (1.0 - _PLATEAU))
+    s = np.asarray(1.0 - t)
+    f, g = np.asarray(reference_chi0(t)), np.asarray(reference_chi0(s))
+    bump = 1.0 - f / (f + g)
+    e = self.exponent
+    bg = np.asarray(self._bg(x), float) if callable(self._bg) else self.c_bg
+    c = bg + self.amp * r**e * bump
+    if not slope:
+        return c if c.ndim else float(c)
+    fp, gp = np.zeros_like(f), np.zeros_like(g)
+    fp[t > 0] = f[t > 0] / (t[t > 0] * t[t > 0])
+    gp[s > 0] = g[s > 0] / (s[s > 0] * s[s > 0])
+    dbump = -((fp * g + f * gp) / (f + g) ** 2) / (1.0 - _PLATEAU)
+    dc = self.amp * (e * r ** (e - 1.0) * bump + r**e * dbump / self.core_radius)
+    dc = dc * np.sign(x)
+    if callable(self._bg):  # central difference of the smooth background
+        h, bg = 1e-6, self._bg
+        dc = dc + (np.asarray(bg(x + h), float) - np.asarray(bg(x - h), float)) / (2 * h)
+    return (c, dc) if c.ndim else (float(c), float(dc))
+
+
+def reference_hamilton_field(self, state):
+    """ConormalMetric.hamilton_field on ndarrays (verbatim, on the reference profile)."""
+    state = np.asarray(state, float)
+    n = self.n
+    x, xi = state[:n], state[n:]
+    spatial = xi[:-1]
+    kin = float(np.dot(spatial, spatial))
+    c, dc = reference_profile(self, float(x[0]), slope=True)
+    dx = np.empty(n)
+    dxi = np.zeros(n)
+    dxi[0] = 2.0 * c * dc * kin
+    dx[:-1] = -2.0 * c**2 * spatial
+    dx[-1] = 2.0 * xi[-1]
+    return np.concatenate([dx, dxi])
+
+
+def profile_inputs(core, rng):
+    """About 10^4 floats over every branch of the profile, both signs."""
+    half = [
+        [0.0, 0.3 * core, core],
+        rng.uniform(0.0, 0.3 * core, 2000),  # plateau
+        rng.uniform(0.3 * core, core, 2000),  # bump transition
+        rng.uniform(core, 3.0 * core, 500),  # homogeneous outside the core
+        rng.uniform(0.0, 1e-3, 500),  # within 1e-3 of the interface
+    ]
+    xs = np.concatenate(half)
+    return np.concatenate([xs, -xs]).tolist()
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0),
+            ConormalMetric(n=2, s0=2.2, amp=0.7, core_radius=0.5),
+        ],
+        ids=["bundled", "s0-2.2"],
+    )
+    def test_profile_matches_array_code(self, metric):
+        xs = profile_inputs(metric.core_radius, np.random.default_rng(3))
+        assert len(xs) > 10_000
+        for x in xs:
+            got = metric._profile(x, slope=True)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == reference_profile(metric, x, slope=True), x
+            assert metric.speed(x) == reference_profile(metric, x, slope=False), x
+
+    def test_callable_background_matches_array_code(self):
+        # a [metric] c_smooth background still sees the arrays it saw before,
+        # so x**2 and np.sin(x) round as they did
+        bg = _compile_speed_expression("1.0 + 0.05*x**2 + 0.02*np.sin(3*x)")
+        metric = ConormalMetric(n=2, s0=2.5, amp=0.4, c_bg=bg, core_radius=1.0)
+        for x in profile_inputs(1.0, np.random.default_rng(4))[::5]:
+            got = metric._profile(x, slope=True)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == reference_profile(metric, x, slope=True), x
+        xs = np.linspace(-2.0, 2.0, 101)  # the array path is the old code
+        for got, ref in zip(metric._profile(xs, True), reference_profile(metric, xs, True)):
+            assert np.array_equal(got, ref)
+
+    def test_hamilton_field_matches_array_code(self):
+        metric = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        rng = np.random.default_rng(5)
+        for x in profile_inputs(1.0, rng)[::10]:
+            state = np.array([x, rng.uniform(0, 6), rng.uniform(-2, 2), rng.uniform(0.5, 2)])
+            got = metric.hamilton_field(state)
+            assert type(got) is np.ndarray
+            assert np.array_equal(got, reference_hamilton_field(metric, state)), state
+            assert np.array_equal(metric.hamilton_field(state.tolist()), got)
+

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from wavediff import tracer
 from wavediff.metric import ConormalMetric, PhasePoint
 from wavediff.tracer import (
+    CurveSample,
     EventType,
     GlancingHalt,
     OracleContractViolation,
+    _FloorHit,
     dyadic_construct,
     gbb_trace,
     ray_on_characteristic,
@@ -150,7 +153,7 @@ class TestGBBTrace:
         q0 = PhasePoint([-1.0, 0.0], [-2.0, 2.0])
         paths = gbb_trace(m, q0, t_span=2.5, policy="tree")
         for p in paths:
-            taus = np.array([s.q[3] for s in p.samples()])
+            taus = np.array([s.q[3] for leg in p.legs for s in leg])
             assert np.max(np.abs(taus - taus[0])) <= 1e-10 * abs(taus[0])
 
     def test_glancing_initial_point_rejected(self):
@@ -253,3 +256,121 @@ class TestDyadic:
         rf = dyadic_construct(oracle_f, field, [0.0, 0.0], 1.0, 5, 1.0, 0.5, direction=+1)
         assert np.allclose(rb.points, -rf.points)
         assert np.allclose(rb.times, -rf.times)
+
+
+# ---------------------------------------------------------------------------
+# the float RK4 loop against the ndarray loop it replaced
+
+
+def reference_reparam_leg(
+    V,
+    x0,
+    j,
+    h,
+    s_target=None,
+    t_limit=None,
+    stop_state=None,
+    v_floor=tracer.GLANCING_FLOOR,
+    max_steps=2_000_000,
+    step_control=None,
+):
+    """tracer._reparam_leg on ndarrays (verbatim)."""
+    x0 = np.asarray(x0, float)
+    d = x0.size
+
+    def rhs(x):
+        v = np.asarray(V(x), float)
+        vj = v[j]
+        if abs(vj) < v_floor * max(float(np.linalg.norm(v)), 1e-300):
+            raise _FloorHit()
+        out = np.empty(d + 1)
+        out[:d] = v / vj
+        out[j] = 1.0
+        out[d] = 1.0 / vj
+        return out
+
+    def f(z, _s):
+        return rhs(z[:-1])
+
+    v0 = np.asarray(V(x0), float)
+    if abs(v0[j]) < v_floor * max(float(np.linalg.norm(v0)), 1e-300):
+        raise GlancingHalt([CurveSample(0.0, x0.copy())])
+    backward = t_limit is not None and t_limit < 0
+    ds = abs(h) * (1.0 if (v0[j] > 0) != backward else -1.0)
+
+    z = np.concatenate([x0, [0.0]])  # state plus accumulated curve parameter
+    s = x0[j]
+    samples = [CurveSample(0.0, x0.copy())]
+    reason = "steps"
+    for _ in range(max_steps):
+        step = ds if step_control is None else step_control(z[:d], ds)
+        if s_target is not None:
+            remaining = s_target - s
+            if remaining == 0.0:
+                reason = "target"
+                break
+            if (step > 0) == (remaining > 0) and abs(step) > abs(remaining):
+                step = remaining
+        try:
+            k1 = f(z, s)
+            k2 = f(z + 0.5 * step * k1, s + 0.5 * step)
+            k3 = f(z + 0.5 * step * k2, s + 0.5 * step)
+            k4 = f(z + step * k3, s + step)
+        except _FloorHit:
+            raise GlancingHalt(samples)
+        z = z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s += step
+        z[j] = s  # keep the redundant clock coordinate exact
+        samples.append(CurveSample(float(z[d]), z[:d].copy()))
+        if s_target is not None and s == s_target:
+            reason = "target"
+            break
+        if t_limit is not None and abs(z[d]) >= abs(t_limit):
+            reason = "t_limit"
+            break
+        if stop_state is not None and stop_state(z[:d]):
+            reason = "state"
+            break
+    return samples, reason
+
+
+def assert_same_samples(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert type(a.t) is float
+        assert a.t == b.t and np.array_equal(a.q, b.q), (a, b)
+
+
+class TestFloatLoop:
+    def test_gbb_trace_matches_array_loop(self, monkeypatch):
+        # the bundled metric and packet, every branch of the tree policy
+        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        q0 = ray_on_characteristic(m, -2.2, 0.0, +1)
+        paths = gbb_trace(m, q0, t_span=6.6, policy="tree")
+        monkeypatch.setattr(tracer, "_reparam_leg", reference_reparam_leg)
+        ref = gbb_trace(m, q0, t_span=6.6, policy="tree")
+        assert len(paths) == len(ref) == 2
+        for p, r in zip(paths, ref):
+            assert len(p.legs) == len(r.legs) == 2
+            for leg, ref_leg in zip(p.legs, r.legs):
+                assert_same_samples(leg, ref_leg)
+            assert [(e.kind, e.time) for e in p.events] == [(e.kind, e.time) for e in r.events]
+
+    @pytest.mark.parametrize("x0, span", [([0.0, 0.0], 1.0), ([0.1, 0.5], -1.0)],
+                             ids=["forward", "backward"])
+    def test_transversal_integrate_matches_array_loop(self, monkeypatch, x0, span):
+        got = transversal_integrate(holder_field(0.5), x0, span, 1e-3)
+        monkeypatch.setattr(tracer, "_reparam_leg", reference_reparam_leg)
+        assert_same_samples(got, transversal_integrate(holder_field(0.5), x0, span, 1e-3))
+
+    def test_glancing_halt_matches_array_loop(self, monkeypatch):
+        def V(x):
+            return np.array([1.0, -x[-1]])
+
+        with pytest.raises(GlancingHalt) as got:
+            transversal_integrate(V, [0.0, 1.0], 50.0, 1e-2)
+        monkeypatch.setattr(tracer, "_reparam_leg", reference_reparam_leg)
+        with pytest.raises(GlancingHalt) as ref:
+            transversal_integrate(V, [0.0, 1.0], 50.0, 1e-2)
+        assert_same_samples(got.value.samples, ref.value.samples)
+
