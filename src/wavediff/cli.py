@@ -2,9 +2,9 @@
 report, and the end-to-end pipeline.
 
 Exit codes: 0 success, 1 assertion/verdict failure, 2 configuration error.
-Every pipeline run writes a manifest with the config hash, per-stage output
-checksums, and wall-clock times; deterministic stages reproduce identical
-checksums on identical configs.
+Every pipeline run writes a manifest with the config hash and, per stage, the
+output checksums, wall-clock and CPU times and the peak RSS; deterministic
+stages reproduce identical checksums on identical configs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import argparse
 import csv
 import hashlib
 import json
+import resource
 import sys
 import time
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,14 +46,23 @@ from .orders import (
     reverse_pair,
     verify_constraint_chain,
 )
-from .probe import WindowPlanError, decay_fit, default_oracle_scan, gain_report, window_plan
+from .probe import (
+    WindowPlanError,
+    WindowSpectrum,
+    decay_fit,
+    default_oracle_scan,
+    gain_report,
+    window_plan,
+)
 from .tracer import gbb_trace, ray_on_characteristic
-from .wave import run as wave_run
+from .wave import stored_slices, stream
 
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:  # in chunks: field.npz is tens of MB
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()[:16]
 
 
@@ -244,36 +255,53 @@ def stage_trace(cfg: ExperimentConfig, scenario, out_csv: Path, out_events: Path
     return paths, health
 
 
-def stage_wave(scenario, out_npz: Path):
-    fld = wave_run(scenario)
-    np.savez(
-        out_npz,
-        u=fld.u.astype(np.float32),
-        ts=fld.ts,
-        xs=fld.xs,
-        c=fld.c,
-        energy=fld.energy,
-        dt=fld.dt,
-        max_trust_freq=fld.max_trust_freq,
-    )
-    return fld
+def stage_wave(scenario, spectra, out_npz: Path | None):
+    """Solve the scenario once, streaming every stored slice into the
+    window ``spectra`` and, unless ``out_npz`` is None, into ``field.npz``.
+
+    The archive is written slice by slice: the float32 ``u`` member's header
+    first (the slice count is known before the solve), then each slice,
+    then the run's record.  Its bytes are those of ``np.savez`` of the
+    whole stack, and the stack is never held.  Returns the run's record.
+    """
+    if out_npz is None:
+        return stream(scenario, spectra)
+    fmt = np.lib.format
+    header = {
+        "descr": fmt.dtype_to_descr(np.dtype(np.float32)),
+        "fortran_order": False,
+        "shape": (stored_slices(scenario), scenario.nx + 1),
+    }
+    try:
+        with zipfile.ZipFile(out_npz, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            with zf.open("u.npy", "w", force_zip64=True) as fh:
+                fmt.write_array_header_1_0(fh, header)
+                rec = stream(
+                    scenario, [*spectra, lambda t, u: fh.write(u.astype(np.float32).tobytes())]
+                )
+            for key in ("ts", "xs", "c", "energy", "dt", "max_trust_freq"):
+                with zf.open(key + ".npy", "w", force_zip64=True) as fh:
+                    fmt.write_array(fh, np.asanyarray(getattr(rec, key)))
+    except BaseException:
+        out_npz.unlink(missing_ok=True)  # a solve that fails leaves no partial archive
+        raise
+    return rec
 
 
-def stage_probe(cfg: ExperimentConfig, fld, scenario, windows, out_json: Path, out_csv: Path):
+def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_csv: Path):
+    fits = {spec.window.label: decay_fit(spec) for spec in spectra}
     oracle = None
     notes = []
     if cfg.probe["oracle"]:
         if cfg.c_smooth is None:
-            band = decay_fit(fld, windows[0]).band
-            oracle = default_oracle_scan(scenario.metric, band)
+            oracle = default_oracle_scan(scenario.metric, fits["incident"].band)
         else:
             notes.append(
                 "oracle skipped: it matches plane waves at a constant speed outside"
                 " the core, and c_smooth varies there"
             )
     rep = gain_report(
-        fld,
-        windows,
+        fits,
         hyperbolic_window(cfg.s0, cfg.eps0, cfg.k),
         oracle=oracle,
         transmit_tol=cfg.probe["transmit_tol"],
@@ -291,6 +319,13 @@ def stage_probe(cfg: ExperimentConfig, fld, scenario, windows, out_json: Path, o
                 fitted = np.exp(fit.intercept) * c ** -fit.r_hat
                 w.writerow([label, "%.6g" % c, "%.6g" % mval, "%.6g" % fitted])
     return rep
+
+
+def plan_spectra(scenario, paths) -> list:
+    """One ``WindowSpectrum`` per planned probe window; a plan the geometry
+    or the grid cannot hold raises ``WindowPlanError`` before any solve."""
+    xs = scenario.grid()
+    return [WindowSpectrum(w, xs) for w in window_plan(scenario, paths)]
 
 
 def stage_commutant(cfg: ExperimentConfig, out_json: Path) -> dict:
@@ -322,8 +357,18 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
         "stages": {},
     }
 
-    def record(stage, paths, t0, **health):
-        entry = {"seconds": round(time.time() - t0, 3), "outputs": {}}
+    def start():
+        return time.time(), time.process_time()
+
+    def record(stage, paths, clock, **health):
+        wall0, cpu0 = clock
+        entry = {
+            "seconds": round(time.time() - wall0, 3),
+            "cpu_s": round(time.process_time() - cpu0, 3),
+            # the process's peak so far, read as the stage ends (KiB on Linux)
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "outputs": {},
+        }
         for p in paths:
             entry["outputs"][p.name] = _sha256_file(p)
         manifest["stages"][stage] = entry | health
@@ -334,10 +379,10 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
         print("pipeline refused: %s" % message, file=sys.stderr)
         return 2, manifest
 
-    t0 = time.time()
+    clock = start()
     calc_path = out / "calc.json"
     gate = stage_calc(cfg, calc_path)
-    record("calc", [calc_path], t0)
+    record("calc", [calc_path], clock)
     if not gate["gate_ok"]:
         reason = gate.get("violated", "inadmissible")
         return refuse(reason, "admissibility gate failed (%s) for s0=%s eps0=%s s=%s k=%d"
@@ -345,29 +390,29 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     # config faults raise ConfigError here, before any physical work
     scenario = cfg.build_scenario()
 
-    t0 = time.time()
+    clock = start()
     trace_csv, events_json = out / "trace.csv", out / "events.json"
     paths, health = stage_trace(cfg, scenario, trace_csv, events_json)
-    record("trace", [trace_csv, events_json], t0, **health)
+    record("trace", [trace_csv, events_json], clock, **health)
     try:
-        windows = window_plan(scenario, paths)
+        spectra = plan_spectra(scenario, paths)
     except WindowPlanError as err:
         return refuse(str(err), "window plan failed: %s" % err)
 
-    t0 = time.time()
+    clock = start()
     wave_npz = out / "field.npz"
-    fld = stage_wave(scenario, wave_npz)
-    record("wave", [wave_npz], t0)
+    rec = stage_wave(scenario, spectra, wave_npz)
+    record("wave", [wave_npz], clock, steps=rec.steps, slices=int(rec.ts.size))
 
-    t0 = time.time()
+    clock = start()
     probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
-    rep = stage_probe(cfg, fld, scenario, windows, probe_json, probe_csv)
-    record("probe", [probe_json, probe_csv], t0)
+    rep = stage_probe(cfg, spectra, scenario, probe_json, probe_csv)
+    record("probe", [probe_json, probe_csv], clock)
 
-    t0 = time.time()
+    clock = start()
     comm_json = out / "commutant.json"
     comm = stage_commutant(cfg, comm_json)
-    record("verify-commutant", [comm_json], t0)
+    record("verify-commutant", [comm_json], clock)
 
     manifest["verdict"] = rep.verdict
     manifest["commutant_ok"] = bool(
@@ -387,8 +432,12 @@ def cmd_report(out_dir: Path) -> int:
     print("experiment: %s  (config %s, code %s)" % (
         manifest.get("name"), manifest.get("config_hash"), manifest.get("code_version")))
     for stage, entry in manifest.get("stages", {}).items():
-        print("  %-18s %6.2fs  %s" % (
-            stage, entry["seconds"], " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
+        print("  %-18s %6.2fs  cpu %6.2fs  peak rss %6.1f MB  %s" % (
+            stage, entry["seconds"], entry["cpu_s"], entry["peak_rss_mb"],
+            " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
+        if "steps" in entry:
+            print("  %-18s leapfrog steps %d, stored slices %d" % (
+                "", entry["steps"], entry["slices"]))
         if "rk4_steps" in entry:
             print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
                 "", entry["rk4_steps"], entry["p_residual_max"]))
@@ -468,7 +517,7 @@ def main(argv=None) -> int:
         if args.command == "wave":
             cfg = load_config(args.config)
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_wave(cfg.build_scenario(), cfg.out_dir / "field.npz")
+            stage_wave(cfg.build_scenario(), [], cfg.out_dir / "field.npz")
             print("field written to %s" % (cfg.out_dir / "field.npz"))
             return 0
         if args.command == "probe":
@@ -477,11 +526,9 @@ def main(argv=None) -> int:
             out = cfg.out_dir
             out.mkdir(parents=True, exist_ok=True)
             paths, _ = stage_trace(cfg, scenario, out / "trace.csv", out / "events.json")
-            windows = window_plan(scenario, paths)
-            rep = stage_probe(
-                cfg, wave_run(scenario), scenario, windows, out / "probe.json",
-                out / "probe_bands.csv",
-            )
+            spectra = plan_spectra(scenario, paths)
+            stage_wave(scenario, spectra, None)
+            rep = stage_probe(cfg, spectra, scenario, out / "probe.json", out / "probe_bands.csv")
             print("verdict: %s" % rep.verdict)
             return 0 if rep.verdict == "pass" else 1
         if args.command == "verify-commutant":

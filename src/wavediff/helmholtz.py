@@ -11,7 +11,8 @@ Magnus step): [-x_match, x_match] is cut into ``CELLS`` quadratically graded
 cells, finest at the singularity x = 0, which is a cell edge so a jump is
 resolved exactly.  Each cell holds the speed at its midpoint and propagates
 (v, w) by the exact constant-speed 2x2 matrix, for every frequency at once;
-the cell matrices are multiplied pairwise in log2(CELLS) vectorised levels.
+the cell matrices are multiplied pairwise in log2(CELLS) vectorised levels,
+``BLOCK`` cells at a time.
 With the speed constant outside [-x_match, x_match], plane-wave matching at
 the ends yields the reflection and transmission coefficients.
 
@@ -36,6 +37,7 @@ from scipy.integrate import solve_ivp
 
 CELLS = 2**14
 HALVED_CELLS = CELLS // 2
+BLOCK = 2**10  # cells whose layer matrices are held at once
 
 
 @dataclass
@@ -83,24 +85,9 @@ def _graded_edges(x_match: float, cells: int) -> np.ndarray:
     return edges
 
 
-def _layer_product(speed, omegas, x_match: float, cells: int):
-    """Entries (a, b, c, d) of the propagator that carries (v, w) from
-    -x_match to x_match, one value per frequency.
-
-    Each cell's matrix is exact for the speed at its midpoint:
-    [[cos kh, sin kh / (k c^2)], [-k c^2 sin kh, cos kh]] with k = omega / c.
-    Neighbouring matrices are multiplied pairwise, right cell on the left,
-    until one remains.
-    """
-    edges = _graded_edges(x_match, cells)
-    h = np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    c = np.asarray(speed(mid), float)[:, None]
-    omegas = omegas[None, :]
-    kh = omegas / c * h
-    kc2 = omegas * c  # k c^2
-    cos, sin = np.cos(kh), np.sin(kh)
-    a, b, cc, d = cos, sin / kc2, -kc2 * sin, cos
+def _pairwise(a, b, cc, d):
+    """Multiply neighbouring matrices pairwise, right one on the left, until
+    one remains; the leading axis holds the matrices in order."""
     while a.shape[0] > 1:
         la, lb, lc, ld = a[0::2], b[0::2], cc[0::2], d[0::2]
         ra, rb, rc, rd = a[1::2], b[1::2], cc[1::2], d[1::2]
@@ -110,6 +97,34 @@ def _layer_product(speed, omegas, x_match: float, cells: int):
             rc * la + rd * lc,
             rc * lb + rd * ld,
         )
+    return a, b, cc, d
+
+
+def _layer_product(speed, omegas, x_match: float, cells: int):
+    """Entries (a, b, c, d) of the propagator that carries (v, w) from
+    -x_match to x_match, one value per frequency.
+
+    Each cell's matrix is exact for the speed at its midpoint:
+    [[cos kh, sin kh / (k c^2)], [-k c^2 sin kh, cos kh]] with k = omega / c.
+    The speed is evaluated once at every midpoint.  The matrices are built
+    ``BLOCK`` cells at a time, each aligned block is reduced pairwise to one
+    matrix, and the block matrices are reduced the same way: the pairing
+    tree of a whole-array reduction, without holding every cell's matrix.
+    """
+    edges = _graded_edges(x_match, cells)
+    h = np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    c = np.asarray(speed(mid), float)[:, None]
+    omegas = omegas[None, :]
+    block = min(BLOCK, cells)
+    blocks = []
+    for lo in range(0, cells, block):
+        cb = c[lo : lo + block]
+        kh = omegas / cb * h[lo : lo + block]
+        kc2 = omegas * cb  # k c^2
+        cos, sin = np.cos(kh), np.sin(kh)
+        blocks.append(_pairwise(cos, sin / kc2, -kc2 * sin, cos))
+    a, b, cc, d = _pairwise(*(np.concatenate(entry) for entry in zip(*blocks)))
     return a[0], b[0], cc[0], d[0]
 
 

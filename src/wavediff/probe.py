@@ -7,7 +7,8 @@ membership for s < r - 1/2 (one-dimensional square summability).  Windows sit
 in the homogeneous part of the medium, so spatial wavenumber and temporal
 frequency are interchangeable there; time aggregation takes the per-bin
 maximum over slices, which registers every dispersed arrival as it passes
-through the window.
+through the window.  ``WindowSpectrum`` takes that maximum as the solver
+streams its slices (``wave.stream``), so no field history is stored.
 
 The quantitative target for the reflected packet is never an assumed
 constant: the frequency-domain two-point oracle supplies the reflection
@@ -106,9 +107,45 @@ def _weighted_slope(x, y, w):
     return float(beta[0]), float(beta[1]), stderr
 
 
+class WindowSpectrum:
+    """Per-bin maximum of |rfft(taper * u[a:b])| over the slices whose time
+    lies in the window, where [a, b) are the grid nodes inside it.
+
+    An observer for ``wave.stream``: it is called as ``spectrum(t, u)`` with
+    each stored slice and keeps only its spectrum, one transform per slice in
+    the window.  A window holding fewer than 64 nodes is refused when it is
+    built, before any slice arrives.
+    """
+
+    def __init__(self, window: ProbeWindow, xs):
+        inside = np.flatnonzero((xs >= window.x_lo) & (xs <= window.x_hi))
+        if inside.size < 64:
+            raise WindowPlanError("window too narrow for the grid")
+        self.window = window
+        self.dx = float(xs[1] - xs[0])
+        self.nodes = slice(int(inside[0]), int(inside[-1]) + 1)
+        self.taper = window_taper(xs[self.nodes], window.x_lo, window.x_hi)
+        self.peak = np.zeros(inside.size // 2 + 1)
+        self.n_slices = 0
+
+    def __call__(self, t, u):
+        if self.window.t_lo <= t <= self.window.t_hi:
+            spectrum = np.abs(np.fft.rfft(self.taper * u[self.nodes]))
+            np.maximum(self.peak, spectrum, out=self.peak)
+            self.n_slices += 1
+
+
+def window_spectrum(fld: WaveField, window: ProbeWindow) -> WindowSpectrum:
+    """The window's spectrum of a stored field, slice by slice as the solver
+    would hand them over."""
+    spec = WindowSpectrum(window, fld.xs)
+    for t, u in zip(fld.ts, fld.u):
+        spec(t, u)
+    return spec
+
+
 def decay_fit(
-    fld: WaveField,
-    window: ProbeWindow,
+    spec: WindowSpectrum,
     n_bands: int = 8,
     k_top: float | None = None,
 ) -> DecayFit:
@@ -120,30 +157,22 @@ def decay_fit(
     magnitude above the band-limit rolloff); under three decades the fit is
     flagged low-confidence.
     """
-    sel_x = (fld.xs >= window.x_lo) & (fld.xs <= window.x_hi)
-    if np.count_nonzero(sel_x) < 64:
-        raise WindowPlanError("window too narrow for the grid")
-    sel_t = (fld.ts >= window.t_lo) & (fld.ts <= window.t_hi)
-    if not np.any(sel_t):
+    if spec.n_slices == 0:
         raise WindowPlanError("no stored slices inside the time window")
-    xs = fld.xs[sel_x]
-    taper = window_taper(xs, window.x_lo, window.x_hi)
-    nw = xs.size
-    k = 2.0 * np.pi * np.fft.rfftfreq(nw, d=fld.dx)
-    nyquist = np.pi / fld.dx
+    k = 2.0 * np.pi * np.fft.rfftfreq(spec.taper.size, d=spec.dx)
+    nyquist = np.pi / spec.dx
     if k_top is None:
         k_top = nyquist / 4.0
     if k_top > nyquist / 4.0 + 1e-9:
         raise InsufficientBandsError("top band must stay at or below a quarter Nyquist")
 
-    # per-bin maximum over the window's slices, one batched transform
-    agg = np.abs(np.fft.rfft(taper * fld.u[np.ix_(sel_t, sel_x)], axis=1)).max(axis=0)
+    peak = spec.peak  # per-bin maximum over the window's slices
     means, centers, weights, edges = _dyadic_bands(
-        k, agg, k_top, n_bands, "wavenumber of the window; widen the window"
+        k, peak, k_top, n_bands, "wavenumber of the window; widen the window"
     )
 
     floor_band = (k >= 1.5 * k_top) & (k <= min(2.5 * k_top, 0.95 * nyquist))
-    floor = float(np.median(agg[floor_band])) if np.any(floor_band) else 0.0
+    floor = float(np.median(peak[floor_band])) if np.any(floor_band) else 0.0
     floor = max(floor, 1e-300)
     decades = float(np.log10(max(means.max(), 1e-300) / floor))
     smooth_here = bool(means[-1] < 10.0 * floor)
@@ -152,7 +181,7 @@ def decay_fit(
         np.log(centers), np.log(np.maximum(means, 1e-300)), weights
     )
     return DecayFit(
-        label=window.label,
+        label=spec.window.label,
         r_hat=-slope,
         stderr=stderr,
         intercept=intercept,
@@ -163,7 +192,7 @@ def decay_fit(
         dynamic_range_decades=decades,
         low_confidence=decades < 3.0,
         smooth_at_resolution=smooth_here,
-        n_slices=int(np.count_nonzero(sel_t)),
+        n_slices=spec.n_slices,
     )
 
 
@@ -326,8 +355,7 @@ class RegularityReport:
 
 
 def gain_report(
-    fld: WaveField,
-    windows: list,
+    fits: dict,
     window: HyperbolicWindow,
     oracle: ReflectionScan | None = None,
     transmit_tol: float = 0.25,
@@ -337,17 +365,15 @@ def gain_report(
 ) -> RegularityReport:
     """Compare incident / reflected / transmitted decay exponents.
 
-    The transmitted exponent must match the incident one within
-    ``transmit_tol``; the reflected exponent must match incident + oracle
-    exponent within ``oracle_tol`` when an oracle scan is supplied, and must
-    in any case reach min(incident gain floor, interface ceiling - margin) in
-    inferred Sobolev order.  The gate, the theorem window and the interface
+    ``fits`` maps the labels ``incident``, ``reflected`` and ``transmitted``
+    to their windows' ``decay_fit``.  The transmitted exponent must match the
+    incident one within ``transmit_tol``; the reflected exponent must match
+    incident + oracle exponent within ``oracle_tol`` when an oracle scan is
+    supplied, and must in any case reach min(incident gain floor, interface
+    ceiling - margin) in inferred Sobolev order.  The gate, the theorem window and the interface
     ceiling all come from the exact ``window`` (``orders.hyperbolic_window``).
     Low-confidence fits make the verdict "inconclusive", never "pass".
     """
-    fits = {}
-    for w in windows:
-        fits[w.label] = decay_fit(fld, w)
     inc, refl, trans = fits["incident"], fits["reflected"], fits["transmitted"]
     notes = []
 

@@ -7,6 +7,11 @@ domain ends uses an exponential damping sponge whose leakage is measured in
 calibration rather than assumed.  Sobolev-calibrated initial pulses are
 synthesized in frequency space with fixed-seed random phases and launched
 one-directionally using the exact discrete dispersion relation.
+
+``stream`` is the one time loop: it hands each stored slice to observers
+(the probe's window spectra, the ``field.npz`` writer) and keeps only the
+times, energies and grid.  ``run`` streams into a stack of every slice, for
+tests and callers that want the whole history.
 """
 
 from __future__ import annotations
@@ -199,19 +204,59 @@ def discrete_energy(fld: WaveField, t_index: int) -> float:
     return float(0.5 * fld.dx * (np.sum(ut * ut) + np.sum(c_half**2 * ux * ux)))
 
 
-def run(scenario: WaveScenario) -> WaveField:
-    """Leapfrog-integrate the scenario; deterministic for fixed inputs."""
+def _speeds(scenario: WaveScenario):
+    """The grid, the speed at its nodes and at its half cells."""
     xs = scenario.grid()
-    n = xs.size
-    dx = scenario.dx
     c_nodes = np.asarray(scenario.metric.speed(xs), float)
-    x_half = 0.5 * (xs[1:] + xs[:-1])
-    c_half = np.asarray(scenario.metric.speed(x_half), float)
+    c_half = np.asarray(scenario.metric.speed(0.5 * (xs[1:] + xs[:-1])), float)
+    return xs, c_nodes, c_half
+
+
+def _clock(scenario: WaveScenario, c_nodes, c_half):
+    """Time step, step count and stored-slice count: the CFL factor times dx
+    over the largest speed at the nodes and half cells."""
+    dx = scenario.dx
     c_max = float(max(c_nodes.max(), c_half.max()))
     dt = scenario.cfl * dx / c_max
     n_steps = int(np.ceil(scenario.duration / dt))
     if c_max * dt / dx > 0.9 + 1e-12:
         raise CFLViolation("effective CFL number exceeds 0.9")
+    stride = max(1, scenario.store_stride)
+    return dt, n_steps, 1 + n_steps // stride + (n_steps % stride != 0)
+
+
+def stored_slices(scenario: WaveScenario) -> int:
+    """Number of slices ``stream`` hands to its observers: the initial one,
+    every ``store_stride``-th step and the last step."""
+    _, c_nodes, c_half = _speeds(scenario)
+    return _clock(scenario, c_nodes, c_half)[2]
+
+
+@dataclass
+class WaveRecord:
+    """What ``stream`` keeps of a run: everything but the slices."""
+
+    ts: np.ndarray
+    xs: np.ndarray
+    c: np.ndarray           # speed at the nodes
+    dt: float
+    energy: np.ndarray      # staggered discrete energy per stored slice
+    max_trust_freq: float   # dispersion-limited wavenumber for probing
+    steps: int              # leapfrog steps taken
+
+
+def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
+    """Leapfrog-integrate the scenario; deterministic for fixed inputs.
+
+    At each stored slice every observer is called as ``observer(t, u)``,
+    where ``u`` is the solver's live level: an observer that keeps it must
+    copy it.  No slice stack is held, so the memory is a few grid arrays
+    whatever the duration.
+    """
+    xs, c_nodes, c_half = _speeds(scenario)
+    n = xs.size
+    dx = scenario.dx
+    dt, n_steps, n_store = _clock(scenario, c_nodes, c_half)
 
     # three rotating time levels, updated in place
     u_prev, u_curr, u_next = np.zeros((3, n))
@@ -234,11 +279,10 @@ def run(scenario: WaveScenario) -> WaveField:
     work = np.empty(n)  # the Laplacian, and the staggered energy's scratch
     lap = work[:-2]
     stride = max(1, scenario.store_stride)
-    n_store = 1 + n_steps // stride + (n_steps % stride != 0)
-    out = np.empty((n_store, n))
     ts = np.empty(n_store)
     energy = np.empty(n_store)
-    out[0] = u_curr
+    for obs in observers:
+        obs(0.0, u_curr)
     ts[0] = 0.0
     energy[0] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
     j = 1
@@ -263,7 +307,8 @@ def run(scenario: WaveScenario) -> WaveField:
         if m % stride == 0 or m == n_steps:
             if not np.all(np.isfinite(u_curr)):
                 raise FieldBlowup("non-finite field at t=%g" % t)
-            out[j] = u_curr
+            for obs in observers:
+                obs(t, u_curr)
             ts[j] = t
             energy[j] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
             j += 1
@@ -277,12 +322,34 @@ def run(scenario: WaveScenario) -> WaveField:
     ok = np.abs(vg - 1.0) < 0.02
     max_trust = float(k_probe[ok].max()) if np.any(ok) else float(k_probe[0])
 
-    return WaveField(
-        u=out,
+    return WaveRecord(
         ts=ts,
         xs=xs,
         c=c_nodes,
         dt=dt,
         energy=energy,
         max_trust_freq=max_trust,
+        steps=n_steps,
+    )
+
+
+def run(scenario: WaveScenario) -> WaveField:
+    """``stream`` into a stack of every stored slice: the whole field
+    history, for tests and for callers that need more than the probe's
+    window spectra."""
+    u = np.empty((stored_slices(scenario), scenario.nx + 1))
+    rows = iter(u)
+
+    def keep(t, u_curr):
+        next(rows)[:] = u_curr
+
+    rec = stream(scenario, [keep])
+    return WaveField(
+        u=u,
+        ts=rec.ts,
+        xs=rec.xs,
+        c=rec.c,
+        dt=rec.dt,
+        energy=rec.energy,
+        max_trust_freq=rec.max_trust_freq,
     )

@@ -33,7 +33,14 @@ from wavediff.orders import (
     psdo_shift,
     verify_constraint_chain,
 )
-from wavediff.probe import decay_fit, default_oracle_scan, gain_report, window_plan, ProbeWindow
+from wavediff.probe import (
+    ProbeWindow,
+    decay_fit,
+    default_oracle_scan,
+    gain_report,
+    window_plan,
+    window_spectrum,
+)
 from wavediff.tracer import dyadic_construct, gbb_trace, ray_on_characteristic, transversal_integrate
 from wavediff.wave import PulseSpec, SpongeSpec, WaveField, WaveScenario, make_pulse, run
 
@@ -62,18 +69,22 @@ def experiment_scenario(metric, nx=2**14):
     )
 
 
+def fit_windows(fld, windows):
+    return {w.label: decay_fit(window_spectrum(fld, w)) for w in windows}
+
+
 def run_experiment(s0, with_oracle=True):
     m = ConormalMetric(n=2, s0=s0, amp=0.4, core_radius=1.0)
     sc = experiment_scenario(m)
     q0 = ray_on_characteristic(m, sc.source.center, 0.0, direction=+1)
     paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
     windows = window_plan(sc, paths)
-    fld = run(sc)
+    fits = fit_windows(run(sc), windows)
     oracle = None
     if with_oracle:
-        oracle = default_oracle_scan(m, decay_fit(fld, windows[0]).band)
+        oracle = default_oracle_scan(m, fits["incident"].band)
     window = hyperbolic_window(Fraction(str(s0)), Fraction(1, 20), 1)
-    return gain_report(fld, windows, window, oracle=oracle)
+    return gain_report(fits, window, oracle=oracle)
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +305,7 @@ def test_criterion_7_regularity_gain(experiments):
     q0 = ray_on_characteristic(m_ref, sc_ref.source.center, 0.0, direction=+1)
     paths = gbb_trace(m_ref, q0, t_span=scj.duration, policy="tree")
     windows = window_plan(sc_ref, paths)
-    repj = gain_report(run(scj), windows, hyperbolic_window(1, Fraction(1, 20), 1))
+    repj = gain_report(fit_windows(run(scj), windows), hyperbolic_window(1, Fraction(1, 20), 1))
 
     ok = (
         rep.verdict == "pass"
@@ -322,7 +333,7 @@ def test_criterion_8_calibration_closure():
         fld = WaveField(u=u0[None, :], ts=np.array([0.0]), xs=sc.grid(),
                         c=np.ones(u0.size), dt=1.0,
                         energy=np.array([1.0]), max_trust_freq=1e9)
-        fit = decay_fit(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal"))
+        fit = decay_fit(window_spectrum(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal")))
         errs[s_in] = fit.r_hat - (s_in + 0.55)
     worst = max(abs(e) for e in errs.values())
     _report(8, worst <= 0.05,

@@ -3,8 +3,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from wavediff import wave
 from wavediff.cli import _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import ConfigError, ExperimentConfig, load_config
 
@@ -194,6 +196,11 @@ class TestPipeline:
         assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_small_pipeline_and_determinism(self, tmp_path, monkeypatch):
+        def no_stack(*args, **kwargs):
+            raise AssertionError("the pipeline streams; it never builds the slice stack")
+
+        for name in ("run", "WaveField"):  # also catches a `run` imported by name
+            monkeypatch.setattr(wave, name, no_stack)
         builds = []
         build_metric = ExperimentConfig.build_metric
 
@@ -215,6 +222,17 @@ class TestPipeline:
         trace = manifest["stages"]["trace"]
         assert trace["rk4_steps"] > 0
         assert trace["p_residual_max"] <= 1e-8
+        # every stage's CPU time and the process's peak RSS as it ends
+        entries = list(manifest["stages"].values())
+        assert all(e["cpu_s"] >= 0 and e["peak_rss_mb"] > 0 for e in entries)
+        peaks = [e["peak_rss_mb"] for e in entries]
+        assert peaks == sorted(peaks)
+        # the wave stage's work: 6.6 / dt steps, a slice every 8 and the last
+        wave_entry = manifest["stages"]["wave"]
+        with np.load(tmp_path / "out" / "field.npz") as z:
+            assert wave_entry["steps"] == math.ceil(6.6 / float(z["dt"]))
+            assert wave_entry["slices"] == z["u"].shape[0] == z["ts"].size
+        assert wave_entry["slices"] == 1 + math.ceil(wave_entry["steps"] / 8)
         # identical rerun reproduces identical checksums for every stage
         code2, manifest2 = run_pipeline(cfg)
         assert len(builds) == 2
@@ -253,6 +271,14 @@ class TestPipeline:
         assert "verdict: pass" in out
         assert "step halving" in out
         assert "rk4 steps" in out and "max |p|/|xi|^2" in out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        for stage, entry in manifest["stages"].items():
+            line = next(row for row in out.splitlines() if row.split()[0] == stage)
+            assert "cpu %6.2fs" % entry["cpu_s"] in line
+            assert "peak rss %6.1f MB" % entry["peak_rss_mb"] in line
+        wave_entry = manifest["stages"]["wave"]
+        assert "leapfrog steps %d, stored slices %d" % (
+            wave_entry["steps"], wave_entry["slices"]) in out
 
     def test_cli_calc_gate(self, tmp_path, capsys):
         cfgf = tmp_path / "smoke.ini"
@@ -262,17 +288,24 @@ class TestPipeline:
         assert "gate_ok" in capsys.readouterr().out
 
     def test_window_plan_refusal_exit_2(self, tmp_path, capsys):
-        # a reflect-only trace has no transmitted branch to place a window on
-        cfgf = tmp_path / "reflect.ini"
-        text = small_config_text(tmp_path / "out", extra="policy = reflect")
-        cfgf.write_text(text.replace("nx = 8192", "nx = 2048"))
-        for command in ("pipeline", "probe"):
-            assert main([command, "--config", str(cfgf)]) == 2
-            assert "reflection and one transmission branch" in capsys.readouterr().err
-        # the plan is refused before the wave solve, and the manifest says why
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert "reflection and one transmission branch" in manifest["refused"]
-        assert not (tmp_path / "out" / "field.npz").exists()
+        cases = [
+            # a reflect-only trace has no transmitted branch to place a window on
+            ("reflect", "policy = reflect", "nx = 2048",
+             "reflection and one transmission branch"),
+            # the windows fit the geometry but hold too few nodes of a coarse grid
+            ("narrow", "", "nx = 1024", "window too narrow for the grid"),
+        ]
+        for name, extra, nx, reason in cases:
+            out = tmp_path / name
+            cfgf = tmp_path / (name + ".ini")
+            cfgf.write_text(small_config_text(out, extra=extra).replace("nx = 8192", nx))
+            for command in ("pipeline", "probe"):
+                assert main([command, "--config", str(cfgf)]) == 2
+                assert reason in capsys.readouterr().err
+            # the plan is refused before the wave solve, and the manifest says why
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert reason in manifest["refused"]
+            assert not (out / "field.npz").exists()
 
     @pytest.mark.parametrize(
         "old, new",

@@ -16,6 +16,7 @@ from wavediff.probe import (
     gain_report,
     oracle_band_exponent,
     window_plan,
+    window_spectrum,
     window_taper,
 )
 from wavediff.orders import hyperbolic_window
@@ -34,6 +35,14 @@ def synthetic_field(u0, x_lo=-8.0, x_hi=8.0):
         energy=np.array([1.0]),
         max_trust_freq=1e9,
     )
+
+
+def fit_window(fld, window, **kw):
+    return decay_fit(window_spectrum(fld, window), **kw)
+
+
+def fit_windows(fld, windows):
+    return {w.label: fit_window(fld, w) for w in windows}
 
 
 class TestTaper:
@@ -59,7 +68,7 @@ class TestDecayFit:
     def test_power_law_recovered(self):
         fld = self._power_law_field(2.0)
         w = ProbeWindow(-7.6, 7.6, -1, 1, "synthetic")
-        fit = decay_fit(fld, w)
+        fit = fit_window(fld, w)
         assert fit.r_hat == pytest.approx(2.0, abs=0.05)
 
     def test_heaviside_step(self):
@@ -67,38 +76,69 @@ class TestDecayFit:
         xs = np.linspace(-8, 8, n)
         u = np.where(xs > 0.37, 1.0, 0.0)
         fld = synthetic_field(u)
-        fit = decay_fit(fld, ProbeWindow(-7.6, 7.6, -1, 1, "step"))
+        fit = fit_window(fld, ProbeWindow(-7.6, 7.6, -1, 1, "step"))
         assert fit.r_hat == pytest.approx(1.0, abs=0.05)
 
     def test_gaussian_smooth_at_resolution(self):
         n = 2**15
         xs = np.linspace(-8, 8, n)
         u = np.exp(-0.5 * (xs / 0.25) ** 2)
-        fit = decay_fit(synthetic_field(u), ProbeWindow(-7.6, 7.6, -1, 1, "gauss"))
+        fit = fit_window(synthetic_field(u), ProbeWindow(-7.6, 7.6, -1, 1, "gauss"))
         assert fit.smooth_at_resolution
 
     def test_noise_only_low_confidence(self):
         rng = np.random.default_rng(0)
         u = 1e-12 * rng.normal(size=2**15)
-        fit = decay_fit(synthetic_field(u), ProbeWindow(-7.6, 7.6, -1, 1, "noise"))
+        fit = fit_window(synthetic_field(u), ProbeWindow(-7.6, 7.6, -1, 1, "noise"))
         assert fit.low_confidence
 
     def test_rejects_tiny_window(self):
         fld = self._power_law_field(1.0)
         with pytest.raises((WindowPlanError, InsufficientBandsError)):
-            decay_fit(fld, ProbeWindow(-0.01, 0.01, -1, 1, "tiny"))
+            fit_window(fld, ProbeWindow(-0.01, 0.01, -1, 1, "tiny"))
 
     def test_rejects_excess_top_band(self):
         fld = self._power_law_field(1.0)
         with pytest.raises(InsufficientBandsError):
-            decay_fit(fld, ProbeWindow(-7.6, 7.6, -1, 1, "x"), k_top=np.pi / (16 / 2**15) / 2)
+            fit_window(fld, ProbeWindow(-7.6, 7.6, -1, 1, "x"), k_top=np.pi / (16 / 2**15) / 2)
 
     def test_taper_invariance(self):
         # doubling the window changes the exponent mildly
         fld = self._power_law_field(1.5)
-        f1 = decay_fit(fld, ProbeWindow(-3.8, 3.8, -1, 1, "half"))
-        f2 = decay_fit(fld, ProbeWindow(-7.6, 7.6, -1, 1, "full"))
+        f1 = fit_window(fld, ProbeWindow(-3.8, 3.8, -1, 1, "half"))
+        f2 = fit_window(fld, ProbeWindow(-7.6, 7.6, -1, 1, "full"))
         assert abs(f1.r_hat - f2.r_hat) <= 0.1
+
+
+def batched_peak(fld, window):
+    """The per-bin maximum as one transform over every slice in the window."""
+    sel_x = (fld.xs >= window.x_lo) & (fld.xs <= window.x_hi)
+    sel_t = (fld.ts >= window.t_lo) & (fld.ts <= window.t_hi)
+    taper = window_taper(fld.xs[sel_x], window.x_lo, window.x_hi)
+    agg = np.abs(np.fft.rfft(taper * fld.u[np.ix_(sel_t, sel_x)], axis=1)).max(axis=0)
+    return agg, int(np.count_nonzero(sel_t))
+
+
+class TestWindowSpectrum:
+    @pytest.mark.parametrize("x_lo, x_hi", [(-7.6, 7.6), (-3.8, -0.3), (0.11, 5.0)])
+    def test_slice_by_slice_equals_batched_transform(self, x_lo, x_hi):
+        rng = np.random.default_rng(5)
+        n_t, n_x = 40, 2**13 + 1
+        fld = WaveField(
+            u=rng.normal(size=(n_t, n_x)), ts=np.linspace(0.0, 3.9, n_t),
+            xs=np.linspace(-8.0, 8.0, n_x), c=np.ones(n_x), dt=0.1,
+            energy=np.ones(n_t), max_trust_freq=1e9,
+        )
+        w = ProbeWindow(x_lo, x_hi, 0.5, 2.5, "w")
+        spec = window_spectrum(fld, w)
+        agg, n_slices = batched_peak(fld, w)
+        assert spec.n_slices == n_slices > 1
+        assert np.array_equal(spec.peak, agg)
+
+    def test_window_without_slices_refused(self):
+        fld = synthetic_field(np.ones(2**12))
+        with pytest.raises(WindowPlanError, match="no stored slices"):
+            fit_window(fld, ProbeWindow(-7.6, 7.6, 1.0, 2.0, "late"))
 
 
 class TestCalibrationClosure:
@@ -112,7 +152,7 @@ class TestCalibrationClosure:
         )
         u0 = make_pulse(sc)
         fld = synthetic_field(u0)
-        fit = decay_fit(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal"))
+        fit = fit_window(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal"))
         assert fit.r_hat == pytest.approx(s_in + 0.55, abs=0.05)
 
 
@@ -173,6 +213,49 @@ class TestOracle:
         jump = PiecewiseSpeed(1.0, 1.3)
         scan = reflection_scan(jump.speed, np.geomspace(3, 3000, 13), x_match=0.4)
         assert np.allclose(scan.R, jump.reflection_coefficient(), rtol=1e-12, atol=0.0)
+
+
+def whole_array_layer_product(speed, omegas, x_match, cells):
+    """Every cell's matrix at once, reduced pairwise in one tree."""
+    edges = helmholtz._graded_edges(x_match, cells)
+    h = np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    c = np.asarray(speed(mid), float)[:, None]
+    omegas = omegas[None, :]
+    kh = omegas / c * h
+    kc2 = omegas * c  # k c^2
+    cos, sin = np.cos(kh), np.sin(kh)
+    a, b, cc, d = cos, sin / kc2, -kc2 * sin, cos
+    while a.shape[0] > 1:
+        la, lb, lc, ld = a[0::2], b[0::2], cc[0::2], d[0::2]
+        ra, rb, rc, rd = a[1::2], b[1::2], cc[1::2], d[1::2]
+        a, b, cc, d = (
+            ra * la + rb * lc,
+            ra * lb + rb * ld,
+            rc * la + rd * lc,
+            rc * lb + rd * ld,
+        )
+    return a[0], b[0], cc[0], d[0]
+
+
+class TestBlockedProduct:
+    """``_layer_product`` reduces ``BLOCK`` cells at a time with the pairing
+    tree of the whole-array product, so every entry keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "cells", [helmholtz.CELLS, helmholtz.HALVED_CELLS, helmholtz.BLOCK, 2**6]
+    )
+    @pytest.mark.parametrize("profile", ["bundled", "jump"])
+    def test_matches_whole_array_product(self, profile, cells):
+        if profile == "bundled":
+            m, band = bundled_metric_and_band()
+            speed, omegas, x_match = m.speed, default_oracle_scan(m, band).omegas, 1.1
+        else:
+            speed, omegas, x_match = PiecewiseSpeed(1.0, 1.3).speed, np.geomspace(3, 3000, 13), 0.4
+        blocked = helmholtz._layer_product(speed, omegas, x_match, cells)
+        whole = whole_array_layer_product(speed, omegas, x_match, cells)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
 
 
 def bundled_metric_and_band():
@@ -272,9 +355,9 @@ class TestGainReport:
         paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
         wins = window_plan(sc, paths)
         fld = run(sc)
-        fit0 = decay_fit(fld, wins[0])
-        oracle = default_oracle_scan(m, fit0.band, points_per_octave=4)
-        rep = gain_report(fld, wins, WINDOW, oracle=oracle)
+        fits = fit_windows(fld, wins)
+        oracle = default_oracle_scan(m, fits["incident"].band, points_per_octave=4)
+        rep = gain_report(fits, WINDOW, oracle=oracle)
         assert rep.verdict == "pass"
         assert abs(rep.gain_transmitted) <= 0.25
         assert abs(rep.oracle_mismatch) <= 0.25
@@ -289,7 +372,7 @@ class TestGainReport:
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         wins = window_plan(sc_ref, gbb_trace(m_ref, q0, t_span=6.6, policy="tree"))
         fld = run(small_experiment(m_flat))
-        rep = gain_report(fld, wins, WINDOW)
+        rep = gain_report(fit_windows(fld, wins), WINDOW)
         assert rep.fits["reflected"].low_confidence
         assert rep.verdict == "inconclusive"
 
@@ -301,6 +384,6 @@ class TestGainReport:
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         wins = window_plan(sc, gbb_trace(m, q0, t_span=sc.duration, policy="tree"))
         fld = run(sc)
-        rep = gain_report(fld, wins, WINDOW)
+        rep = gain_report(fit_windows(fld, wins), WINDOW)
         js = json.dumps(rep.asdict())
         assert "reflected" in js

@@ -5,8 +5,10 @@ import pytest
 
 from wavediff.cli import _sha256_file, stage_wave
 from wavediff.metric import ConormalMetric, PiecewiseSpeed
+from wavediff.probe import ProbeWindow, WindowSpectrum, window_spectrum
 from wavediff.wave import (
     CFLViolation,
+    FieldBlowup,
     PulseSpec,
     SpongeSpec,
     WaveScenario,
@@ -15,6 +17,8 @@ from wavediff.wave import (
     make_pulse,
     run,
     smooth_envelope,
+    stored_slices,
+    stream,
 )
 
 
@@ -176,31 +180,38 @@ def forcing_at(x0):
     return f
 
 
+INPLACE_CASES = pytest.mark.parametrize(
+    "kw, ragged",
+    [
+        (dict(), False),
+        (dict(source=None, forcing=forcing_at(1.0)), False),
+        (dict(store_stride=7), True),
+        (dict(nx=200, store_stride=4), False),
+    ],
+    ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges"],
+)
+
+
+def inplace_scenario(**kw):
+    # the packet and its reflection reach both sponges within the duration
+    defaults = dict(
+        metric=ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.3),
+        x_lo=-1.5, x_hi=1.5, duration=2.0, nx=1500,
+        source=PulseSpec(center=-0.6, width=0.04, s_in=0.0),
+        sponge=SpongeSpec(cells=150), store_stride=5,
+    )
+    defaults.update(kw)
+    return WaveScenario(**defaults)
+
+
 class TestInPlaceLeapfrog:
     """``run`` updates three levels in place, damps only the sponge cells and
     computes the staggered energy in its scratch arrays; its stored slices,
     times and energies carry the allocating loop's bits."""
 
-    @pytest.mark.parametrize(
-        "kw, ragged",
-        [
-            (dict(), False),
-            (dict(source=None, forcing=forcing_at(1.0)), False),
-            (dict(store_stride=7), True),
-            (dict(nx=200, store_stride=4), False),
-        ],
-        ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges"],
-    )
+    @INPLACE_CASES
     def test_matches_reference(self, kw, ragged):
-        # the packet and its reflection reach both sponges within the duration
-        defaults = dict(
-            metric=ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.3),
-            x_lo=-1.5, x_hi=1.5, duration=2.0, nx=1500,
-            source=PulseSpec(center=-0.6, width=0.04, s_in=0.0),
-            sponge=SpongeSpec(cells=150), store_stride=5,
-        )
-        defaults.update(kw)
-        sc = WaveScenario(**defaults)
+        sc = inplace_scenario(**kw)
         fld = run(sc)
         u, ts, energy, n_steps = reference_leapfrog(sc, fld.dt)
         assert (n_steps % sc.store_stride != 0) == ragged
@@ -208,12 +219,43 @@ class TestInPlaceLeapfrog:
         assert np.array_equal(fld.ts, ts)
         assert np.array_equal(fld.energy, energy)
 
+    @INPLACE_CASES
+    def test_streamed_spectra_match_stored_field(self, kw, ragged):
+        # window spectra fed by the solver equal those of the stored field
+        sc = inplace_scenario(**kw)
+        windows = [ProbeWindow(-1.4, -0.1, 0.0, 0.9, "left"),
+                   ProbeWindow(0.1, 1.4, 0.6, 2.0, "right")]
+        spectra = [WindowSpectrum(w, sc.grid()) for w in windows]
+        rec = stream(sc, spectra)
+        fld = run(sc)
+        assert np.array_equal(rec.ts, fld.ts) and np.array_equal(rec.energy, fld.energy)
+        assert rec.steps == round(fld.ts[-1] / fld.dt) and rec.ts.size == stored_slices(sc)
+        for spec, w in zip(spectra, windows):
+            stored = window_spectrum(fld, w)
+            assert spec.n_slices == stored.n_slices > 0
+            assert np.array_equal(spec.peak, stored.peak)
+
+
+def savez_of_stack(path, fld):
+    """The archive as written from the whole slice stack."""
+    np.savez(
+        path,
+        u=fld.u.astype(np.float32),
+        ts=fld.ts,
+        xs=fld.xs,
+        c=fld.c,
+        energy=fld.energy,
+        dt=fld.dt,
+        max_trust_freq=fld.max_trust_freq,
+    )
+
 
 class TestFieldArchive:
     def test_stage_wave_writes_stored_repeatable_npz(self, tmp_path):
         sc = flat_scenario(duration=0.2)
-        fld = stage_wave(sc, tmp_path / "a.npz")
-        stage_wave(sc, tmp_path / "b.npz")
+        fld = run(sc)
+        stage_wave(sc, [], tmp_path / "a.npz")
+        stage_wave(sc, [], tmp_path / "b.npz")
         with zipfile.ZipFile(tmp_path / "a.npz") as zf:
             assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
         with np.load(tmp_path / "a.npz") as z:
@@ -223,6 +265,24 @@ class TestFieldArchive:
             for key in ("ts", "xs", "c", "energy", "dt", "max_trust_freq"):
                 assert np.array_equal(z[key], getattr(fld, key)), key
         assert _sha256_file(tmp_path / "a.npz") == _sha256_file(tmp_path / "b.npz")
+
+    @pytest.mark.parametrize("kw", [dict(duration=0.2), dict(duration=0.3, store_stride=7)],
+                             ids=["even", "ragged"])
+    def test_streamed_archive_is_savez_of_the_stack(self, tmp_path, kw):
+        sc = flat_scenario(**kw)
+        stage_wave(sc, [], tmp_path / "streamed.npz")
+        savez_of_stack(tmp_path / "stacked.npz", run(sc))
+        streamed = (tmp_path / "streamed.npz").read_bytes()
+        assert streamed == (tmp_path / "stacked.npz").read_bytes()
+
+    def test_failed_solve_leaves_no_archive(self, tmp_path):
+        def nan_forcing(xs, t):
+            return np.full(xs.size, np.nan)
+
+        sc = flat_scenario(duration=0.2, source=None, forcing=nan_forcing)
+        with pytest.raises(FieldBlowup):
+            stage_wave(sc, [], tmp_path / "f.npz")
+        assert not (tmp_path / "f.npz").exists()
 
 
 class TestEnergy:
