@@ -289,6 +289,12 @@ def stage_wave(scenario, spectra, out_npz: Path | None):
 
 
 def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_csv: Path):
+    """Fit each window's spectrum, scan the oracle and write the gain report.
+
+    Returns the report and the stage's work counts: ``oracle_freqs``, the
+    frequencies the oracle solved (0 when it is skipped), and
+    ``window_slices``, the stored slices each window's fit saw.
+    """
     fits = {spec.window.label: decay_fit(spec) for spec in spectra}
     oracle = None
     notes = []
@@ -318,7 +324,11 @@ def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_cs
             for c, mval in zip(fit.band_centers, fit.band_means):
                 fitted = np.exp(fit.intercept) * c ** -fit.r_hat
                 w.writerow([label, "%.6g" % c, "%.6g" % mval, "%.6g" % fitted])
-    return rep
+    health = {
+        "oracle_freqs": 0 if oracle is None else int(oracle.omegas.size),
+        "window_slices": {label: fit.n_slices for label, fit in fits.items()},
+    }
+    return rep, health
 
 
 def plan_spectra(scenario, paths) -> list:
@@ -406,8 +416,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     clock = start()
     probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
-    rep = stage_probe(cfg, spectra, scenario, probe_json, probe_csv)
-    record("probe", [probe_json, probe_csv], clock)
+    rep, health = stage_probe(cfg, spectra, scenario, probe_json, probe_csv)
+    record("probe", [probe_json, probe_csv], clock, **health)
 
     clock = start()
     comm_json = out / "commutant.json"
@@ -441,6 +451,10 @@ def cmd_report(out_dir: Path) -> int:
         if "rk4_steps" in entry:
             print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
                 "", entry["rk4_steps"], entry["p_residual_max"]))
+        if "oracle_freqs" in entry:
+            print("  %-18s oracle frequencies %d, window slices %s" % (
+                "", entry["oracle_freqs"],
+                " ".join("%s=%d" % kv for kv in entry["window_slices"].items())))
     if "refused" in manifest:
         print("refused: %s" % manifest["refused"])
         return 2
@@ -528,7 +542,9 @@ def main(argv=None) -> int:
             paths, _ = stage_trace(cfg, scenario, out / "trace.csv", out / "events.json")
             spectra = plan_spectra(scenario, paths)
             stage_wave(scenario, spectra, None)
-            rep = stage_probe(cfg, spectra, scenario, out / "probe.json", out / "probe_bands.csv")
+            rep, _ = stage_probe(
+                cfg, spectra, scenario, out / "probe.json", out / "probe_bands.csv"
+            )
             print("verdict: %s" % rep.verdict)
             return 0 if rep.verdict == "pass" else 1
         if args.command == "verify-commutant":

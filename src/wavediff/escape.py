@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +311,35 @@ def decompose_commutator(q, frame: EscapeFrame, params: EscapeParams) -> Commuta
 # sampling and positivity
 
 
+def halton(n: int, d: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of Owen's randomized Halton sequence in [0, 1)^d
+    (arXiv 1706.02808), bit for bit those of scipy's
+    ``qmc.Halton(d=d, seed=seed).random(n)``.
+
+    Column j is the van der Corput sequence in the j-th prime base with its
+    own random digit permutation at each digit position a double resolves
+    (base^-k > 2^-54).  The permutations come from ``default_rng(seed)``,
+    base by base in column order.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, d))
+    base = 1
+    for j in range(d):
+        base += 1
+        while any(base % p == 0 for p in range(2, base)):
+            base += 1
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        b2r = 1.0 / base
+        for perm in perms:  # least significant digit first
+            out[:, j] += perm[q % base] * b2r
+            q //= base
+            b2r /= base
+    return out
+
+
 def sample_chart(params: EscapeParams, frame: EscapeFrame, n_grid: int, n_quasi: int = 0, seed: int = 0):
     """Sample a box around the base point sized 3*delta along eta and
     3*eps*delta per transverse coordinate; uniform grid plus an optional
@@ -324,8 +352,7 @@ def sample_chart(params: EscapeParams, frame: EscapeFrame, n_grid: int, n_quasi:
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     if n_quasi:
-        halton = qmc.Halton(d=d, seed=seed)
-        extra = (halton.random(n_quasi) * 2.0 - 1.0) * half
+        extra = (halton(n_quasi, d, seed) * 2.0 - 1.0) * half
         pts = np.vstack([pts, extra])
     return pts + frame.base_point
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 CELLS = 2**14
 HALVED_CELLS = CELLS // 2
@@ -155,6 +154,18 @@ def reflection_scan(speed, omegas, x_match: float = 0.6) -> ReflectionScan:
     coarse = layer_scan(speed, omegas, x_match, HALVED_CELLS)
     scan.halving = float(np.max(np.abs(np.abs(scan.R) - np.abs(coarse.R)) / np.abs(scan.R)))
     return scan
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call: scipy is needed
+    only by the DOP853 reference below, so the package loads without it."""
+    try:
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+    except ImportError as err:
+        raise ImportError(
+            "reflection_scan_ivp needs scipy: pip install wavediff[test]"
+        ) from err
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def reflection_scan_ivp(

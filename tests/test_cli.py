@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ from wavediff import wave
 from wavediff.cli import _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import ConfigError, ExperimentConfig, load_config
 
-SCENARIO = Path(__file__).resolve().parents[1] / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO = ROOT / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
 
 
 def small_config_text(out_dir, s0="5/2", eps0="1/20", s="1/2", extra=""):
@@ -279,6 +283,15 @@ class TestPipeline:
         wave_entry = manifest["stages"]["wave"]
         assert "leapfrog steps %d, stored slices %d" % (
             wave_entry["steps"], wave_entry["slices"]) in out
+        # the probe's work: the oracle's frequencies and each window's slices
+        probe_entry = manifest["stages"]["probe"]
+        assert probe_entry["oracle_freqs"] > 0
+        slices = probe_entry["window_slices"]
+        assert set(slices) == {"incident", "reflected", "transmitted"}
+        assert all(0 < n <= wave_entry["slices"] for n in slices.values())
+        assert "oracle frequencies %d, window slices %s" % (
+            probe_entry["oracle_freqs"],
+            " ".join("%s=%d" % kv for kv in slices.items())) in out
 
     def test_cli_calc_gate(self, tmp_path, capsys):
         cfgf = tmp_path / "smoke.ini"
@@ -340,8 +353,62 @@ class TestPipeline:
         assert probe["oracle_exponent"] is None and probe["oracle_mismatch"] is None
         assert probe["oracle_halving"] is None
         assert any(note.startswith("oracle skipped") for note in probe["notes"])
+        _, manifest = run_pipeline(load_config(cfgf))
+        assert manifest["stages"]["probe"]["oracle_freqs"] == 0
 
     def test_cli_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[metric]\nnope = 1\n")
         assert main(["calc", "--config", str(bad)]) == 2
+
+
+ALL_OPERATIONS = """
+include_filter 0 0 1 1 -2 1
+embed_lambda0 0 2
+reverse_pair 0 -1 1 1/4
+compose_au 0 0 1 0 0 1
+compose_flowout 1/2 -8/5 1 1/2 -8/5 1
+bounded_gu -1/2 1/2 1 0 0
+bounded_diag_flowout 0 -2 1 0 0
+bounded_one_sided -3 1 1 2 -1 1 right
+psdo_shift 0 0 1 1 left
+mult_decompose 5/2 0 1 2
+mult_bounded_range 5/2 1
+elliptic_window 5/2 1/4 1
+hyperbolic_window 11/5 1/20 1
+verify_constraint_chain 11/5 1/20 1/2 1 2
+bootstrap_schedule 1 4/5
+"""
+
+IMPORT_GUARD = """
+import sys
+from pathlib import Path
+
+import wavediff
+import wavediff.cli as cli
+from wavediff.config import load_config
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+code, _ = cli.run_pipeline(load_config(Path(sys.argv[1])))
+assert code == 0, code
+assert not scipy_modules(), scipy_modules()
+assert cli.calc_batch(Path(sys.argv[2]), Path(sys.argv[3])) == 15
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    """The package, its CLI, a pipeline run and a calc batch load no scipy:
+    scipy is the DOP853 test reference's dependency only."""
+    cfgf = tmp_path / "smoke.ini"
+    cfgf.write_text(small_config_text(tmp_path / "out"))
+    queries = tmp_path / "queries.txt"
+    queries.write_text(ALL_OPERATIONS)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(cfgf), str(queries), str(tmp_path / "res.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from wavediff import escape
+from wavediff.config import load_config
 from wavediff.escape import (
     FRAMES,
     EscapeParams,
@@ -17,12 +22,19 @@ from wavediff.escape import (
     eval_a,
     eval_phi,
     find_F_threshold,
+    halton,
     precise_localizer_frame,
     run_commutant_check,
     sample_chart,
     smooth_frame,
     synthetic_hoelder_frame,
 )
+
+SCENARIO = Path(__file__).resolve().parents[1] / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
+
+
+def scipy_halton(n, d, seed):
+    return qmc.Halton(d=d, seed=seed).random(n)
 
 
 class TestCutoffs:
@@ -328,3 +340,19 @@ class TestScenarioRunner:
         assert rep["residual_max_relative"] <= 1e-10
         assert rep["positivity_passed"]
         assert rep["F_threshold"] is not None
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("seed", [0, 1234, 2**32 - 1])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_bit_identical_to_scipy(self, n, seed, d):
+        assert np.array_equal(halton(n, d, seed), scipy_halton(n, d, seed))
+
+    def test_bundled_commutant_check_unchanged(self, monkeypatch):
+        cfg = load_config(SCENARIO)
+        kw = dict(cfg.commutant, seed=cfg.seed)
+        kind = kw.pop("frame")
+        rep = run_commutant_check(kind, **kw)
+        monkeypatch.setattr(escape, "halton", scipy_halton)
+        assert run_commutant_check(kind, **kw) == rep
