@@ -36,7 +36,7 @@ import numpy as np
 
 CELLS = 2**14
 HALVED_CELLS = CELLS // 2
-BLOCK = 2**10  # cells whose layer matrices are held at once
+BLOCK = 2**8  # cells whose layer matrices are held at once
 
 
 @dataclass

@@ -1,25 +1,27 @@
-"""Product-form Lorentzian metrics with a conormal sound-speed singularity.
+"""The 1+1D product Lorentzian metric with a conormal sound-speed singularity.
 
-The canonical family is isotropic, static and of codimension one: on
-coordinates ``(x, y, t)`` with the interface ``Y = {x = 0}``, the sound speed
-is
+States are ``(x, t, xi, tau)``: the normal coordinate ``x``, time ``t`` and
+their duals.  The interface is ``Y = {x = 0}``, and the sound speed is
 
     c(x) = c_bg + amp * |x|^(s0 - 1) * bump(|x| / core),
 
 smooth away from ``Y`` and of class C^{1,alpha} across it with
 ``alpha = s0 - 2``; the bump keeps the profile compactly modulated so the
 medium is exactly homogeneous outside the core.  ``c_bg`` may also be a
-smooth function of ``x``.  The dual metric function is
+smooth function of ``x``.  One ``speed``/``dspeed`` pair evaluates the
+profile: float in, float out; array in, array out.  A float runs a float
+kernel, and ``hamilton_field`` computes on floats too.  The dual metric
+function is
 
-    p(x, xi) = tau^2 - c(x)^2 (xi_x^2 + |eta_y|^2),
+    p = tau^2 - c(x)^2 xi^2,
 
 so rays travel at speed ``c`` and the time-dual ``tau`` is conserved.
+``holder_estimate`` fits the Hoelder exponent of a sampled field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -27,19 +29,6 @@ import numpy as np
 from .escape import chi0
 
 CHAR_TOL = 1e-9
-
-
-class BoundaryClass(Enum):
-    HYPERBOLIC = "hyperbolic"
-    GLANCING = "glancing"
-
-
-class ClassificationError(ValueError):
-    """Point not in the compressed characteristic set."""
-
-
-class GlancingError(ValueError):
-    """Operation requires a hyperbolic (transversal) boundary point."""
 
 
 _PLATEAU = 0.3  # fraction of the core radius held exactly at profile value
@@ -67,40 +56,24 @@ class PhasePoint:
             raise ValueError("position and covector must have matching shape")
 
 
-@dataclass(frozen=True)
-class BPoint:
-    """Compressed covector: normal momentum rescaled by the distance to Y."""
-
-    x: float
-    y: np.ndarray
-    sigma: float
-    eta: np.ndarray
-
-
 class ConormalMetric:
     """Sound-speed field with a conormal singularity at the interface {x = 0}."""
 
     def __init__(
         self,
-        n: int = 2,
         s0: float = 2.5,
         amp: float = 0.4,
         c_bg: float | Callable = 1.0,
         core_radius: float = 0.5,
     ):
-        if not (isinstance(n, int) and n >= 2):
-            raise ValueError("need an integer n >= 2")
         if not s0 > 2:
             raise ValueError("need s0 > 2 for a C^1 metric")
-        self.k = 1
-        self.n = n
         self.s0 = float(s0)
         self.amp = float(amp)
         self._bg = c_bg
         self.c_bg = float(c_bg(0.0)) if callable(c_bg) else float(c_bg)
         self.core_radius = float(core_radius)
         self.exponent = self.s0 - 1.0
-        self.alpha = min(1.0, self.s0 - 2.0)
 
     # -- speed profile -----------------------------------------------------
     def _profile(self, x, slope: bool):
@@ -152,22 +125,10 @@ class ConormalMetric:
         return self._profile(x, slope=True)[1]
 
     # -- dual metric ------------------------------------------------------
-    def split(self, q: PhasePoint):
-        """(x', y, t, xi', eta_y, tau) with t the last coordinate."""
-        k = self.k
-        return (
-            q.x[:k],
-            q.x[k:-1],
-            q.x[-1],
-            q.xi[:k],
-            q.xi[k:-1],
-            q.xi[-1],
-        )
-
     def dual_hamiltonian(self, q: PhasePoint) -> float:
-        xp, _, _, xip, eta, tau = self.split(q)
-        c = self.speed(float(xp[0]))
-        return float(tau**2 - c**2 * (np.dot(xip, xip) + np.dot(eta, eta)))
+        (x, _t), (xi, tau) = q.x, q.xi
+        c = self.speed(float(x))
+        return float(tau**2 - c**2 * (xi * xi))
 
     def on_characteristic_set(self, q: PhasePoint, tol: float = CHAR_TOL) -> bool:
         scale = float(np.dot(q.xi, q.xi))
@@ -176,42 +137,11 @@ class ConormalMetric:
         return abs(self.dual_hamiltonian(q)) <= tol * scale
 
     def hamilton_field(self, state) -> np.ndarray:
-        """Hamilton vector field on flattened states (x..., xi...).
-
-        Computed on Python floats, each component in the operation order of
-        the vector form (-2 c^2 xi', 2 tau, 2 c c' |xi'|^2, 0...).
-        """
-        n = self.n
-        z = state.tolist() if isinstance(state, np.ndarray) else state
-        c, dc = self._profile(z[0], slope=True)
-        a = -2.0 * c**2
-        out = np.zeros(2 * n)
-        kin = 0.0
-        for i, v in enumerate(z[n:-1]):
-            out[i] = a * v
-            kin += v * v
-        out[n - 1] = 2.0 * z[-1]
-        out[n] = 2.0 * c * dc * kin
-        return out
-
-    def normal_form(self) -> "NormalFormCoeffs":
-        """Boundary normal form of the dual metric for this product family."""
-        m = self
-
-        def a_coeff(x, y):
-            return -m.speed(x) ** 2
-
-        def b_matrix(x, y):
-            d = m.n - m.k
-            c2 = m.speed(x) ** 2
-            diag = np.full(d, -c2)
-            diag[-1] = 1.0  # time-dual slot
-            return np.diag(diag)
-
-        def c_cross(x, y):
-            return np.zeros(m.n - m.k)
-
-        return NormalFormCoeffs(A=a_coeff, B=b_matrix, C=c_cross)
+        """Hamilton vector field on states (x, t, xi, tau), computed on
+        Python floats: (-2 c^2 xi, 2 tau, 2 c c' xi^2, 0)."""
+        x, _t, xi, tau = state.tolist() if isinstance(state, np.ndarray) else state
+        c, dc = self._profile(x, slope=True)
+        return np.array([(-2.0 * c**2) * xi, 2.0 * tau, ((2.0 * c) * dc) * (xi * xi), 0.0])
 
 
 class PiecewiseSpeed:
@@ -226,13 +156,7 @@ class PiecewiseSpeed:
     def __init__(self, c_left: float = 1.0, c_right: float = 1.3):
         self.c_left = float(c_left)
         self.c_right = float(c_right)
-        self.k = 1
-        self.n = 2
-        self.s0 = 1.0
         self.amp = c_right - c_left
-        self.c_bg = c_left
-        self.core_radius = 0.0
-        self.alpha = 0.0
 
     def speed(self, x):
         x = np.asarray(x, float)
@@ -243,70 +167,6 @@ class PiecewiseSpeed:
         """Plane-wave matching for divergence form: continuity of u and of
         c^2 u_x gives R = (c_left - c_right) / (c_left + c_right)."""
         return (self.c_left - self.c_right) / (self.c_left + self.c_right)
-
-
-@dataclass(frozen=True)
-class NormalFormCoeffs:
-    """Dual metric in interface normal form: A dxi^2 + 2 C dxi deta + B deta^2,
-    with A(0,y) < 0, C(0,y) = 0, and B(0,y) Lorentzian on the interface."""
-
-    A: Callable
-    B: Callable
-    C: Callable
-
-    def validate_at(self, y) -> bool:
-        a0 = float(self.A(0.0, y))
-        c0 = np.asarray(self.C(0.0, y), float)
-        b0 = np.asarray(self.B(0.0, y), float)
-        eigs = np.linalg.eigvalsh(b0)
-        lorentzian = np.sum(eigs > 0) == 1 and np.sum(eigs < 0) == b0.shape[0] - 1
-        return a0 < 0 and np.allclose(c0, 0.0) and lorentzian
-
-
-def classify_boundary_point(
-    nf: NormalFormCoeffs, y0, eta0, tol: float = CHAR_TOL
-) -> BoundaryClass:
-    """Hyperbolic if B(0,y0) eta0.eta0 > 0, glancing if it vanishes;
-    negative values are outside the compressed characteristic set."""
-    eta0 = np.asarray(eta0, float)
-    norm = float(np.dot(eta0, eta0))
-    if norm == 0:
-        raise ClassificationError("zero tangential covector")
-    unit = eta0 / np.sqrt(norm)
-    b = float(unit @ np.asarray(nf.B(0.0, y0), float) @ unit)
-    if b > tol:
-        return BoundaryClass.HYPERBOLIC
-    if abs(b) <= tol:
-        return BoundaryClass.GLANCING
-    raise ClassificationError(
-        "B(0,y0) eta.eta = %g < 0: not in the compressed characteristic set" % b
-    )
-
-
-def compress(q: PhasePoint) -> BPoint:
-    """Codimension-one compression (x, y, xi, eta) -> (x, y, x*xi, eta)."""
-    x = float(q.x[0])
-    return BPoint(x=x, y=q.x[1:].copy(), sigma=x * float(q.xi[0]), eta=q.xi[1:].copy())
-
-
-def related_rays(nf: NormalFormCoeffs, y0, eta0, tol: float = CHAR_TOL):
-    """Normal momenta compatible with the characteristic set over (0, y0, eta0):
-    the two solutions of A xi^2 + B eta.eta = 0 at the codimension-one
-    interface."""
-    cls = classify_boundary_point(nf, y0, eta0, tol)
-    if cls is not BoundaryClass.HYPERBOLIC:
-        raise GlancingError("related rays undefined at glancing points")
-    eta0 = np.asarray(eta0, float)
-    y0 = np.asarray(y0, float)
-    a0 = float(nf.A(0.0, y0))
-    b = float(eta0 @ np.asarray(nf.B(0.0, y0), float) @ eta0)
-    radius = float(np.sqrt(-b / a0))
-    out = []
-    for sgn in (+1.0, -1.0):
-        x = np.concatenate([[0.0], y0])
-        xi = np.concatenate([[sgn * radius], eta0])
-        out.append(PhasePoint(x, xi))
-    return out
 
 
 def holder_estimate(field, ball, probe_scales, n_base: int = 400, seed: int = 0):

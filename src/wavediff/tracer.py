@@ -226,8 +226,6 @@ def gbb_trace(
     per ``policy`` ("reflect", "transmit", or "tree").  Returns one GBBPath
     per branch.
     """
-    if metric.k != 1 or metric.n != 2:
-        raise ValueError("tracer drives the 1+1D product metric")
     if policy not in POLICIES:
         raise ValueError("policy must be one of %s, got %r" % (", ".join(POLICIES), policy))
     if abs(q0.xi[0]) < GLANCING_FLOOR * np.linalg.norm(q0.xi):

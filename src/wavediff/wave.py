@@ -76,7 +76,7 @@ class WaveScenario:
         if self.source is not None and self.source.s_in is not None:
             if not -1.0 <= self.source.s_in <= 4.0:
                 raise ValueError("pulse order must lie in [-1, 4]")
-        if self.source is not None and getattr(self.metric, "amp", 0.0) != 0.0:
+        if self.source is not None and self.metric.amp != 0.0:
             # keep the packet's full envelope well clear of the interface
             if abs(self.source.center) < 10 * self.source.width:
                 raise ValueError("source must sit at least 10 pulse widths from the interface")

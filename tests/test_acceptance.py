@@ -74,7 +74,7 @@ def fit_windows(fld, windows):
 
 
 def run_experiment(s0, with_oracle=True):
-    m = ConormalMetric(n=2, s0=s0, amp=0.4, core_radius=1.0)
+    m = ConormalMetric(s0=s0, amp=0.4, core_radius=1.0)
     sc = experiment_scenario(m)
     q0 = ray_on_characteristic(m, sc.source.center, 0.0, direction=+1)
     paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
@@ -300,7 +300,7 @@ def test_criterion_7_regularity_gain(experiments):
     # negative control: jump interface probed with the same geometry
     jump = PiecewiseSpeed(1.0, 1.3)
     scj = experiment_scenario(jump)
-    m_ref = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+    m_ref = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
     sc_ref = experiment_scenario(m_ref)
     q0 = ray_on_characteristic(m_ref, sc_ref.source.center, 0.0, direction=+1)
     paths = gbb_trace(m_ref, q0, t_span=scj.duration, policy="tree")
@@ -321,7 +321,7 @@ def test_criterion_7_regularity_gain(experiments):
 
 
 def test_criterion_8_calibration_closure():
-    m = ConormalMetric(n=2, s0=2.5, amp=0.0)
+    m = ConormalMetric(s0=2.5, amp=0.0)
     errs = {}
     for s_in in (-0.5, 0.0, 1.0, 2.0):
         sc = WaveScenario(

@@ -2,26 +2,15 @@ import numpy as np
 import pytest
 
 from wavediff.config import _compile_speed_expression
-from wavediff.metric import (
-    BoundaryClass,
-    ClassificationError,
-    ConormalMetric,
-    GlancingError,
-    NormalFormCoeffs,
-    PhasePoint,
-    classify_boundary_point,
-    compress,
-    holder_estimate,
-    related_rays,
-)
+from wavediff.metric import ConormalMetric, PhasePoint, holder_estimate
 
 
 def flat_metric():
-    return ConormalMetric(n=2, s0=2.5, amp=0.0)
+    return ConormalMetric(s0=2.5, amp=0.0)
 
 
 def conormal_metric(s0=2.5, amp=0.4):
-    return ConormalMetric(n=2, s0=s0, amp=amp)
+    return ConormalMetric(s0=s0, amp=amp)
 
 
 class TestDualHamiltonian:
@@ -62,94 +51,6 @@ class TestDualHamiltonian:
         m = conormal_metric()
         q = PhasePoint([0.1, 1.7], [2.0, m.speed(0.1) * 2.0])
         assert m.on_characteristic_set(q)
-
-
-class TestNormalForm:
-    def test_product_normal_form_valid(self):
-        for n in (2, 3, 4):
-            m = ConormalMetric(n=n, s0=2.5, amp=0.4)
-            nf = m.normal_form()
-            assert nf.validate_at(np.zeros(n - 1))
-
-    def test_classification_instances(self):
-        m = ConormalMetric(n=3, s0=2.5, amp=0.4)
-        nf = m.normal_form()
-        y0 = np.zeros(2)
-        c0 = m.speed(0.0)
-        # eta = (eta_y, tau): timelike for B means tau^2 > c^2 eta_y^2
-        assert classify_boundary_point(nf, y0, [0.0, 1.0]) is BoundaryClass.HYPERBOLIC
-        assert classify_boundary_point(nf, y0, [1.0, c0]) is BoundaryClass.GLANCING
-        with pytest.raises(ClassificationError):
-            classify_boundary_point(nf, y0, [1.0, 0.0])
-
-    def test_classification_conic(self):
-        m = ConormalMetric(n=3, s0=2.5, amp=0.4)
-        nf = m.normal_form()
-        y0 = np.zeros(2)
-        eta = np.array([0.3, 1.0])
-        for lam in (1e-3, 1.0, 1e4):
-            assert classify_boundary_point(nf, y0, lam * eta) is BoundaryClass.HYPERBOLIC
-
-
-class TestCompress:
-    def test_kernel_at_interface(self):
-        q = PhasePoint([0.0, 2.0], [5.0, 1.0])
-        b = compress(q)
-        assert b.sigma == 0.0 and b.x == 0.0 and b.eta[0] == 1.0
-
-    def test_identity_off_interface(self):
-        q = PhasePoint([1.0, 2.0], [5.0, 1.0])
-        b = compress(q)
-        assert b.sigma == 5.0
-
-    def test_related_rays_same_image(self):
-        qp = PhasePoint([0.0, 2.0], [+3.0, 1.0])
-        qm = PhasePoint([0.0, 2.0], [-3.0, 1.0])
-        bp, bm = compress(qp), compress(qm)
-        assert bp.sigma == bm.sigma == 0.0
-        assert np.array_equal(bp.eta, bm.eta)
-
-    def test_linear_in_xi(self):
-        q1 = compress(PhasePoint([0.5, 0.0], [2.0, 1.0]))
-        q2 = compress(PhasePoint([0.5, 0.0], [4.0, 1.0]))
-        assert q2.sigma == 2 * q1.sigma
-
-
-class TestRelatedRays:
-    def _nf(self, a_val):
-        return NormalFormCoeffs(
-            A=lambda x, y: a_val,
-            B=lambda x, y: np.diag([-1.0, 1.0]),
-            C=lambda x, y: np.zeros(2),
-        )
-
-    def test_unit_case(self):
-        rays = related_rays(self._nf(-1.0), np.zeros(2), [0.0, 1.0])
-        vals = sorted(r.xi[0] for r in rays)
-        assert vals == pytest.approx([-1.0, 1.0])
-
-    def test_quarter_case(self):
-        rays = related_rays(self._nf(-4.0), np.zeros(2), [0.0, 1.0])
-        vals = sorted(r.xi[0] for r in rays)
-        assert vals == pytest.approx([-0.5, 0.5])
-
-    def test_glancing_rejected(self):
-        with pytest.raises(GlancingError):
-            related_rays(self._nf(-1.0), np.zeros(2), [1.0, 1.0])
-
-    def test_outputs_on_characteristic_set(self):
-        m = ConormalMetric(n=3, s0=2.5, amp=0.4)
-        nf = m.normal_form()
-        y0 = np.zeros(2)
-        rays = related_rays(nf, y0, [0.2, 1.0])
-        for q in rays:
-            xp, eta = q.xi[0], q.xi[1:]
-            a0 = nf.A(0.0, y0)
-            b = eta @ nf.B(0.0, y0) @ eta
-            assert abs(a0 * xp**2 + b) <= 1e-12 * float(q.xi @ q.xi)
-        m_full = ConormalMetric(n=3, s0=2.5, amp=0.4)
-        for q in rays:
-            assert abs(m_full.dual_hamiltonian(q)) <= 1e-12 * float(q.xi @ q.xi)
 
 
 class TestHolderEstimate:
@@ -259,7 +160,7 @@ def reference_profile(self, x, slope: bool):
 def reference_hamilton_field(self, state):
     """ConormalMetric.hamilton_field on ndarrays (verbatim, on the reference profile)."""
     state = np.asarray(state, float)
-    n = self.n
+    n = 2
     x, xi = state[:n], state[n:]
     spatial = xi[:-1]
     kin = float(np.dot(spatial, spatial))
@@ -270,6 +171,26 @@ def reference_hamilton_field(self, state):
     dx[:-1] = -2.0 * c**2 * spatial
     dx[-1] = 2.0 * xi[-1]
     return np.concatenate([dx, dxi])
+
+
+def reference_split(q):
+    """ConormalMetric.split before the 1+1D cut (verbatim, k = 1)."""
+    k = 1
+    return (
+        q.x[:k],
+        q.x[k:-1],
+        q.x[-1],
+        q.xi[:k],
+        q.xi[k:-1],
+        q.xi[-1],
+    )
+
+
+def reference_dual_hamiltonian(self, q):
+    """ConormalMetric.dual_hamiltonian through split and np.dot (verbatim)."""
+    xp, _, _, xip, eta, tau = reference_split(q)
+    c = self.speed(float(xp[0]))
+    return float(tau**2 - c**2 * (np.dot(xip, xip) + np.dot(eta, eta)))
 
 
 def profile_inputs(core, rng):
@@ -285,15 +206,18 @@ def profile_inputs(core, rng):
     return np.concatenate([xs, -xs]).tolist()
 
 
+KERNEL_METRICS = pytest.mark.parametrize(
+    "metric",
+    [
+        ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0),
+        ConormalMetric(s0=2.2, amp=0.7, core_radius=0.5),
+    ],
+    ids=["bundled", "s0-2.2"],
+)
+
+
 class TestFloatKernel:
-    @pytest.mark.parametrize(
-        "metric",
-        [
-            ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0),
-            ConormalMetric(n=2, s0=2.2, amp=0.7, core_radius=0.5),
-        ],
-        ids=["bundled", "s0-2.2"],
-    )
+    @KERNEL_METRICS
     def test_profile_matches_array_code(self, metric):
         xs = profile_inputs(metric.core_radius, np.random.default_rng(3))
         assert len(xs) > 10_000
@@ -307,7 +231,7 @@ class TestFloatKernel:
         # a [metric] c_smooth background still sees the arrays it saw before,
         # so x**2 and np.sin(x) round as they did
         bg = _compile_speed_expression("1.0 + 0.05*x**2 + 0.02*np.sin(3*x)")
-        metric = ConormalMetric(n=2, s0=2.5, amp=0.4, c_bg=bg, core_radius=1.0)
+        metric = ConormalMetric(s0=2.5, amp=0.4, c_bg=bg, core_radius=1.0)
         for x in profile_inputs(1.0, np.random.default_rng(4))[::5]:
             got = metric._profile(x, slope=True)
             assert type(got[0]) is float and type(got[1]) is float
@@ -317,7 +241,7 @@ class TestFloatKernel:
             assert np.array_equal(got, ref)
 
     def test_hamilton_field_matches_array_code(self):
-        metric = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        metric = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         rng = np.random.default_rng(5)
         for x in profile_inputs(1.0, rng)[::10]:
             state = np.array([x, rng.uniform(0, 6), rng.uniform(-2, 2), rng.uniform(0.5, 2)])
@@ -326,3 +250,16 @@ class TestFloatKernel:
             assert np.array_equal(got, reference_hamilton_field(metric, state)), state
             assert np.array_equal(metric.hamilton_field(state.tolist()), got)
 
+    @KERNEL_METRICS
+    def test_dual_hamiltonian_matches_array_code(self, metric):
+        # p feeds trace.csv's p_residual column and the manifest's
+        # p_residual_max; near-null covectors are the rows the trace writes
+        rng = np.random.default_rng(6)
+        for x in profile_inputs(metric.core_radius, rng):
+            xi = rng.uniform(-2, 2)
+            null_tau = metric.speed(x) * abs(xi) * (1 + rng.uniform(-1e-9, 1e-9))
+            for tau in (rng.uniform(0.5, 2), null_tau):
+                q = PhasePoint([x, rng.uniform(0, 6)], [xi, tau])
+                got = metric.dual_hamiltonian(q)
+                assert type(got) is float
+                assert got == reference_dual_hamiltonian(metric, q), (x, xi, tau)

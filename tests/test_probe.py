@@ -144,7 +144,7 @@ class TestWindowSpectrum:
 class TestCalibrationClosure:
     @pytest.mark.parametrize("s_in", [-0.5, 0.0, 1.0, 2.0])
     def test_designed_exponent_recovered(self, s_in):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.0)
+        m = ConormalMetric(s0=2.5, amp=0.0)
         sc = WaveScenario(
             metric=m, x_lo=-8.0, x_hi=8.0, duration=0.1, nx=2**15,
             source=PulseSpec(center=0.0, width=1.0, s_in=s_in),
@@ -165,7 +165,7 @@ class TestOracle:
         assert np.max(np.abs(scan.flux_defect())) < 1e-7
 
     def test_conormal_asymptotic_exponent(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         scan = reflection_scan(m.speed, np.geomspace(200, 1600, 13), x_match=1.1)
         om = scan.omegas  # per-frequency least squares with the probe's fit kernel
         slope, _, _ = _weighted_slope(np.log(om), np.log(np.abs(scan.R)), np.ones_like(om))
@@ -181,7 +181,7 @@ class TestOracle:
         assert rho == pytest.approx(1.5, abs=0.01)
 
     def test_default_scan_runs(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.5)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=0.5)
         scan = default_oracle_scan(m, (10.0, 320.0), points_per_octave=4)
         assert scan.omegas.size >= 3
         assert np.max(np.abs(scan.flux_defect())) < 1e-6
@@ -243,7 +243,7 @@ class TestBlockedProduct:
     tree of the whole-array product, so every entry keeps its bits."""
 
     @pytest.mark.parametrize(
-        "cells", [helmholtz.CELLS, helmholtz.HALVED_CELLS, helmholtz.BLOCK, 2**6]
+        "cells", [helmholtz.CELLS, helmholtz.HALVED_CELLS, 2**10, helmholtz.BLOCK, 2**6]
     )
     @pytest.mark.parametrize("profile", ["bundled", "jump"])
     def test_matches_whole_array_product(self, profile, cells):
@@ -260,7 +260,7 @@ class TestBlockedProduct:
 
 def bundled_metric_and_band():
     """The bundled scenario's profile and the probe band of its 2^14 grid."""
-    m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+    m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
     sc = WaveScenario(metric=m, x_lo=-4.0, x_hi=4.0, duration=6.6, nx=2**14)
     k_top = np.pi / sc.dx / 4.0
     return m, (k_top / 2**8, k_top)
@@ -284,7 +284,7 @@ class TestWindowPlan:
         return gbb_trace(m, q0, t_span=duration, policy="tree")
 
     def test_three_disjoint_windows(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m)
         wins = window_plan(sc, self._paths(m))
         labels = [w.label for w in wins]
@@ -296,7 +296,7 @@ class TestWindowPlan:
             assert min(abs(w.x_lo), abs(w.x_hi)) >= 10 * sc.dx
 
     def test_source_too_close_rejected(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = WaveScenario(
             metric=m, x_lo=-4.0, x_hi=4.0, duration=6.6, nx=2**13,
             source=PulseSpec(center=-1.15, width=0.06, s_in=-0.5),
@@ -306,19 +306,19 @@ class TestWindowPlan:
             window_plan(sc, self._paths(m, x0=-1.15))
 
     def test_mismatched_trace_rejected(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m)
         with pytest.raises(WindowPlanError):
             window_plan(sc, self._paths(m, x0=-1.5))
 
     def test_trace_too_short_rejected(self):
         # legs traced for 2.5 time units end short of the windows of a 6.6 run
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         with pytest.raises(WindowPlanError, match="traced reflected leg ends"):
             window_plan(small_experiment(m), self._paths(m, duration=2.5))
 
     def test_run_too_short_rejected(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m, duration=2.5)
         with pytest.raises(WindowPlanError):
             window_plan(sc, self._paths(m, duration=2.5))
@@ -349,7 +349,7 @@ WINDOW = hyperbolic_window(Fraction(5, 2), Fraction(1, 20), 1)
 
 class TestGainReport:
     def test_small_grid_experiment_passes(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m)
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
@@ -366,8 +366,8 @@ class TestGainReport:
 
     def test_no_interface_inconclusive(self):
         # smooth medium: the reflected window holds only noise
-        m_flat = ConormalMetric(n=2, s0=2.5, amp=0.0)
-        m_ref = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m_flat = ConormalMetric(s0=2.5, amp=0.0)
+        m_ref = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc_ref = small_experiment(m_ref)
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         wins = window_plan(sc_ref, gbb_trace(m_ref, q0, t_span=6.6, policy="tree"))
@@ -379,7 +379,7 @@ class TestGainReport:
     def test_report_serializes(self):
         import json
 
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m)
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
         wins = window_plan(sc, gbb_trace(m, q0, t_span=sc.duration, policy="tree"))

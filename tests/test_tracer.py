@@ -100,7 +100,7 @@ class TestTransversalIntegrate:
 
 class TestGBBTrace:
     def test_flat_metric_single_leg(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.0)
+        m = ConormalMetric(s0=2.5, amp=0.0)
         q0 = PhasePoint([-1.0, 0.0], [-1.0, 1.0])  # rightward at speed 1
         paths = gbb_trace(m, q0, t_span=2.0, policy="tree")
         assert len(paths) == 1
@@ -110,7 +110,7 @@ class TestGBBTrace:
             assert x == pytest.approx(-1.0 + (t - 0.0), abs=1e-9)
 
     def test_normal_incidence_two_branches(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-1.0, 0.0], [-1.0, 1.0])
         paths = gbb_trace(m, q0, t_span=2.5, policy="tree")
         kinds = {p.events[0].kind for p in paths if p.events}
@@ -128,7 +128,7 @@ class TestGBBTrace:
                 assert np.sign(out[0]) == np.sign(inc[0])
 
     def test_event_time_matches_travel_time(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-2.0, 0.0], [-1.0, 1.0])
         paths = gbb_trace(m, q0, t_span=4.0, policy="reflect")
         ev = paths[0].events[0]
@@ -138,7 +138,7 @@ class TestGBBTrace:
         assert ev.time == pytest.approx(expected, rel=1e-5)
 
     def test_characteristic_set_conserved_along_legs(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-1.5, 0.0], [-1.0, 1.0])
         paths = gbb_trace(m, q0, t_span=3.0, policy="tree")
         for p in paths:
@@ -149,7 +149,7 @@ class TestGBBTrace:
                     assert abs(m.dual_hamiltonian(q)) <= 1e-8 * xi_sq
 
     def test_tau_conserved(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-1.0, 0.0], [-2.0, 2.0])
         paths = gbb_trace(m, q0, t_span=2.5, policy="tree")
         for p in paths:
@@ -157,12 +157,12 @@ class TestGBBTrace:
             assert np.max(np.abs(taus - taus[0])) <= 1e-10 * abs(taus[0])
 
     def test_glancing_initial_point_rejected(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         with pytest.raises(GlancingHalt):
             gbb_trace(m, PhasePoint([-1.0, 0.0], [0.0, 1.0]), 1.0)
 
     def test_ray_constructor_on_sigma(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         q = ray_on_characteristic(m, -1.0, 0.0, direction=+1)
         assert m.on_characteristic_set(q)
         assert m.hamilton_field(np.concatenate([q.x, q.xi]))[0] > 0
@@ -344,7 +344,7 @@ def assert_same_samples(got, ref):
 class TestFloatLoop:
     def test_gbb_trace_matches_array_loop(self, monkeypatch):
         # the bundled metric and packet, every branch of the tree policy
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         q0 = ray_on_characteristic(m, -2.2, 0.0, +1)
         paths = gbb_trace(m, q0, t_span=6.6, policy="tree")
         monkeypatch.setattr(tracer, "_reparam_leg", reference_reparam_leg)

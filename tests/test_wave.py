@@ -24,7 +24,7 @@ from wavediff.wave import (
 
 def flat_scenario(**kw):
     defaults = dict(
-        metric=ConormalMetric(n=2, s0=2.5, amp=0.0),
+        metric=ConormalMetric(s0=2.5, amp=0.0),
         x_lo=-2.0,
         x_hi=2.0,
         duration=1.0,
@@ -47,7 +47,7 @@ class TestSolverBasics:
             SpongeSpec(cells=10)
 
     def test_source_distance_guard(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         with pytest.raises(ValueError):
             flat_scenario(metric=m, source=PulseSpec(center=-0.1, width=0.04))
 
@@ -92,7 +92,7 @@ class TestSolverBasics:
     def test_refinement_second_order_for_smooth_speed(self):
         # halving the grid shrinks the final-time error by ~4
         errs = []
-        m = ConormalMetric(n=2, s0=2.5, amp=0.0, c_bg=1.0)
+        m = ConormalMetric(s0=2.5, amp=0.0, c_bg=1.0)
         for nx in (1000, 2000, 4000):
             sc = flat_scenario(metric=m, nx=nx, duration=0.5, store_stride=1000000)
             fld = run(sc)
@@ -105,7 +105,7 @@ class TestSolverBasics:
     def test_refinement_order_reported_for_conormal_speed(self):
         # with a Hoelder coefficient the refinement order is measured and
         # reported, asserted positive but not pinned to 2
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.3)
+        m = ConormalMetric(s0=2.5, amp=0.4, core_radius=0.3)
         t_probe = 0.85
 
         def field_at(nx):
@@ -195,7 +195,7 @@ INPLACE_CASES = pytest.mark.parametrize(
 def inplace_scenario(**kw):
     # the packet and its reflection reach both sponges within the duration
     defaults = dict(
-        metric=ConormalMetric(n=2, s0=2.5, amp=0.4, core_radius=0.3),
+        metric=ConormalMetric(s0=2.5, amp=0.4, core_radius=0.3),
         x_lo=-1.5, x_hi=1.5, duration=2.0, nx=1500,
         source=PulseSpec(center=-0.6, width=0.04, s_in=0.0),
         sponge=SpongeSpec(cells=150), store_stride=5,
@@ -306,7 +306,7 @@ class TestEnergy:
         assert np.max(np.abs(vals - vals[0])) <= 1e-3 * vals[0]
 
     def test_conormal_energy_budget(self):
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         sc = WaveScenario(
             metric=m,
             x_lo=-3.0,
@@ -368,7 +368,7 @@ class TestStructure:
     def test_reciprocity(self):
         # swap source and receiver: traces agree (self-adjoint operator,
         # symmetric scheme)
-        m = ConormalMetric(n=2, s0=2.5, amp=0.4)
+        m = ConormalMetric(s0=2.5, amp=0.4)
         x_a, x_b = -1.0, 0.8
 
         traces = {}
