@@ -10,14 +10,15 @@ Everything in this module is exact: orders are ``fractions.Fraction``,
 predicates are decided with zero tolerance, and the strict / non-strict
 distinctions between the various Sobolev boundedness criteria are preserved
 exactly as they come out of the underlying kernel estimates.  No floating
-point enters any code path here.  Predicates scale their rational inputs to
-one integer lattice (``_lattice``) and compare ``int``s; results that are
-orders stay ``Fraction``.
+point enters any code path here.  The composition, embedding and
+decomposition rules, the windows, the constraint chain and the boundedness
+predicates scale their rational inputs once to one integer lattice (see
+``_lattice``), decide their branches and gates on ``int``s, and build each
+order they return once as a ``Fraction`` over that lattice.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,21 +42,38 @@ def _reject_float(*xs) -> None:
             raise TypeError("floating point not allowed in exact order arithmetic: %r" % (x,))
 
 
-@functools.lru_cache(maxsize=128, typed=True)
-def _half(j: int) -> Fraction:
-    """``Fraction(j, 2)``, built once per ``j``: every rule needs ``k/2`` or ``n/2``."""
-    return Fraction(j, 2)
-
-
-def _lattice(*xs: Fraction) -> tuple[int, list[int]]:
+def _lattice(*xs: Fraction) -> list[int]:
     """Scale exact rationals to integers over one even common denominator ``2h``.
 
-    Returns ``(h, [x * 2h for x in xs])``.  A half-integer ``j/2`` scales to
-    ``j * h``, so any (in)equality among the ``xs`` and half-integers is the
-    same (in)equality among ``int``s.
+    Returns ``[h, x_1 * 2h, x_2 * 2h, ...]``.  A half-integer ``j/2`` scales
+    to ``j * h``, so any (in)equality among the ``xs`` and half-integers is
+    the same (in)equality among ``int``s, and ``Fraction(x, 2 * h)`` maps a
+    lattice ``int`` back to its order.  Plain loops, not comprehensions: this
+    runs in every rule.  The four-operand predicates (``include_filter`` and
+    the ``bounded_*`` family), which run most often, spell the same scaling
+    out inline.
     """
-    d = math.lcm(2, *[x.denominator for x in xs])
-    return d // 2, [x.numerator * (d // x.denominator) for x in xs]
+    scaled, dens = [0], []
+    for x in xs:
+        num, den = x.as_integer_ratio()
+        scaled.append(num)
+        dens.append(den)
+    d = math.lcm(2, *dens)
+    scaled[0] = d // 2
+    for i, den in enumerate(dens, 1):
+        scaled[i] *= d // den
+    return scaled
+
+
+def _check_codim(k) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise OrderError("codimension k must be a positive integer, got %r" % (k,))
+
+
+def _check_dim(n, k: int) -> None:
+    if not (isinstance(n, int) and n > k):
+        _reject_float(n)
+        raise OrderError("need integers n > k >= 1")
 
 
 class OrderError(ValueError):
@@ -106,10 +124,11 @@ class PairOrder:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", frac(self.p))
-        object.__setattr__(self, "l", frac(self.l))
-        if not isinstance(self.k, int) or self.k < 1:
-            raise OrderError("codimension k must be a positive integer, got %r" % (self.k,))
+        if type(self.p) is not Fraction:
+            object.__setattr__(self, "p", frac(self.p))
+        if type(self.l) is not Fraction:
+            object.__setattr__(self, "l", frac(self.l))
+        _check_codim(self.k)
 
     def __str__(self):
         return "(p=%s, l=%s, k=%d)" % (self.p, self.l, self.k)
@@ -135,7 +154,8 @@ class LagrangianTerm:
     order: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "order", frac(self.order))
+        if type(self.order) is not Fraction:
+            object.__setattr__(self, "order", frac(self.order))
 
 
 @dataclass(frozen=True)
@@ -160,10 +180,13 @@ class RegularityWindow:
     eps0: Fraction | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", frac(self.lo))
-        object.__setattr__(self, "hi", frac(self.hi))
-        object.__setattr__(self, "s0", frac(self.s0))
-        if self.eps0 is not None:
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", frac(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", frac(self.hi))
+        if type(self.s0) is not Fraction:
+            object.__setattr__(self, "s0", frac(self.s0))
+        if self.eps0 is not None and type(self.eps0) is not Fraction:
             object.__setattr__(self, "eps0", frac(self.eps0))
 
     @property
@@ -209,11 +232,12 @@ class FlowoutCompositionError(OrderError):
     def fallback(self, ell: Rational) -> PairOrder:
         ell = frac(ell)
         a, b = self.a, self.b
-        if ell <= a.l + b.l:
-            raise OrderError("fallback shift must exceed l + l' = %s" % (a.l + b.l,))
-        half_k = _half(a.k)
-        big_l = max(a.l - ell, b.l, a.l - ell + b.l + half_k)
-        return PairOrder(a.p + b.p + ell, big_l, a.k)
+        h, ap, al, bp, bl, e = _lattice(a.p, a.l, b.p, b.l, ell)
+        two_h = 2 * h
+        if e <= al + bl:
+            raise OrderError("fallback shift must exceed l + l' = %s" % (Fraction(al + bl, two_h),))
+        big_l = max(al - e, bl, al - e + bl + a.k * h)
+        return PairOrder(Fraction(ap + bp + e, two_h), Fraction(big_l, two_h), a.k)
 
 
 def _check_same_k(a: PairOrder, b: PairOrder) -> int:
@@ -227,8 +251,11 @@ def _check_same_k(a: PairOrder, b: PairOrder) -> int:
 def include_filter(a: PairOrder, b: PairOrder) -> bool:
     """Inclusion of pair spaces: needs p1 <= p2 and p1 + l1 <= p2 + l2."""
     _check_same_k(a, b)
-    _, (ap, al, bp, bl) = _lattice(a.p, a.l, b.p, b.l)
-    return ap <= bp and ap + al <= bp + bl
+    (ap, apd), (al, ald) = a.p.as_integer_ratio(), a.l.as_integer_ratio()
+    (bp, bpd), (bl, bld) = b.p.as_integer_ratio(), b.l.as_integer_ratio()
+    d = math.lcm(apd, ald, bpd, bld)
+    ap, bp = ap * (d // apd), bp * (d // bpd)
+    return ap <= bp and ap + al * (d // ald) <= bp + bl * (d // bld)
 
 
 def embed_lambda0(p: Rational, k: int) -> PairOrder:
@@ -239,10 +266,10 @@ def embed_lambda0(p: Rational, k: int) -> PairOrder:
     front face of the underlying blow-up is pinned by ``p`` alone.
     """
     p = frac(p)
-    if not isinstance(k, int) or k < 1:
-        raise OrderError("codimension k must be a positive integer")
-    half_k = _half(k)
-    return PairOrder(p - half_k, half_k, k)
+    _check_codim(k)
+    h, P = _lattice(p)
+    kh, two_h = k * h, 2 * h
+    return PairOrder(Fraction(P - kh, two_h), Fraction(kh, two_h), k)
 
 
 def reverse_pair(o: PairOrder, eps: Rational) -> SpaceDecomposition:
@@ -255,30 +282,35 @@ def reverse_pair(o: PairOrder, eps: Rational) -> SpaceDecomposition:
     applying the second branch.
     """
     eps = frac(eps)
-    if eps <= 0:
+    h, p, l, e = _lattice(o.p, o.l, eps)
+    if e <= 0:
         raise OrderError("eps must be positive")
-    half_k = _half(o.k)
+    kh, two_h = o.k * h, 2 * h
     reversed_pair = (Tag.DIAG, Tag.FLOW_OUT)
-    if o.l < -half_k:
+    if l < -kh:
         return SpaceDecomposition(
-            paired=(SpaceTerm(reversed_pair, PairOrder(o.p + o.l + eps, -o.l - eps, o.k)),),
+            paired=(SpaceTerm(reversed_pair, PairOrder(
+                Fraction(p + l + e, two_h), Fraction(-l - e, two_h), o.k)),),
             pure=(LagrangianTerm(Tag.DIAG, o.p),),
         )
-    if o.l > -half_k:
+    if l > -kh:
         return SpaceDecomposition(
-            paired=(SpaceTerm(reversed_pair, PairOrder(o.p + o.l, half_k, o.k)),)
+            paired=(SpaceTerm(reversed_pair, PairOrder(
+                Fraction(p + l, two_h), Fraction(kh, two_h), o.k)),)
         )
     # boundary case: perturb l upward by eps, then the l > -k/2 branch applies
     return SpaceDecomposition(
-        paired=(SpaceTerm(reversed_pair, PairOrder(o.p + o.l + eps, half_k, o.k)),)
+        paired=(SpaceTerm(reversed_pair, PairOrder(
+            Fraction(p + l + e, two_h), Fraction(kh, two_h), o.k)),)
     )
 
 
 def compose_au(a: PairOrder, b: PairOrder) -> PairOrder:
     """Flow-out composition rule with the diagonal conormal listed first."""
     k = _check_same_k(a, b)
-    half_k = _half(k)
-    return PairOrder(a.p + b.p + half_k, a.l + b.l - half_k, k)
+    h, ap, al, bp, bl = _lattice(a.p, a.l, b.p, b.l)
+    kh, two_h = k * h, 2 * h
+    return PairOrder(Fraction(ap + bp + kh, two_h), Fraction(al + bl - kh, two_h), k)
 
 
 def compose_flowout(a: PairOrder, b: PairOrder) -> PairOrder:
@@ -291,10 +323,11 @@ def compose_flowout(a: PairOrder, b: PairOrder) -> PairOrder:
     silent relaxation.
     """
     k = _check_same_k(a, b)
-    if a.l + b.l >= 0:
+    h, ap, al, bp, bl = _lattice(a.p, a.l, b.p, b.l)
+    if al + bl >= 0:
         raise FlowoutCompositionError(a, b)
-    half_k = _half(k)
-    return PairOrder(a.p + b.p, max(a.l, b.l, a.l + b.l + half_k), k)
+    two_h = 2 * h
+    return PairOrder(Fraction(ap + bp, two_h), Fraction(max(al, bl, al + bl + k * h), two_h), k)
 
 
 def bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
@@ -306,9 +339,11 @@ def bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
     inclusion filter), but the stated criterion itself is unchanged, so this
     predicate implements it as printed.
     """
-    h, (p, l, src, dst) = _lattice(o.p, o.l, frac(m_src), frac(m_dst))
-    gap = src - dst
-    return p + o.k * h <= gap and p + l <= gap
+    (p, pd), (l, ld) = o.p.as_integer_ratio(), o.l.as_integer_ratio()
+    (src, sd), (dst, dd) = frac(m_src).as_integer_ratio(), frac(m_dst).as_integer_ratio()
+    d = math.lcm(2, pd, ld, sd, dd)
+    p, gap = p * (d // pd), src * (d // sd) - dst * (d // dd)
+    return p + o.k * (d // 2) <= gap and p + l * (d // ld) <= gap
 
 
 def bounded_diag_flowout(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
@@ -317,9 +352,11 @@ def bounded_diag_flowout(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool
     First condition is non-strict, second strict; the distinction is meaningful
     and preserved exactly.
     """
-    h, (p, l, src, dst) = _lattice(o.p, o.l, frac(m_src), frac(m_dst))
-    gap = src - dst
-    return p <= gap and p + l < gap - o.k * h
+    (p, pd), (l, ld) = o.p.as_integer_ratio(), o.l.as_integer_ratio()
+    (src, sd), (dst, dd) = frac(m_src).as_integer_ratio(), frac(m_dst).as_integer_ratio()
+    d = math.lcm(2, pd, ld, sd, dd)
+    p, gap = p * (d // pd), src * (d // sd) - dst * (d // dd)
+    return p <= gap and p + l * (d // ld) < gap - o.k * (d // 2)
 
 
 def bounded_one_sided(
@@ -331,9 +368,13 @@ def bounded_one_sided(
     LEFT for N*{x'=0} (kernel singular in the left variables), RIGHT for
     N*{y'=0}.  Both conditions are strict.
     """
-    _reject_float(n)
-    h, (p, l, dst, src) = _lattice(o.p, o.l, frac(m), frac(m_src))
-    first = p + l < dst + src - o.k * h
+    _check_dim(n, o.k)
+    (p, pd), (l, ld) = o.p.as_integer_ratio(), o.l.as_integer_ratio()
+    (dst, dd), (src, sd) = frac(m).as_integer_ratio(), frac(m_src).as_integer_ratio()
+    d = math.lcm(2, pd, ld, dd, sd)
+    h = d // 2
+    p, dst, src = p * (d // pd), dst * (d // dd), src * (d // sd)
+    first = p + l * (d // ld) < dst + src - o.k * h
     if side is Side.LEFT:
         second = p < dst - n * h
     elif side is Side.RIGHT:
@@ -351,9 +392,11 @@ def psdo_shift(o: PairOrder, s: Rational, side: Side) -> PairOrder:
     """
     s = frac(s)
     if side is Side.LEFT:
-        return PairOrder(o.p + s, o.l, o.k)
+        h, p, t = _lattice(o.p, s)
+        return PairOrder(Fraction(p + t, 2 * h), o.l, o.k)
     if side is Side.RIGHT:
-        return PairOrder(o.p, o.l + s, o.k)
+        h, l, t = _lattice(o.l, s)
+        return PairOrder(o.p, Fraction(l + t, 2 * h), o.k)
     raise OrderError("side must be Side.LEFT or Side.RIGHT")
 
 
@@ -372,15 +415,15 @@ def mult_decompose(
     s0, op_order = frac(s0), frac(op_order)
     if not (isinstance(k, int) and isinstance(n, int) and n > k >= 1):
         raise OrderError("need integers n > k >= 1")
-    half_k = _half(k)
+    h, S0, OP = _lattice(s0, op_order)
+    two_h = 2 * h
     conormal_tag = Tag.LEFT_CONORMAL if side is Side.LEFT else Tag.RIGHT_CONORMAL
     diag_term = SpaceTerm(
-        (Tag.FLOW_OUT, Tag.DIAG), PairOrder(op_order, -s0 + half_k, k)
+        (Tag.FLOW_OUT, Tag.DIAG), PairOrder(op_order, Fraction(-S0 + k * h, two_h), k)
     )
-    dim_y = n - k
     conormal_term = SpaceTerm(
         (Tag.FLOW_OUT, conormal_tag),
-        PairOrder(-s0 - _half(dim_y), op_order + _half(n), k),
+        PairOrder(Fraction(-S0 - (n - k) * h, two_h), Fraction(OP + n * h, two_h), k),
     )
     return SpaceDecomposition(paired=(diag_term, conormal_term))
 
@@ -389,9 +432,12 @@ def mult_bounded_range(s0: Rational, k: int) -> RegularityWindow:
     """Orders ``s`` for which multiplication by the singular coefficient
     preserves H^s: admissible iff ``s0 > k``, window ``(-s0 + k/2, s0 - k/2)``."""
     s0 = frac(s0)
-    half_k = _half(k)
+    _check_codim(k)
+    h, S0 = _lattice(s0)
+    kh, two_h = k * h, 2 * h
     return RegularityWindow(
-        lo=-s0 + half_k, hi=s0 - half_k, admissible=s0 > k, s0=s0, k=k
+        lo=Fraction(-S0 + kh, two_h), hi=Fraction(S0 - kh, two_h),
+        admissible=S0 > 2 * kh, s0=s0, k=k,
     )
 
 
@@ -399,13 +445,15 @@ def elliptic_window(s0: Rational, eps0: Rational, k: int) -> RegularityWindow:
     """Window for the elliptic interaction estimates: gate ``k + 2*eps0 < s0``,
     window ``(-s0 + eps0 + 1 + k/2, s0 - eps0 - k/2)``."""
     s0, eps0 = frac(s0), frac(eps0)
-    if eps0 <= 0:
+    h, S0, E = _lattice(s0, eps0)
+    if E <= 0:
         raise OrderError("eps0 must be positive")
-    half_k = _half(k)
+    _check_codim(k)
+    kh, two_h = k * h, 2 * h
     return RegularityWindow(
-        lo=-s0 + eps0 + 1 + half_k,
-        hi=s0 - eps0 - half_k,
-        admissible=k + 2 * eps0 < s0,
+        lo=Fraction(-S0 + E + two_h + kh, two_h),
+        hi=Fraction(S0 - E - kh, two_h),
+        admissible=2 * kh + 2 * E < S0,
         s0=s0,
         k=k,
         eps0=eps0,
@@ -422,17 +470,22 @@ def hyperbolic_window(s0: Rational, eps0: Rational, k: int) -> HyperbolicWindow:
     caller chooses which one gates downstream work.
     """
     s0, eps0 = frac(s0), frac(eps0)
-    if eps0 <= 0:
+    h, S0, E = _lattice(s0, eps0)
+    if E <= 0:
         raise OrderError("eps0 must be positive")
-    half_k = _half(k)
-    admissible = k + 1 + 2 * eps0 < s0
-    hi = s0 - eps0 - 1 - half_k
+    _check_codim(k)
+    kh, two_h = k * h, 2 * h
+    admissible = 2 * kh + two_h + 2 * E < S0
+    hi = Fraction(S0 - E - two_h - kh, two_h)
+    lo = Fraction(-kh, two_h)
+    derived = -S0 + E + two_h + kh
+    derived_lo = Fraction(derived, two_h)
     theorem = RegularityWindow(
-        lo=-half_k, hi=hi, admissible=admissible, s0=s0, k=k, eps0=eps0
+        lo=lo, hi=hi, admissible=admissible, s0=s0, k=k, eps0=eps0
     )
-    derived_lo = -s0 + eps0 + 1 + half_k
     intersected = RegularityWindow(
-        lo=max(-half_k, derived_lo), hi=hi, admissible=admissible, s0=s0, k=k, eps0=eps0
+        lo=derived_lo if derived > -kh else lo, hi=hi, admissible=admissible,
+        s0=s0, k=k, eps0=eps0,
     )
     return HyperbolicWindow(theorem=theorem, derived_lo=derived_lo, intersected=intersected)
 
@@ -483,7 +536,9 @@ def verify_constraint_chain(
     """
     s0, eps0, s = frac(s0), frac(eps0), frac(s)
     _reject_float(k, n)
-    h, (S0, E, S) = _lattice(s0, eps0, s)
+    _check_codim(k)
+    _check_dim(n, k)
+    h, S0, E, S = _lattice(s0, eps0, s)
     one, half_k, half_n, half_y = 2 * h, k * h, n * h, (n - k) * h
 
     prelim = (
@@ -501,7 +556,7 @@ def verify_constraint_chain(
         -S0 + half_k < S - one,
         S - one < S0 - half_k,
     )
-    prelim_matches_reduced = all(a == b for a, b in zip(prelim, reduced))
+    prelim_matches_reduced = prelim == reduced
     reduced_implies_reduction = (not all(reduced)) or all(reduction)
     second_automatic = (not (reduced[0] and S > -half_k)) or reduced[1]
     return ConstraintChainReport(

@@ -276,6 +276,11 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     lam2 = (dt / dx) ** 2
     c2h = c_half**2
     flux = np.empty(n - 1)
+    # x * 1.0 == x bit for bit, so the flux is scaled only over the span of
+    # half cells whose squared speed is not exactly 1.0 (empty if none is)
+    varied = np.flatnonzero(c2h != 1.0)
+    span = slice(varied[0], varied[-1] + 1) if varied.size else slice(0, 0)
+    c2h_span, flux_span = c2h[span], flux[span]
     work = np.empty(n)  # the Laplacian, and the staggered energy's scratch
     lap = work[:-2]
     stride = max(1, scenario.store_stride)
@@ -289,7 +294,7 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     t = 0.0
     for m in range(1, n_steps + 1):
         np.subtract(u_curr[1:], u_curr[:-1], out=flux)
-        np.multiply(c2h, flux, out=flux)
+        np.multiply(c2h_span, flux_span, out=flux_span)
         np.multiply(2.0, u_curr, out=u_next)
         np.subtract(u_next, u_prev, out=u_next)
         np.subtract(flux[1:], flux[:-1], out=lap)
@@ -300,8 +305,9 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
         if scenario.forcing is not None:
             u_next[1:-1] += dt * dt * np.asarray(scenario.forcing(xs, t), float)[1:-1]
         for s, d in ramps:
-            u_next[s] *= d
-            u_curr[s] *= d
+            # damp the views in place; ``u[s] *= d`` would also copy them back
+            for a in (u_next[s], u_curr[s]):
+                np.multiply(a, d, out=a)
         u_prev, u_curr, u_next = u_curr, u_next, u_prev
         t = m * dt
         if m % stride == 0 or m == n_steps:

@@ -1,13 +1,22 @@
+import dataclasses
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from wavediff.orders import (
     FlowoutCompositionError,
+    HyperbolicWindow,
     IncomparableOrdersError,
+    LagrangianTerm,
+    OrderError,
     PairOrder,
+    RegularityWindow,
     Side,
+    SpaceDecomposition,
+    SpaceTerm,
     Tag,
     bootstrap_schedule,
     bounded_diag_flowout,
@@ -26,6 +35,7 @@ from wavediff.orders import (
     schedule_length,
     verify_constraint_chain,
 )
+from wavediff.orders import Rational, _check_same_k, _reject_float, frac
 
 F = Fraction
 
@@ -398,3 +408,390 @@ class TestBootstrap:
                         b - a == F(1, 2) for a, b in zip(sched[:-1], sched[1:-1])
                     )
                     assert sched[-1] - sched[-2] <= F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference bodies: the Fraction-chain rules and the list-based lattice
+# predicates as they stood before every order was built once from lattice
+# integers, kept verbatim apart from their names.  ``TestLatticeConstructors``
+# pins the lattice code to them value for value, type for type and string for
+# string, errors included.
+
+
+def _half(j: int) -> Fraction:
+    return Fraction(j, 2)
+
+
+def _lattice(*xs: Fraction) -> tuple[int, list[int]]:
+    d = math.lcm(2, *[x.denominator for x in xs])
+    return d // 2, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def ref_fallback(self, ell: Rational) -> PairOrder:
+    ell = frac(ell)
+    a, b = self.a, self.b
+    if ell <= a.l + b.l:
+        raise OrderError("fallback shift must exceed l + l' = %s" % (a.l + b.l,))
+    half_k = _half(a.k)
+    big_l = max(a.l - ell, b.l, a.l - ell + b.l + half_k)
+    return PairOrder(a.p + b.p + ell, big_l, a.k)
+
+
+def ref_include_filter(a: PairOrder, b: PairOrder) -> bool:
+    _check_same_k(a, b)
+    _, (ap, al, bp, bl) = _lattice(a.p, a.l, b.p, b.l)
+    return ap <= bp and ap + al <= bp + bl
+
+
+def ref_embed_lambda0(p: Rational, k: int) -> PairOrder:
+    p = frac(p)
+    if not isinstance(k, int) or k < 1:
+        raise OrderError("codimension k must be a positive integer")
+    half_k = _half(k)
+    return PairOrder(p - half_k, half_k, k)
+
+
+def ref_reverse_pair(o: PairOrder, eps: Rational) -> SpaceDecomposition:
+    eps = frac(eps)
+    if eps <= 0:
+        raise OrderError("eps must be positive")
+    half_k = _half(o.k)
+    reversed_pair = (Tag.DIAG, Tag.FLOW_OUT)
+    if o.l < -half_k:
+        return SpaceDecomposition(
+            paired=(SpaceTerm(reversed_pair, PairOrder(o.p + o.l + eps, -o.l - eps, o.k)),),
+            pure=(LagrangianTerm(Tag.DIAG, o.p),),
+        )
+    if o.l > -half_k:
+        return SpaceDecomposition(
+            paired=(SpaceTerm(reversed_pair, PairOrder(o.p + o.l, half_k, o.k)),)
+        )
+    # boundary case: perturb l upward by eps, then the l > -k/2 branch applies
+    return SpaceDecomposition(
+        paired=(SpaceTerm(reversed_pair, PairOrder(o.p + o.l + eps, half_k, o.k)),)
+    )
+
+
+def ref_compose_au(a: PairOrder, b: PairOrder) -> PairOrder:
+    k = _check_same_k(a, b)
+    half_k = _half(k)
+    return PairOrder(a.p + b.p + half_k, a.l + b.l - half_k, k)
+
+
+def ref_compose_flowout(a: PairOrder, b: PairOrder) -> PairOrder:
+    k = _check_same_k(a, b)
+    if a.l + b.l >= 0:
+        raise FlowoutCompositionError(a, b)
+    half_k = _half(k)
+    return PairOrder(a.p + b.p, max(a.l, b.l, a.l + b.l + half_k), k)
+
+
+def ref_bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
+    h, (p, l, src, dst) = _lattice(o.p, o.l, frac(m_src), frac(m_dst))
+    gap = src - dst
+    return p + o.k * h <= gap and p + l <= gap
+
+
+def ref_bounded_diag_flowout(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
+    h, (p, l, src, dst) = _lattice(o.p, o.l, frac(m_src), frac(m_dst))
+    gap = src - dst
+    return p <= gap and p + l < gap - o.k * h
+
+
+def ref_bounded_one_sided(
+    o: PairOrder, n: int, m: Rational, m_src: Rational, side: Side
+) -> bool:
+    _reject_float(n)
+    h, (p, l, dst, src) = _lattice(o.p, o.l, frac(m), frac(m_src))
+    first = p + l < dst + src - o.k * h
+    if side is Side.LEFT:
+        second = p < dst - n * h
+    elif side is Side.RIGHT:
+        second = p < src - n * h
+    else:
+        raise OrderError("side must be Side.LEFT or Side.RIGHT")
+    return first and second
+
+
+def ref_psdo_shift(o: PairOrder, s: Rational, side: Side) -> PairOrder:
+    s = frac(s)
+    if side is Side.LEFT:
+        return PairOrder(o.p + s, o.l, o.k)
+    if side is Side.RIGHT:
+        return PairOrder(o.p, o.l + s, o.k)
+    raise OrderError("side must be Side.LEFT or Side.RIGHT")
+
+
+def ref_mult_decompose(
+    s0: Rational, op_order: Rational, k: int, n: int, side: Side = Side.LEFT
+) -> SpaceDecomposition:
+    s0, op_order = frac(s0), frac(op_order)
+    if not (isinstance(k, int) and isinstance(n, int) and n > k >= 1):
+        raise OrderError("need integers n > k >= 1")
+    half_k = _half(k)
+    conormal_tag = Tag.LEFT_CONORMAL if side is Side.LEFT else Tag.RIGHT_CONORMAL
+    diag_term = SpaceTerm(
+        (Tag.FLOW_OUT, Tag.DIAG), PairOrder(op_order, -s0 + half_k, k)
+    )
+    dim_y = n - k
+    conormal_term = SpaceTerm(
+        (Tag.FLOW_OUT, conormal_tag),
+        PairOrder(-s0 - _half(dim_y), op_order + _half(n), k),
+    )
+    return SpaceDecomposition(paired=(diag_term, conormal_term))
+
+
+def ref_mult_bounded_range(s0: Rational, k: int) -> RegularityWindow:
+    s0 = frac(s0)
+    half_k = _half(k)
+    return RegularityWindow(
+        lo=-s0 + half_k, hi=s0 - half_k, admissible=s0 > k, s0=s0, k=k
+    )
+
+
+def ref_elliptic_window(s0: Rational, eps0: Rational, k: int) -> RegularityWindow:
+    s0, eps0 = frac(s0), frac(eps0)
+    if eps0 <= 0:
+        raise OrderError("eps0 must be positive")
+    half_k = _half(k)
+    return RegularityWindow(
+        lo=-s0 + eps0 + 1 + half_k,
+        hi=s0 - eps0 - half_k,
+        admissible=k + 2 * eps0 < s0,
+        s0=s0,
+        k=k,
+        eps0=eps0,
+    )
+
+
+def ref_hyperbolic_window(s0: Rational, eps0: Rational, k: int) -> HyperbolicWindow:
+    s0, eps0 = frac(s0), frac(eps0)
+    if eps0 <= 0:
+        raise OrderError("eps0 must be positive")
+    half_k = _half(k)
+    admissible = k + 1 + 2 * eps0 < s0
+    hi = s0 - eps0 - 1 - half_k
+    theorem = RegularityWindow(
+        lo=-half_k, hi=hi, admissible=admissible, s0=s0, k=k, eps0=eps0
+    )
+    derived_lo = -s0 + eps0 + 1 + half_k
+    intersected = RegularityWindow(
+        lo=max(-half_k, derived_lo), hi=hi, admissible=admissible, s0=s0, k=k, eps0=eps0
+    )
+    return HyperbolicWindow(theorem=theorem, derived_lo=derived_lo, intersected=intersected)
+
+
+DENOMS = (1, 2, 3, 4, 6, 8, 12, 16, 64, 128)
+DIMS = [(k, n) for k in (1, 2, 3) for n in range(k + 1, 7)]
+
+
+def shape(x):
+    """Type and ``str`` of ``x`` and, recursively, of its dataclass fields."""
+    if dataclasses.is_dataclass(x):
+        return type(x), str(x), tuple(shape(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(shape(v) for v in x)
+    return type(x), str(x)
+
+
+def outcome(fn, *args):
+    """The value and its shape, or the error type and message."""
+    try:
+        got = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return got, shape(got)
+
+
+def rat(rng, lo=-400, hi=400):
+    return F(rng.randrange(lo, hi), rng.choice(DENOMS))
+
+
+def pos(rng):
+    return rat(rng, 1, 400)
+
+
+def spelled(rng, x):
+    """``x`` as a Fraction, a string or (when integral) an int."""
+    form = rng.randrange(3)
+    if form == 1:
+        return str(x)
+    if form == 2 and x.denominator == 1:
+        return int(x)
+    return x
+
+
+class TestLatticeConstructors:
+    """Every rule and predicate built on lattice integers returns exactly what
+    the Fraction-chain bodies above return: equal values, equal types, equal
+    ``str()`` (which ``calc --batch`` writes) and the same error first."""
+
+    def same(self, fn, ref, *args):
+        got, want = outcome(fn, *args), outcome(ref, *args)
+        assert got == want, args
+        return got
+
+    def test_pair_rules(self):
+        rng = random.Random(1204)
+        for k, n in DIMS:
+            for _ in range(60):
+                a = PairOrder(spelled(rng, rat(rng)), spelled(rng, rat(rng)), k)
+                b = PairOrder(rat(rng), rat(rng), k)
+                self.same(embed_lambda0, ref_embed_lambda0, spelled(rng, rat(rng)), k)
+                self.same(compose_au, ref_compose_au, a, b)
+                self.same(compose_flowout, ref_compose_flowout, a, b)
+                self.same(include_filter, ref_include_filter, a, b)
+                for side in (Side.LEFT, Side.RIGHT, "left"):
+                    self.same(psdo_shift, ref_psdo_shift, a, spelled(rng, rat(rng)), side)
+                    self.same(bounded_one_sided, ref_bounded_one_sided,
+                              a, n, spelled(rng, rat(rng)), rat(rng), side)
+                m_src, m_dst = spelled(rng, rat(rng)), spelled(rng, rat(rng))
+                self.same(bounded_gu, ref_bounded_gu, a, m_src, m_dst)
+                self.same(bounded_diag_flowout, ref_bounded_diag_flowout, a, m_src, m_dst)
+                # each condition of each predicate on its boundary in turn,
+                # where strictness decides
+                shift = abs(b.p)
+                for c in (PairOrder(a.p + shift, a.l - shift, k), PairOrder(a.p, a.l + shift, k)):
+                    self.same(include_filter, ref_include_filter, a, c)
+                for gap in (a.p + F(k, 2), a.p + a.l):
+                    self.same(bounded_gu, ref_bounded_gu, a, gap, 0)
+                for gap in (a.p, a.p + a.l + F(k, 2)):
+                    self.same(bounded_diag_flowout, ref_bounded_diag_flowout, a, gap, 0)
+                edge, far = a.p + F(n, 2), abs(a.p) + abs(a.l) + n + 1
+                rest = a.p + a.l + F(k, 2) - edge - 1
+                for side, m, m_src in ((Side.LEFT, edge, far), (Side.RIGHT, far, edge),
+                                       (Side.LEFT, edge + 1, rest), (Side.RIGHT, rest, edge + 1)):
+                    self.same(bounded_one_sided, ref_bounded_one_sided, a, n, m, m_src, side)
+
+    def test_reverse_pair_branches(self):
+        rng = random.Random(1205)
+        seen = set()
+        for k, _ in DIMS:
+            for _ in range(60):
+                l = rng.choice((-F(k, 2), rat(rng), -F(k, 2) + F(1, 128), -F(k, 2) - F(1, 128)))
+                o = PairOrder(rat(rng), l, k)
+                eps = rng.choice((pos(rng), rat(rng), 0))
+                got = self.same(reverse_pair, ref_reverse_pair, o, spelled(rng, eps))
+                if isinstance(got[0], SpaceDecomposition):
+                    seen.add((len(got[0].pure), l == -F(k, 2)))
+        assert seen == {(1, False), (0, False), (0, True)}
+
+    def test_flowout_rejection_and_fallback(self):
+        rng = random.Random(1206)
+        for k, _ in DIMS:
+            for _ in range(60):
+                a = PairOrder(rat(rng), rat(rng), k)
+                total = rng.choice((F(0), pos(rng)))
+                b = PairOrder(rat(rng), total - a.l, k)
+                with pytest.raises(FlowoutCompositionError) as got:
+                    compose_flowout(a, b)
+                with pytest.raises(FlowoutCompositionError) as want:
+                    ref_compose_flowout(a, b)
+                assert str(got.value) == str(want.value)
+                for shift in (-pos(rng), F(0), pos(rng)):
+                    ell = spelled(rng, total + shift)
+                    self.same(got.value.fallback, lambda e: ref_fallback(want.value, e), ell)
+
+    def test_windows(self):
+        rng = random.Random(1207)
+        for k, _ in DIMS:
+            for _ in range(80):
+                eps0 = rng.choice((pos(rng) / 16, pos(rng), rat(rng), 0))
+                # s0 on, just off and far from each gate
+                near = rng.choice((F(0), F(1, 128), -F(1, 128), rat(rng)))
+                for s0 in (k + 1 + 2 * eps0 + near, k + 2 * eps0 + near, k + near):
+                    s0, e = spelled(rng, s0), spelled(rng, eps0)
+                    self.same(hyperbolic_window, ref_hyperbolic_window, s0, e, k)
+                    self.same(elliptic_window, ref_elliptic_window, s0, e, k)
+                    self.same(mult_bounded_range, ref_mult_bounded_range, s0, k)
+
+    def test_mult_decompose(self):
+        rng = random.Random(1208)
+        for k, n in DIMS:
+            for _ in range(60):
+                for side in (Side.LEFT, Side.RIGHT):
+                    self.same(mult_decompose, ref_mult_decompose, spelled(rng, pos(rng)),
+                              spelled(rng, rat(rng)), k, n, side)
+            # the dimension gate, with its message
+            self.same(mult_decompose, ref_mult_decompose, F(5, 2), 0, k, k)
+
+    def test_float_argument_on_every_entry_point(self):
+        o = PairOrder(F(1, 3), F(-1, 2), 1)
+        calls = [
+            (embed_lambda0, ref_embed_lambda0, (0.5, 1)),
+            (reverse_pair, ref_reverse_pair, (o, 0.25)),
+            (bounded_gu, ref_bounded_gu, (o, 0.5, 0)),
+            (bounded_gu, ref_bounded_gu, (o, 0, 0.5)),
+            (bounded_diag_flowout, ref_bounded_diag_flowout, (o, 0.5, 0)),
+            (bounded_diag_flowout, ref_bounded_diag_flowout, (o, 0, 0.5)),
+            (bounded_one_sided, ref_bounded_one_sided, (o, 2.0, 0, 0, Side.LEFT)),
+            (bounded_one_sided, ref_bounded_one_sided, (o, 2, 0.5, 0, Side.LEFT)),
+            (bounded_one_sided, ref_bounded_one_sided, (o, 2, 0, 0.5, Side.RIGHT)),
+            (psdo_shift, ref_psdo_shift, (o, 0.5, Side.LEFT)),
+            (psdo_shift, ref_psdo_shift, (o, 0.5, "neither")),
+            (mult_decompose, ref_mult_decompose, (2.5, 0, 1, 2)),
+            (mult_decompose, ref_mult_decompose, (F(5, 2), 0.5, 1, 2)),
+            (mult_bounded_range, ref_mult_bounded_range, (2.5, 1)),
+            (elliptic_window, ref_elliptic_window, (2.5, F(1, 4), 1)),
+            (elliptic_window, ref_elliptic_window, (F(5, 2), 0.25, 1)),
+            (hyperbolic_window, ref_hyperbolic_window, (2.5, F(1, 4), 1)),
+            (hyperbolic_window, ref_hyperbolic_window, (F(5, 2), 0.25, 1)),
+            (PairOrder, PairOrder, (0.5, 0, 1)),
+            (PairOrder, PairOrder, (0, 0.5, 1)),
+            (LagrangianTerm, LagrangianTerm, (Tag.DIAG, 0.5)),
+            (RegularityWindow, RegularityWindow, (0, 1, True, 3, 1, 0.5)),
+        ]
+        for fn, ref, args in calls:
+            got = self.same(fn, ref, *args)
+            assert got[0] is TypeError, (fn.__name__, args)
+        with pytest.raises(FlowoutCompositionError) as err:
+            compose_flowout(o, PairOrder(0, F(1, 2), 1))
+        assert self.same(err.value.fallback, lambda e: ref_fallback(err.value, e), 0.5)[0] is TypeError
+        for args in ((2.5, F(1, 20), F(1, 2), 1, 2), (F(5, 2), 0.05, F(1, 2), 1, 2),
+                     (F(5, 2), F(1, 20), 0.5, 1, 2), (F(5, 2), F(1, 20), F(1, 2), 1.0, 2),
+                     (F(5, 2), F(1, 20), F(1, 2), 1, 2.0)):
+            with pytest.raises(TypeError):
+                verify_constraint_chain(*args)
+
+
+class TestCodimensionChecked:
+    """Every entry point that takes the codimension ``k`` refuses anything but
+    a positive ``int`` with ``PairOrder``'s error, and every one that takes
+    the dimension ``n`` refuses ``n <= k``."""
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k: PairOrder(0, 0, k),
+            lambda k: embed_lambda0(0, k),
+            lambda k: mult_bounded_range(5, k),
+            lambda k: elliptic_window(5, F(1, 20), k),
+            lambda k: hyperbolic_window(5, F(1, 20), k),
+            lambda k: verify_constraint_chain(5, F(1, 20), F(1, 2), k, 2),
+        ],
+        ids=["PairOrder", "embed_lambda0", "mult_bounded_range", "elliptic_window",
+             "hyperbolic_window", "verify_constraint_chain"],
+    )
+    def test_nonpositive_k(self, call, k):
+        with pytest.raises(OrderError, match="codimension k must be a positive integer, got %d" % k):
+            call(k)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_mult_decompose(self, k):
+        with pytest.raises(OrderError, match="need integers n > k >= 1"):
+            mult_decompose(F(5, 2), 0, k, 2)
+
+    def test_non_int_k(self):
+        for call in (lambda: hyperbolic_window(5, F(1, 20), "1"),
+                     lambda: mult_bounded_range(5, F(1)),
+                     lambda: embed_lambda0(0, 1.0)):
+            with pytest.raises(OrderError, match="codimension k"):
+                call()
+
+    def test_dimension_above_codimension(self):
+        with pytest.raises(OrderError, match="need integers n > k >= 1"):
+            verify_constraint_chain(5, F(1, 20), F(1, 2), 2, 2)
+        with pytest.raises(OrderError, match="need integers n > k >= 1"):
+            bounded_one_sided(po(0, 0, 2), 2, 0, 0, Side.LEFT)
+        assert verify_constraint_chain(5, F(1, 20), F(1, 2), 2, 3).k == 2

@@ -187,8 +187,11 @@ INPLACE_CASES = pytest.mark.parametrize(
         (dict(source=None, forcing=forcing_at(1.0)), False),
         (dict(store_stride=7), True),
         (dict(nx=200, store_stride=4), False),
+        (dict(metric=ConormalMetric(s0=2.5, amp=0.4, core_radius=0.3, c_bg=1.3)), True),
+        (dict(metric=ConormalMetric(s0=2.5, amp=0.0, core_radius=0.3)), True),
     ],
-    ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges"],
+    ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges",
+         "speed-varies-everywhere", "uniform-unit-speed"],
 )
 
 
