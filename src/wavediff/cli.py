@@ -95,10 +95,8 @@ def run_calc_query(op: str, args: list):
     """Evaluate one batch query; returns (result, witness) strings."""
     F = Fraction
     if op == "include_filter":
-        a, b = _po(args[:3]), _po(args[3:6])
-        res = include_filter(a, b)
-        wit = "p1<=p2:%s;p1+l1<=p2+l2:%s" % (a.p <= b.p, a.p + a.l <= b.p + b.l)
-        return str(res), wit
+        conds = include_filter(_po(args[:3]), _po(args[3:6]), conditions=True)
+        return str(all(conds)), "p1<=p2:%s;p1+l1<=p2+l2:%s" % conds
     if op == "embed_lambda0":
         return _fmt_pair(embed_lambda0(F(args[0]), int(args[1]))), ""
     if op == "reverse_pair":
@@ -111,27 +109,16 @@ def run_calc_query(op: str, args: list):
         except FlowoutCompositionError as err:
             return "error", "l+l'>=0; fallback available via shift > %s" % (err.a.l + err.b.l)
     if op == "bounded_gu":
-        o = _po(args[:3])
-        m_src, m_dst = F(args[3]), F(args[4])
-        gap = m_src - m_dst
-        res = bounded_gu(o, m_src, m_dst)
-        wit = "p+k/2<=gap:%s;p+l<=gap:%s" % (o.p + F(o.k, 2) <= gap, o.p + o.l <= gap)
-        return str(res), wit
+        conds = bounded_gu(_po(args[:3]), F(args[3]), F(args[4]), conditions=True)
+        return str(all(conds)), "p+k/2<=gap:%s;p+l<=gap:%s" % conds
     if op == "bounded_diag_flowout":
-        o = _po(args[:3])
-        m_src, m_dst = F(args[3]), F(args[4])
-        gap = m_src - m_dst
-        res = bounded_diag_flowout(o, m_src, m_dst)
-        wit = "p<=gap:%s;p+l<gap-k/2:%s" % (o.p <= gap, o.p + o.l < gap - F(o.k, 2))
-        return str(res), wit
+        conds = bounded_diag_flowout(_po(args[:3]), F(args[3]), F(args[4]), conditions=True)
+        return str(all(conds)), "p<=gap:%s;p+l<gap-k/2:%s" % conds
     if op == "bounded_one_sided":
-        o = _po(args[:3])
-        n, m, m_src = int(args[3]), F(args[4]), F(args[5])
         side = _side(args[6])
-        res = bounded_one_sided(o, n, m, m_src, side)
-        first = o.p + o.l < m + m_src - F(o.k, 2)
-        second = o.p < (m if side is Side.LEFT else m_src) - F(n, 2)
-        return str(res), "p+l<m+m'-k/2:%s;p<%s-n/2:%s" % (
+        first, second = bounded_one_sided(
+            _po(args[:3]), int(args[3]), F(args[4]), F(args[5]), side, conditions=True)
+        return str(first and second), "p+l<m+m'-k/2:%s;p<%s-n/2:%s" % (
             first, "m" if side is Side.LEFT else "m'", second)
     if op == "psdo_shift":
         return _fmt_pair(psdo_shift(_po(args[:3]), F(args[3]), _side(args[4]))), ""
@@ -357,6 +344,13 @@ def stage_commutant(cfg: ExperimentConfig, out_json: Path) -> dict:
     return rep
 
 
+def _cpu_s() -> float:
+    """User plus system CPU time of this process and of its waited-for
+    children: the wave solve's forked child counts once it is reaped."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + ru.ru_utime + ru.ru_stime
+
+
 def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -368,13 +362,13 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     }
 
     def start():
-        return time.time(), time.process_time()
+        return time.time(), _cpu_s()
 
     def record(stage, paths, clock, **health):
         wall0, cpu0 = clock
         entry = {
             "seconds": round(time.time() - wall0, 3),
-            "cpu_s": round(time.process_time() - cpu0, 3),
+            "cpu_s": round(_cpu_s() - cpu0, 3),
             # the process's peak so far, read as the stage ends (KiB on Linux)
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "outputs": {},
@@ -412,7 +406,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     clock = start()
     wave_npz = out / "field.npz"
     rec = stage_wave(scenario, spectra, wave_npz)
-    record("wave", [wave_npz], clock, steps=rec.steps, slices=int(rec.ts.size))
+    record("wave", [wave_npz], clock, steps=rec.steps, slices=int(rec.ts.size),
+           solver_processes=rec.processes)
 
     clock = start()
     probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
@@ -446,8 +441,8 @@ def cmd_report(out_dir: Path) -> int:
             stage, entry["seconds"], entry["cpu_s"], entry["peak_rss_mb"],
             " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
         if "steps" in entry:
-            print("  %-18s leapfrog steps %d, stored slices %d" % (
-                "", entry["steps"], entry["slices"]))
+            print("  %-18s leapfrog steps %d, stored slices %d, solver processes %d" % (
+                "", entry["steps"], entry["slices"], entry.get("solver_processes", 1)))
         if "rk4_steps" in entry:
             print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
                 "", entry["rk4_steps"], entry["p_residual_max"]))

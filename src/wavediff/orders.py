@@ -248,14 +248,19 @@ def _check_same_k(a: PairOrder, b: PairOrder) -> int:
     return a.k
 
 
-def include_filter(a: PairOrder, b: PairOrder) -> bool:
-    """Inclusion of pair spaces: needs p1 <= p2 and p1 + l1 <= p2 + l2."""
+def include_filter(a: PairOrder, b: PairOrder, conditions: bool = False):
+    """Inclusion of pair spaces: needs p1 <= p2 and p1 + l1 <= p2 + l2.
+
+    Like the ``bounded_*`` predicates, it returns whether both conditions
+    hold, or with ``conditions`` the pair of them, in the docstring's order.
+    """
     _check_same_k(a, b)
     (ap, apd), (al, ald) = a.p.as_integer_ratio(), a.l.as_integer_ratio()
     (bp, bpd), (bl, bld) = b.p.as_integer_ratio(), b.l.as_integer_ratio()
     d = math.lcm(apd, ald, bpd, bld)
     ap, bp = ap * (d // apd), bp * (d // bpd)
-    return ap <= bp and ap + al * (d // ald) <= bp + bl * (d // bld)
+    first, second = ap <= bp, ap + al * (d // ald) <= bp + bl * (d // bld)
+    return (first, second) if conditions else first and second
 
 
 def embed_lambda0(p: Rational, k: int) -> PairOrder:
@@ -330,10 +335,11 @@ def compose_flowout(a: PairOrder, b: PairOrder) -> PairOrder:
     return PairOrder(Fraction(ap + bp, two_h), Fraction(max(al, bl, al + bl + k * h), two_h), k)
 
 
-def bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
+def bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational, conditions: bool = False):
     """Sobolev boundedness H^{m_src} -> H^{m_dst} with the flow-out listed second.
 
-    Both conditions are non-strict.  The published proof's reduction to the
+    With gap = m_src - m_dst, the conditions are p + k/2 <= gap and
+    p + l <= gap; both are non-strict.  The published proof's reduction to the
     equality case needs a small repair (when the sum condition binds with the
     main order strictly below -k/2, one first raises it to -k/2 by the
     inclusion filter), but the stated criterion itself is unchanged, so this
@@ -343,30 +349,36 @@ def bounded_gu(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
     (src, sd), (dst, dd) = frac(m_src).as_integer_ratio(), frac(m_dst).as_integer_ratio()
     d = math.lcm(2, pd, ld, sd, dd)
     p, gap = p * (d // pd), src * (d // sd) - dst * (d // dd)
-    return p + o.k * (d // 2) <= gap and p + l * (d // ld) <= gap
+    first, second = p + o.k * (d // 2) <= gap, p + l * (d // ld) <= gap
+    return (first, second) if conditions else first and second
 
 
-def bounded_diag_flowout(o: PairOrder, m_src: Rational, m_dst: Rational) -> bool:
+def bounded_diag_flowout(
+    o: PairOrder, m_src: Rational, m_dst: Rational, conditions: bool = False
+):
     """Boundedness H^{m_src} -> H^{m_dst} with the diagonal conormal as main.
 
-    First condition is non-strict, second strict; the distinction is meaningful
-    and preserved exactly.
+    With gap = m_src - m_dst, the conditions are p <= gap and
+    p + l < gap - k/2: the first non-strict, the second strict; the
+    distinction is meaningful and preserved exactly.
     """
     (p, pd), (l, ld) = o.p.as_integer_ratio(), o.l.as_integer_ratio()
     (src, sd), (dst, dd) = frac(m_src).as_integer_ratio(), frac(m_dst).as_integer_ratio()
     d = math.lcm(2, pd, ld, sd, dd)
     p, gap = p * (d // pd), src * (d // sd) - dst * (d // dd)
-    return p <= gap and p + l * (d // ld) < gap - o.k * (d // 2)
+    first, second = p <= gap, p + l * (d // ld) < gap - o.k * (d // 2)
+    return (first, second) if conditions else first and second
 
 
 def bounded_one_sided(
-    o: PairOrder, n: int, m: Rational, m_src: Rational, side: Side
-) -> bool:
+    o: PairOrder, n: int, m: Rational, m_src: Rational, side: Side, conditions: bool = False
+):
     """Boundedness H^{m_src} -> H^{-m} for one-sided conormal pairs.
 
     ``side`` selects which factor carries the conormal main Lagrangian:
     LEFT for N*{x'=0} (kernel singular in the left variables), RIGHT for
-    N*{y'=0}.  Both conditions are strict.
+    N*{y'=0}.  The conditions are p + l < m + m_src - k/2 and
+    p < m - n/2 (LEFT) or p < m_src - n/2 (RIGHT); both are strict.
     """
     _check_dim(n, o.k)
     (p, pd), (l, ld) = o.p.as_integer_ratio(), o.l.as_integer_ratio()
@@ -381,7 +393,7 @@ def bounded_one_sided(
         second = p < src - n * h
     else:
         raise OrderError("side must be Side.LEFT or Side.RIGHT")
-    return first and second
+    return (first, second) if conditions else first and second
 
 
 def psdo_shift(o: PairOrder, s: Rational, side: Side) -> PairOrder:

@@ -12,17 +12,39 @@ one-directionally using the exact discrete dispersion relation.
 (the probe's window spectra, the ``field.npz`` writer) and keeps only the
 times, energies and grid.  ``run`` streams into a stack of every slice, for
 tests and callers that want the whole history.
+
+When ``os.fork`` exists, the process may run on two CPUs and each part
+would hold at least ``MIN_PART_NODES`` nodes, ``stream`` forks one child
+after building the launch levels.  The parent advances the left
+``PARENT_SHARE`` of the grid (the smaller part, since it also runs the
+observers and the energy) and the child the rest.  Each part keeps
+``store_stride`` ghost nodes on its inner side, so the two meet once per
+stored slice, not once per step: both write their owned nodes of both
+levels into a double-buffered shared map, swap one byte over a pair of
+pipes and refresh their ghosts from it, and the parent reads the full
+level while the child already runs the next block.  Every node sees the
+operations of the one-part loop in the same order, so the values are
+bit-identical to it whichever path runs.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .escape import chi1
 from .metric import ConormalMetric
+
+
+# the split pays for its block exchange only when each part holds this many nodes
+MIN_PART_NODES = 2048
+# the parent's share of the grid is the smaller one: it also runs the observers
+PARENT_SHARE = 0.30
 
 
 class CFLViolation(ValueError):
@@ -243,6 +265,102 @@ class WaveRecord:
     energy: np.ndarray      # staggered discrete energy per stored slice
     max_trust_freq: float   # dispersion-limited wavenumber for probing
     steps: int              # leapfrog steps taken
+    processes: int          # 2 when a forked child advanced part of the grid
+
+
+def _cut(n: int, ghost: int):
+    """Node where the forked child's part of the grid starts, or None to
+    solve in one part: without ``fork``, on one usable CPU, or when either
+    part would hold fewer than ``MIN_PART_NODES`` nodes or fewer nodes than
+    its ghost width."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return None
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    cut = round(PARENT_SHARE * n)
+    return cut if min(cut, n - cut) >= max(MIN_PART_NODES, ghost) else None
+
+
+def _leapfrog(
+    scenario, xs, dt, n_steps, c2h, span, damp, ramps, levels, flux, work, ghost, lo, hi
+):
+    """Advance the owned nodes [lo, hi) of the grid and up to ``ghost`` nodes
+    on either side, in place in those columns of the three ``levels``
+    (previous, current, next); after a fork each process has its own copy.
+
+    Yields ``(m, a, u_prev, u_curr)`` after every block that ends on a stored
+    step ``m``: the levels hold nodes [a, a + size), and their nodes outside
+    [lo, hi) go stale as the block runs; the consumer refreshes them in place
+    before the next block.  The scratch arrays ``flux`` (n - 1 values) and
+    ``work`` (n) are free for the consumer between blocks.  Every node sees
+    the operations of the one-part loop in the same order, so the owned nodes
+    carry its bits.
+    """
+    n, dx = xs.size, scenario.dx
+    a, e = max(0, lo - ghost), min(n, hi + ghost)
+    u_prev, u_curr, u_next = levels[:, a:e]
+    flux, lap = flux[: e - a - 1], work[: e - a - 2]
+    # the sponge ramps (node ranges) and the span of half cells with c2h != 1,
+    # clipped to the part's nodes [a, e) and half cells [a, e - 1)
+    clipped = [(max(r0, a), min(r1, e)) for r0, r1 in ramps]
+    ramps = [(slice(r0 - a, r1 - a), damp[r0:r1]) for r0, r1 in clipped if r0 < r1]
+    s0 = max(span[0], a)
+    s1 = max(s0, min(span[1], e - 1))
+    c2h_span, flux_span = c2h[s0:s1], flux[s0 - a : s1 - a]
+    lam2 = (dt / dx) ** 2
+    stride = max(1, scenario.store_stride)
+    forcing, inner = scenario.forcing, slice(a + 1, e - 1)
+    for m in range(1, n_steps + 1):
+        np.subtract(u_curr[1:], u_curr[:-1], out=flux)
+        np.multiply(c2h_span, flux_span, out=flux_span)
+        np.multiply(2.0, u_curr, out=u_next)
+        np.subtract(u_next, u_prev, out=u_next)
+        np.subtract(flux[1:], flux[:-1], out=lap)
+        np.multiply(lam2, lap, out=lap)
+        np.add(u_next[1:-1], lap, out=u_next[1:-1])
+        # only the part that holds a grid end zeroes it
+        if a == 0:
+            u_next[0] = 0.0
+        if e == n:
+            u_next[-1] = 0.0
+        if forcing is not None:
+            u_next[1:-1] += dt * dt * np.asarray(forcing(xs, (m - 1) * dt), float)[inner]
+        for s, d in ramps:
+            # damp the views in place; ``u[s] *= d`` would also copy them back
+            for v in (u_next[s], u_curr[s]):
+                np.multiply(v, d, out=v)
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+        if m % stride == 0 or m == n_steps:
+            yield m, a, u_prev, u_curr
+
+
+def _fork_part(part, shared, cut, down, up) -> int:
+    """Fork a child that runs ``part``, the blocks of the nodes right of
+    ``cut``, and return its pid; the child never returns.
+
+    After each block the child writes its owned nodes of both levels into
+    the shared set of that block, sends one byte up, waits for the parent's
+    byte on ``down`` and refreshes its ghost nodes from the same set.  It
+    exits when ``down`` reads end of file.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        os.close(down[1])
+        os.close(up[0])
+        for j, (_, a, prev, curr) in enumerate(part, start=1):
+            level = shared[j % 2]
+            level[0, cut:], level[1, cut:] = prev[cut - a :], curr[cut - a :]
+            os.write(up[1], b"\0")
+            if not os.read(down[0], 1):
+                break  # the parent has stopped
+            prev[: cut - a], curr[: cut - a] = level[0, a:cut], level[1, a:cut]
+        status = 0
+    finally:
+        # never unwind into the caller, which may hold open files
+        os._exit(status)
 
 
 def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
@@ -252,6 +370,10 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     where ``u`` is the solver's live level: an observer that keeps it must
     copy it.  No slice stack is held, so the memory is a few grid arrays
     whatever the duration.
+
+    When ``_cut`` allows, a forked child advances the nodes right of the cut
+    while this process advances the rest, runs the observers and computes
+    the energy; the record's ``processes`` says which path ran.
     """
     xs, c_nodes, c_half = _speeds(scenario)
     n = xs.size
@@ -259,7 +381,8 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     dt, n_steps, n_store = _clock(scenario, c_nodes, c_half)
 
     # three rotating time levels, updated in place
-    u_prev, u_curr, u_next = np.zeros((3, n))
+    levels = np.zeros((3, n))
+    u_prev, u_curr = levels[0], levels[1]
     if scenario.source is not None:
         u_curr[:] = make_pulse(scenario)
         u_prev[:] = _one_way_previous(u_curr, scenario, dt)
@@ -271,53 +394,60 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     damp = np.ones(n)
     damp[: sp.cells] = np.exp(-sp.strength * dt * np.linspace(1.0, 0.0, sp.cells) ** 2)
     damp[-sp.cells :] = np.exp(-sp.strength * dt * np.linspace(0.0, 1.0, sp.cells) ** 2)
-    ramps = [(s, damp[s]) for s in (slice(0, sp.cells), slice(max(sp.cells, n - sp.cells), n))]
+    ramps = [(0, sp.cells), (max(sp.cells, n - sp.cells), n)]
 
-    lam2 = (dt / dx) ** 2
     c2h = c_half**2
-    flux = np.empty(n - 1)
     # x * 1.0 == x bit for bit, so the flux is scaled only over the span of
     # half cells whose squared speed is not exactly 1.0 (empty if none is)
     varied = np.flatnonzero(c2h != 1.0)
-    span = slice(varied[0], varied[-1] + 1) if varied.size else slice(0, 0)
-    c2h_span, flux_span = c2h[span], flux[span]
-    work = np.empty(n)  # the Laplacian, and the staggered energy's scratch
-    lap = work[:-2]
-    stride = max(1, scenario.store_stride)
+    span = (varied[0], varied[-1] + 1) if varied.size else (0, 0)
+    # the leapfrog's scratch, and between blocks the staggered energy's
+    flux, work = np.empty(n - 1), np.empty(n)
     ts = np.empty(n_store)
     energy = np.empty(n_store)
     for obs in observers:
         obs(0.0, u_curr)
     ts[0] = 0.0
     energy[0] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
-    j = 1
-    t = 0.0
-    for m in range(1, n_steps + 1):
-        np.subtract(u_curr[1:], u_curr[:-1], out=flux)
-        np.multiply(c2h_span, flux_span, out=flux_span)
-        np.multiply(2.0, u_curr, out=u_next)
-        np.subtract(u_next, u_prev, out=u_next)
-        np.subtract(flux[1:], flux[:-1], out=lap)
-        np.multiply(lam2, lap, out=lap)
-        np.add(u_next[1:-1], lap, out=u_next[1:-1])
-        u_next[0] = 0.0
-        u_next[-1] = 0.0
-        if scenario.forcing is not None:
-            u_next[1:-1] += dt * dt * np.asarray(scenario.forcing(xs, t), float)[1:-1]
-        for s, d in ramps:
-            # damp the views in place; ``u[s] *= d`` would also copy them back
-            for a in (u_next[s], u_curr[s]):
-                np.multiply(a, d, out=a)
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
-        t = m * dt
-        if m % stride == 0 or m == n_steps:
-            if not np.all(np.isfinite(u_curr)):
+
+    ghost = min(max(1, scenario.store_stride), n_steps)
+    cut = _cut(n, ghost)
+    part = partial(_leapfrog, scenario, xs, dt, n_steps, c2h, span, damp, ramps, levels, flux, work,
+                   ghost)
+    blocks = part(0, n if cut is None else cut)
+    pid = None
+    if cut is not None:
+        # both levels of two sets, so one set is read while the next is written
+        shared = np.frombuffer(mmap.mmap(-1, 4 * n * 8), float).reshape(2, 2, n)
+        down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
+        pid = _fork_part(part(cut, n), shared, cut, down, up)
+    try:
+        if pid is not None:
+            os.close(down[0])
+            os.close(up[1])
+        for j, (m, a, prev, curr) in enumerate(blocks, start=1):
+            if pid is not None:
+                level = shared[j % 2]
+                level[0, :cut], level[1, :cut] = prev[:cut], curr[:cut]
+                # the child's byte first: a child that died leaves end of file
+                if not os.read(up[0], 1):
+                    raise RuntimeError("the solver's child process ended early")
+                os.write(down[1], b"\0")
+                e = a + prev.size
+                prev[cut:], curr[cut:] = level[0, cut:e], level[1, cut:e]
+                prev, curr = level
+            t = m * dt
+            if not np.all(np.isfinite(curr)):
                 raise FieldBlowup("non-finite field at t=%g" % t)
             for obs in observers:
-                obs(t, u_curr)
+                obs(t, curr)
             ts[j] = t
-            energy[j] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
-            j += 1
+            energy[j] = staggered_energy(curr, prev, c2h, dt, dx, work, flux)
+    finally:
+        if pid is not None:
+            os.close(down[1])
+            os.close(up[0])
+            os.waitpid(pid, 0)
 
     # trustworthy wavenumber: group-velocity error under 2 percent
     k_probe = np.linspace(1e-3, np.pi / dx * 0.5, 2048)
@@ -336,6 +466,7 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
         energy=energy,
         max_trust_freq=max_trust,
         steps=n_steps,
+        processes=1 if cut is None else 2,
     )
 
 

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavediff import wave
-from wavediff.cli import _sha256_file, calc_batch, main, run_calc_query, run_pipeline
+from wavediff.cli import _cpu_s, _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import ConfigError, ExperimentConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,6 +218,9 @@ class TestPipeline:
         text = small_config_text(tmp_path / "out")
         cfgf.write_text(text.replace("[commutant]", "[probe]\noracle = on\n\n[commutant]"))
         cfg = load_config(cfgf)
+        # the first run solves in one part, the rerun in two (this process and
+        # a forked child), so the rerun's checksums also pin the split
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         code, manifest = run_pipeline(cfg)
         assert code == 0, manifest
         assert manifest["verdict"] == "pass"
@@ -238,8 +242,12 @@ class TestPipeline:
             assert wave_entry["slices"] == z["u"].shape[0] == z["ts"].size
         assert wave_entry["slices"] == 1 + math.ceil(wave_entry["steps"] / 8)
         # identical rerun reproduces identical checksums for every stage
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(wave, "MIN_PART_NODES", 1)
         code2, manifest2 = run_pipeline(cfg)
         assert len(builds) == 2
+        assert (wave_entry["solver_processes"], manifest2["stages"]["wave"]["solver_processes"]) \
+            == (1, 2)
         stages = ("calc", "trace", "wave", "probe", "verify-commutant")
         assert list(manifest["stages"]) == list(stages)
         for stage in stages:
@@ -281,8 +289,8 @@ class TestPipeline:
             assert "cpu %6.2fs" % entry["cpu_s"] in line
             assert "peak rss %6.1f MB" % entry["peak_rss_mb"] in line
         wave_entry = manifest["stages"]["wave"]
-        assert "leapfrog steps %d, stored slices %d" % (
-            wave_entry["steps"], wave_entry["slices"]) in out
+        assert "leapfrog steps %d, stored slices %d, solver processes %d" % (
+            wave_entry["steps"], wave_entry["slices"], wave_entry["solver_processes"]) in out
         # the probe's work: the oracle's frequencies and each window's slices
         probe_entry = manifest["stages"]["probe"]
         assert probe_entry["oracle_freqs"] > 0
@@ -292,6 +300,20 @@ class TestPipeline:
         assert "oracle frequencies %d, window slices %s" % (
             probe_entry["oracle_freqs"],
             " ".join("%s=%d" % kv for kv in slices.items())) in out
+
+    def test_cpu_time_counts_reaped_children(self):
+        # a stage's cpu_s covers the wave solver's child once it is reaped
+        before = _cpu_s()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                start = time.process_time()
+                while time.process_time() - start < 0.2:
+                    pass
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        assert _cpu_s() - before >= 0.2
 
     def test_cli_calc_gate(self, tmp_path, capsys):
         cfgf = tmp_path / "smoke.ini"

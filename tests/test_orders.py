@@ -754,6 +754,40 @@ class TestLatticeConstructors:
                 verify_constraint_chain(*args)
 
 
+class TestPredicateConditions:
+    """With ``conditions`` each predicate returns its two conditions, which
+    ``calc --batch`` writes as the witness column: they are the criteria of
+    the docstrings, restated here in Fraction arithmetic, and the predicate
+    is their ``and``.  Each condition is also put on its boundary."""
+
+    @staticmethod
+    def check(pred, want, *args):
+        assert pred(*args, conditions=True) == want, args
+        assert pred(*args) is all(want), args
+
+    def test_conditions_are_the_criteria(self):
+        rng = random.Random(1208)
+        for k, n in DIMS:
+            half_k, half_n = F(k, 2), F(n, 2)
+            for _ in range(60):
+                a, b = PairOrder(rat(rng), rat(rng), k), PairOrder(rat(rng), rat(rng), k)
+                shift = abs(b.p)
+                edges = (PairOrder(a.p + shift, a.l - shift, k), PairOrder(a.p, a.l + shift, k))
+                for c in (b, *edges):
+                    self.check(include_filter, (a.p <= c.p, a.p + a.l <= c.p + c.l), a, c)
+                for gap in (rat(rng), a.p + half_k, a.p + a.l):
+                    self.check(bounded_gu, (a.p + half_k <= gap, a.p + a.l <= gap), a, gap, 0)
+                for gap in (rat(rng), a.p, a.p + a.l + half_k):
+                    self.check(bounded_diag_flowout, (a.p <= gap, a.p + a.l < gap - half_k),
+                               a, gap, 0)
+                edge = a.p + half_n
+                for m, m_src in ((rat(rng), rat(rng)), (edge, rat(rng)), (rat(rng), edge),
+                                 (edge, a.p + a.l + half_k - edge)):
+                    for side, own in ((Side.LEFT, m), (Side.RIGHT, m_src)):
+                        want = (a.p + a.l < m + m_src - half_k, a.p < own - half_n)
+                        self.check(bounded_one_sided, want, a, n, m, m_src, side)
+
+
 class TestCodimensionChecked:
     """Every entry point that takes the codimension ``k`` refuses anything but
     a positive ``int`` with ``PairOrder``'s error, and every one that takes

@@ -1,8 +1,10 @@
+import os
 import zipfile
 
 import numpy as np
 import pytest
 
+from wavediff import wave
 from wavediff.cli import _sha256_file, stage_wave
 from wavediff.metric import ConormalMetric, PiecewiseSpeed
 from wavediff.probe import ProbeWindow, WindowSpectrum, window_spectrum
@@ -189,10 +191,26 @@ INPLACE_CASES = pytest.mark.parametrize(
         (dict(nx=200, store_stride=4), False),
         (dict(metric=ConormalMetric(s0=2.5, amp=0.4, core_radius=0.3, c_bg=1.3)), True),
         (dict(metric=ConormalMetric(s0=2.5, amp=0.0, core_radius=0.3)), True),
+        (dict(store_stride=1), False),
+        (dict(sponge=SpongeSpec(cells=500)), False),
+        (dict(metric=ConormalMetric(s0=2.5, amp=0.4, core_radius=0.8)), True),
     ],
     ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges",
-         "speed-varies-everywhere", "uniform-unit-speed"],
+         "speed-varies-everywhere", "uniform-unit-speed", "ghost-width-1",
+         "cut-in-sponge-ramp", "cut-in-speed-span"],
 )
+
+
+def use_parts(monkeypatch, parts):
+    """Make ``stream`` solve in ``parts`` parts (1 or 2) on any grid here:
+    report that many usable CPUs and drop the minimum part size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    monkeypatch.setattr(wave, "MIN_PART_NODES", 1)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def inplace_scenario(**kw):
@@ -212,8 +230,13 @@ class TestInPlaceLeapfrog:
     computes the staggered energy in its scratch arrays; its stored slices,
     times and energies carry the allocating loop's bits."""
 
+    @pytest.fixture(autouse=True)
+    def parts(self, monkeypatch):
+        use_parts(monkeypatch, 1)
+        return 1
+
     @INPLACE_CASES
-    def test_matches_reference(self, kw, ragged):
+    def test_matches_reference(self, kw, ragged, parts):
         sc = inplace_scenario(**kw)
         fld = run(sc)
         u, ts, energy, n_steps = reference_leapfrog(sc, fld.dt)
@@ -223,13 +246,14 @@ class TestInPlaceLeapfrog:
         assert np.array_equal(fld.energy, energy)
 
     @INPLACE_CASES
-    def test_streamed_spectra_match_stored_field(self, kw, ragged):
+    def test_streamed_spectra_match_stored_field(self, kw, ragged, parts):
         # window spectra fed by the solver equal those of the stored field
         sc = inplace_scenario(**kw)
         windows = [ProbeWindow(-1.4, -0.1, 0.0, 0.9, "left"),
                    ProbeWindow(0.1, 1.4, 0.6, 2.0, "right")]
         spectra = [WindowSpectrum(w, sc.grid()) for w in windows]
         rec = stream(sc, spectra)
+        assert rec.processes == parts
         fld = run(sc)
         assert np.array_equal(rec.ts, fld.ts) and np.array_equal(rec.energy, fld.energy)
         assert rec.steps == round(fld.ts[-1] / fld.dt) and rec.ts.size == stored_slices(sc)
@@ -237,6 +261,18 @@ class TestInPlaceLeapfrog:
             stored = window_spectrum(fld, w)
             assert spec.n_slices == stored.n_slices > 0
             assert np.array_equal(spec.peak, stored.peak)
+
+
+class TestInPlaceLeapfrogSplit(TestInPlaceLeapfrog):
+    """The same cases with the grid split between this process and a forked
+    child at node 450 of the 1501: inside the left sponge ramp of
+    ``cut-in-sponge-ramp`` and inside the span of ``c2h != 1`` of
+    ``cut-in-speed-span`` and ``speed-varies-everywhere``."""
+
+    @pytest.fixture(autouse=True)
+    def parts(self, monkeypatch):
+        use_parts(monkeypatch, 2)
+        return 2
 
 
 def savez_of_stack(path, fld):
@@ -254,6 +290,10 @@ def savez_of_stack(path, fld):
 
 
 class TestFieldArchive:
+    @pytest.fixture(autouse=True)
+    def parts(self, monkeypatch):
+        use_parts(monkeypatch, 1)
+
     def test_stage_wave_writes_stored_repeatable_npz(self, tmp_path):
         sc = flat_scenario(duration=0.2)
         fld = run(sc)
@@ -286,6 +326,75 @@ class TestFieldArchive:
         with pytest.raises(FieldBlowup):
             stage_wave(sc, [], tmp_path / "f.npz")
         assert not (tmp_path / "f.npz").exists()
+        assert_no_child()
+
+
+class TestFieldArchiveSplit(TestFieldArchive):
+    """The same archives, and the same failed solve, with the grid split
+    between this process and a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def parts(self, monkeypatch):
+        use_parts(monkeypatch, 2)
+
+
+class TestSolverChild:
+    """The forked child ends with every solve, however the solve ends."""
+
+    def test_observer_failure_leaves_no_child(self, tmp_path, monkeypatch):
+        use_parts(monkeypatch, 2)
+        calls = []
+
+        def third_fails(t, u):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            stage_wave(flat_scenario(duration=0.2), [third_fails], tmp_path / "f.npz")
+        assert len(calls) == 3
+        assert not (tmp_path / "f.npz").exists()
+        assert_no_child()
+
+    def test_child_failure_stops_the_solve(self, tmp_path, monkeypatch):
+        use_parts(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fails_in_child(xs, t):
+            if os.getpid() != parent and t > 0.05:
+                raise RuntimeError("forcing failed")
+            return np.zeros(xs.size)
+
+        sc = flat_scenario(duration=0.2, forcing=fails_in_child)
+        with pytest.raises(RuntimeError, match="child process ended early"):
+            stage_wave(sc, [], tmp_path / "f.npz")
+        assert not (tmp_path / "f.npz").exists()
+        assert_no_child()
+
+    def test_split_time_sliced_on_one_core(self, monkeypatch):
+        # the two processes share one core, so the scheduler interleaves the
+        # exchange of every block (one per step here) in ever new orders
+        cpus = os.sched_getaffinity(0)
+        use_parts(monkeypatch, 2)
+        sc = inplace_scenario(store_stride=1, duration=1.0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            fld = run(sc)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        u, ts, energy, _ = reference_leapfrog(sc, fld.dt)
+        assert np.array_equal(fld.u, u) and np.array_equal(fld.energy, energy)
+        assert_no_child()
+
+    def test_one_usable_cpu_solves_in_one_part(self, monkeypatch):
+        use_parts(monkeypatch, 1)
+        assert stream(flat_scenario(duration=0.2)).processes == 1
+
+    def test_split_needs_parts_of_minimum_size(self, monkeypatch):
+        use_parts(monkeypatch, 2)
+        assert stream(flat_scenario(duration=0.05)).processes == 2
+        monkeypatch.setattr(wave, "MIN_PART_NODES", 1201)  # the parent's part holds 1200
+        assert stream(flat_scenario(duration=0.05)).processes == 1
 
 
 class TestEnergy:
