@@ -198,16 +198,17 @@ def stage_calc(cfg: ExperimentConfig, out: Path) -> dict:
     return result
 
 
-def stage_trace(cfg: ExperimentConfig, scenario, out_csv: Path, out_events: Path):
-    """Trace the ray of the scenario's own packet for the scenario's duration.
+def stage_trace(scenario, out_csv: Path, out_events: Path):
+    """Trace the ray of the scenario's own packet, which launches rightward,
+    for the scenario's duration.
 
     Returns the paths and the trace's health numbers: ``rk4_steps`` over the
     distinct legs (branches share the legs before their event), and
     ``p_residual_max``, the largest |p| / |xi|^2 over the rows written.
     """
     metric, src = scenario.metric, scenario.source
-    q0 = ray_on_characteristic(metric, src.center, 0.0, src.direction)
-    paths = gbb_trace(metric, q0, t_span=scenario.duration, policy=cfg.trace_policy)
+    q0 = ray_on_characteristic(metric, src.center, 0.0, +1)
+    paths = gbb_trace(metric, q0, t_span=scenario.duration)
     residual_max = 0.0
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -396,7 +397,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     clock = start()
     trace_csv, events_json = out / "trace.csv", out / "events.json"
-    paths, health = stage_trace(cfg, scenario, trace_csv, events_json)
+    paths, health = stage_trace(scenario, trace_csv, events_json)
     record("trace", [trace_csv, events_json], clock, **health)
     try:
         spectra = plan_spectra(scenario, paths)
@@ -519,7 +520,7 @@ def main(argv=None) -> int:
         if args.command == "trace":
             cfg = load_config(args.config)
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_trace(cfg, cfg.build_scenario(), cfg.out_dir / "trace.csv",
+            stage_trace(cfg.build_scenario(), cfg.out_dir / "trace.csv",
                         cfg.out_dir / "events.json")
             print("trace written to %s" % cfg.out_dir)
             return 0
@@ -534,7 +535,7 @@ def main(argv=None) -> int:
             scenario = cfg.build_scenario()
             out = cfg.out_dir
             out.mkdir(parents=True, exist_ok=True)
-            paths, _ = stage_trace(cfg, scenario, out / "trace.csv", out / "events.json")
+            paths, _ = stage_trace(scenario, out / "trace.csv", out / "events.json")
             spectra = plan_spectra(scenario, paths)
             stage_wave(scenario, spectra, None)
             rep, _ = stage_probe(

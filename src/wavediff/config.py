@@ -2,9 +2,10 @@
 
 The admissibility parameters (s0, eps0, s, k) appear exactly once, in the
 [metric] and [calc] sections, so the exact-arithmetic gate and the physical
-scenario cannot drift apart.  Unknown keys are rejected; probe tolerances may
-only be loosened beyond their defaults when the section carries
-``loosened = true``.
+scenario cannot drift apart.  Unknown sections and keys are rejected (there
+is no [trace] section: the trace always branches both ways at the
+interface), as are negative seeds; probe tolerances may only be loosened
+beyond their defaults when the section carries ``loosened = true``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 
 from .escape import commutant_setup
 from .metric import ConormalMetric
-from .tracer import POLICIES
 from .wave import PulseSpec, SpongeSpec, WaveScenario
 
 
@@ -29,7 +29,6 @@ _SCHEMA = {
     "experiment": {"name", "out_dir", "seed"},
     "metric": {"k", "n", "s0", "amp", "c_bg", "core_radius", "c_smooth"},
     "calc": {"eps0", "s"},
-    "trace": {"policy"},
     "wave": {
         "x_lo", "x_hi", "duration", "nx", "cfl",
         "pulse_center", "pulse_width", "pulse_s_in", "pulse_seed",
@@ -89,7 +88,6 @@ class ExperimentConfig:
     c_smooth: str | None
     eps0: Fraction
     s: Fraction
-    trace_policy: str
     wave: dict
     probe: dict
     commutant: dict
@@ -211,18 +209,18 @@ def load_config(path) -> ExperimentConfig:
                         c["alpha"], c["C0"], c["dim"])
     except ValueError as err:
         raise ConfigError("[commutant] %s" % err) from err
-    trace_policy = get("trace", "policy", "tree")
-    if trace_policy not in POLICIES:
-        raise ConfigError(
-            "[trace] policy must be one of %s, got %r" % (", ".join(POLICIES), trace_policy)
-        )
+    seed = get("experiment", "seed", 1234, int)
+    for section, key, value in (("experiment", "seed", seed),
+                                ("wave", "pulse_seed", wave["pulse_seed"])):
+        if value < 0:
+            raise ConfigError("[%s] %s must be non-negative, got %d" % (section, key, value))
     out_dir = Path(get("experiment", "out_dir", "out"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
     return ExperimentConfig(
         name=get("experiment", "name", path.stem),
         out_dir=out_dir,
-        seed=get("experiment", "seed", 1234, int),
+        seed=seed,
         k=get("metric", "k", 1, int),
         n=get("metric", "n", 2, int),
         s0=get("metric", "s0", Fraction(5, 2), _rational),
@@ -232,7 +230,6 @@ def load_config(path) -> ExperimentConfig:
         c_smooth=get("metric", "c_smooth", None, str.strip),
         eps0=get("calc", "eps0", Fraction(1, 20), _rational),
         s=get("calc", "s", Fraction(1, 2), _rational),
-        trace_policy=trace_policy,
         wave=wave,
         probe=probe,
         commutant=commutant,

@@ -162,12 +162,12 @@ def precise_localizer_frame(dim: int) -> EscapeFrame:
     return EscapeFrame(dim, hp_sigmas)
 
 
-def smooth_frame(dim: int, mixing: float = 0.3) -> EscapeFrame:
+def smooth_frame(dim: int) -> EscapeFrame:
     """The flow tilts into the sigma directions at a rate vanishing linearly
-    at the base point (Lipschitz case)."""
+    at the base point (Lipschitz case), with mixing constant 0.3."""
 
     def hp_sigmas(q):
-        return mixing * (q[..., :1] - q[..., 1:])
+        return 0.3 * (q[..., :1] - q[..., 1:])
 
     return EscapeFrame(dim, hp_sigmas)
 

@@ -169,14 +169,14 @@ class PiecewiseSpeed:
         return (self.c_left - self.c_right) / (self.c_left + self.c_right)
 
 
-def holder_estimate(field, ball, probe_scales, n_base: int = 400, seed: int = 0):
+def holder_estimate(field, ball, probe_scales):
     """Fit a Hoelder exponent from sup difference quotients at dyadic scales.
 
     ``field`` maps arrays of points (N, d) or (N,) to scalar or vector values;
-    ``ball`` is (center, radius).  For each scale h the sup over sampled base
-    points and directions of |f(x + h u) - f(x)| is recorded, and the slope of
-    log(sup) against log(h) is the exponent estimate.  Returns
-    (alpha_hat, C_hat).
+    ``ball`` is (center, radius).  For each scale h the sup over base points
+    (400 drawn with seed 0) and directions of |f(x + h u) - f(x)| is
+    recorded, and the slope of log(sup) against log(h) is the exponent
+    estimate.  Returns (alpha_hat, C_hat).
     """
     probe_scales = np.asarray(sorted(probe_scales), float)
     if probe_scales.size < 3:
@@ -184,8 +184,8 @@ def holder_estimate(field, ball, probe_scales, n_base: int = 400, seed: int = 0)
     center, radius = ball
     center = np.atleast_1d(np.asarray(center, float))
     d = center.size
-    rng = np.random.default_rng(seed)
-    base = center + (rng.uniform(-1, 1, size=(n_base, d))) * radius
+    rng = np.random.default_rng(0)
+    base = center + (rng.uniform(-1, 1, size=(400, d))) * radius
     # include points straddling the origin-distance extremes of the ball
     base = np.vstack([base, center, np.zeros((1, d))])
     base = base[np.max(np.abs(base - center), axis=1) <= radius]

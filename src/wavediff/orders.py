@@ -189,10 +189,6 @@ class RegularityWindow:
         if self.eps0 is not None and type(self.eps0) is not Fraction:
             object.__setattr__(self, "eps0", frac(self.eps0))
 
-    @property
-    def empty(self) -> bool:
-        return (not self.admissible) or self.lo >= self.hi
-
     def contains(self, s: Rational) -> bool:
         s = frac(s)
         return self.admissible and self.lo < s < self.hi

@@ -7,8 +7,9 @@ membership for s < r - 1/2 (one-dimensional square summability).  Windows sit
 in the homogeneous part of the medium, so spatial wavenumber and temporal
 frequency are interchangeable there; time aggregation takes the per-bin
 maximum over slices, which registers every dispersed arrival as it passes
-through the window.  ``WindowSpectrum`` takes that maximum as the solver
-streams its slices (``wave.stream``), so no field history is stored.
+through the window.  ``WindowSpectrum`` takes that maximum slice by slice:
+the pipeline hands it each slice as ``wave.stream`` produces it, so no field
+history is stored, and a test may call it on slices of its own.
 
 The quantitative target for the reflected packet is never an assumed
 constant: the frequency-domain two-point oracle supplies the reflection
@@ -25,7 +26,7 @@ from .escape import chi1
 from .helmholtz import ReflectionScan, reflection_scan
 from .orders import HyperbolicWindow
 from .tracer import EventType
-from .wave import WaveField, WaveScenario
+from .wave import WaveScenario
 
 
 class WindowPlanError(ValueError):
@@ -49,10 +50,11 @@ class ProbeWindow:
         return self.x_hi - self.x_lo
 
 
-def window_taper(x, lo, hi, rise_frac: float = 0.12):
-    """Smooth plateau over the window, exactly zero at and beyond the edges."""
+def window_taper(x, lo, hi):
+    """Smooth plateau over the window, exactly zero at and beyond the edges;
+    each edge ramp spans 12% of the window."""
     x = np.asarray(x, float)
-    rise = rise_frac * (hi - lo)
+    rise = 0.12 * (hi - lo)
     return np.asarray(chi1((x - lo) / rise)) * np.asarray(chi1((hi - x) / rise))
 
 
@@ -133,15 +135,6 @@ class WindowSpectrum:
             spectrum = np.abs(np.fft.rfft(self.taper * u[self.nodes]))
             np.maximum(self.peak, spectrum, out=self.peak)
             self.n_slices += 1
-
-
-def window_spectrum(fld: WaveField, window: ProbeWindow) -> WindowSpectrum:
-    """The window's spectrum of a stored field, slice by slice as the solver
-    would hand them over."""
-    spec = WindowSpectrum(window, fld.xs)
-    for t, u in zip(fld.ts, fld.u):
-        spec(t, u)
-    return spec
 
 
 def decay_fit(

@@ -6,7 +6,8 @@ right-hand side is Lipschitz in the remaining state (the roughness rides in
 the clock variable only), so classical Runge-Kutta applies and the curve
 through a point is unique.  Interface crossings land exactly on the clock
 origin, which turns event detection into a step-size clamp instead of a root
-search.
+search.  ``gbb_trace`` branches both ways at every crossing: one traced tree
+holds the reflected and the transmitted continuations of the packet's ray.
 
 The module also builds the dyadic polygon vertices: the 2^N + 1 points
 chosen by an oracle within C0 * delta^{1+alpha} of the Euler predictor at
@@ -27,8 +28,12 @@ from .metric import ConormalMetric, PhasePoint
 
 GLANCING_FLOOR = 1e-6
 
-# branches gbb_trace spawns at an interface crossing: the [trace] policy names
-POLICIES = ("reflect", "transmit", "tree")
+# gbb_trace's clock step away from the core, its cap inside the core, its
+# floor at the interface, and the most interface events one path may carry
+LEG_STEP = 1e-2
+CORE_STEP = 1e-3
+MIN_STEP = 1e-6
+MAX_EVENTS = 4
 
 
 class GlancingHalt(RuntimeError):
@@ -208,26 +213,16 @@ def _project_to_sigma(metric: ConormalMetric, state):
     return state
 
 
-def gbb_trace(
-    metric: ConormalMetric,
-    q0: PhasePoint,
-    t_span: float,
-    policy: str = "tree",
-    h: float = 1e-2,
-    h_min: float = 1e-6,
-    max_events: int = 4,
-) -> list:
+def gbb_trace(metric: ConormalMetric, q0: PhasePoint, t_span: float) -> list:
     """Trace broken bicharacteristics of the 1+1D product metric.
 
     Legs use the space coordinate as the clock (transversal away from
     glancing), with steps graded geometrically toward the interface where the
     field is merely Hoelder.  At a crossing the arriving state is projected
-    onto the characteristic set and reflected / transmitted branches spawn
-    per ``policy`` ("reflect", "transmit", or "tree").  Returns one GBBPath
-    per branch.
+    onto the characteristic set and both a reflected and a transmitted branch
+    spawn, so the tree holds every reflect-only and transmit-only path.
+    Returns one GBBPath per branch.
     """
-    if policy not in POLICIES:
-        raise ValueError("policy must be one of %s, got %r" % (", ".join(POLICIES), policy))
     if abs(q0.xi[0]) < GLANCING_FLOOR * np.linalg.norm(q0.xi):
         raise GlancingHalt([], "initial point is glancing")
     if not metric.on_characteristic_set(q0, tol=1e-9):
@@ -236,14 +231,12 @@ def gbb_trace(
     t_end = q0.x[-1] + t_span
     core = metric.core_radius
 
-    h_core = min(h, 1e-3)
-
     def step_control(x, ds):
         # geometric grading toward the interface keeps the quadrature of the
         # Hoelder coefficient accurate at a few hundred steps per leg; inside
         # the core the cap also rides the bump-transition derivatives
         if abs(x[0]) < 1.5 * core:
-            mag = max(h_min, min(h_core, abs(x[0]) / 8.0))
+            mag = max(MIN_STEP, min(CORE_STEP, abs(x[0]) / 8.0))
         else:
             mag = abs(ds)
         return math.copysign(mag, ds)
@@ -263,7 +256,7 @@ def gbb_trace(
                 metric.hamilton_field,
                 state,
                 j=0,
-                h=h,
+                h=LEG_STEP,
                 s_target=target,
                 stop_state=lambda q: q[1] >= t_end,
                 step_control=step_control,
@@ -296,18 +289,14 @@ def gbb_trace(
                 )
             )
             continue
-        if reason != "target" or n_events >= max_events:
+        if reason != "target" or n_events >= MAX_EVENTS:
             paths.append(GBBPath(legs=legs, events=events_acc))
             continue
         hit = _project_to_sigma(metric, samples[-1].q)
         incoming = hit[2:].copy()
-        branches = []
-        if policy in ("reflect", "tree"):
-            refl = hit.copy()
-            refl[2] = -refl[2]
-            branches.append((EventType.REFLECTION, refl))
-        if policy in ("transmit", "tree"):
-            branches.append((EventType.TRANSMISSION, hit.copy()))
+        refl = hit.copy()
+        refl[2] = -refl[2]
+        branches = ((EventType.REFLECTION, refl), (EventType.TRANSMISSION, hit.copy()))
         for kind, out_state in branches:
             ev = Event(
                 time=float(hit[1]),

@@ -6,12 +6,12 @@ never differentiates the merely-Hoelder coefficient.  Absorption at the
 domain ends uses an exponential damping sponge whose leakage is measured in
 calibration rather than assumed.  Sobolev-calibrated initial pulses are
 synthesized in frequency space with fixed-seed random phases and launched
-one-directionally using the exact discrete dispersion relation.
+rightward using the exact discrete dispersion relation.
 
 ``stream`` is the one time loop: it hands each stored slice to observers
 (the probe's window spectra, the ``field.npz`` writer) and keeps only the
-times, energies and grid.  ``run`` streams into a stack of every slice, for
-tests and callers that want the whole history.
+times, energies and grid.  ``run`` streams into a stack of every slice for
+the tests that read the whole history; the pipeline never calls it.
 
 When ``os.fork`` exists, the process may run on two CPUs and each part
 would hold at least ``MIN_PART_NODES`` nodes, ``stream`` forks one child
@@ -65,7 +65,6 @@ class PulseSpec:
     width: float
     s_in: float | None = None
     seed: int = 1234
-    direction: int = +1  # +1 launches rightward
     carrier: float = 0.0
 
 
@@ -93,6 +92,8 @@ class WaveScenario:
     forcing: Callable | None = None  # f(x_array, t) -> array, optional
 
     def __post_init__(self):
+        if self.store_stride < 1:
+            raise ValueError("store_stride must be at least 1, got %d" % self.store_stride)
         if self.cfl > 0.9 + 1e-12:
             raise CFLViolation("CFL factor must not exceed 0.9")
         if self.source is not None and self.source.s_in is not None:
@@ -109,24 +110,6 @@ class WaveScenario:
 
     def grid(self) -> np.ndarray:
         return self.x_lo + self.dx * np.arange(self.nx + 1)
-
-
-@dataclass
-class WaveField:
-    u: np.ndarray           # (n_slices, nx + 1)
-    ts: np.ndarray
-    xs: np.ndarray
-    c: np.ndarray           # speed at the nodes
-    dt: float
-    energy: np.ndarray      # staggered discrete energy per stored slice
-    max_trust_freq: float   # dispersion-limited wavenumber for probing
-
-    @property
-    def dx(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
-    def slice_at(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.ts - t)))
 
 
 def smooth_envelope(x, center, width):
@@ -179,7 +162,7 @@ def _discrete_omega(k, c_ref, dt, dx):
 
 
 def _one_way_previous(u0, scenario: WaveScenario, dt: float) -> np.ndarray:
-    """Field one step in the past for a purely one-directional packet.
+    """Field one step in the past for a purely rightward packet.
 
     Uses the exact discrete dispersion relation of the scheme at the local
     (constant) speed around the source, so the launched packet has no
@@ -193,9 +176,7 @@ def _one_way_previous(u0, scenario: WaveScenario, dt: float) -> np.ndarray:
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=scenario.dx)
     omega = _discrete_omega(k, c_ref, dt, scenario.dx)
     # rightward packet u(x, t) = sum spec exp(i(kx - wt)); previous step t=-dt
-    sgn = 1.0 if src.direction > 0 else -1.0
-    prev = np.fft.irfft(spec * np.exp(sgn * 1j * omega * dt), n=n)
-    return prev
+    return np.fft.irfft(spec * np.exp(1j * omega * dt), n=n)
 
 
 def staggered_energy(u_new, u_old, c2h, dt, dx, work, grad):
@@ -215,17 +196,6 @@ def staggered_energy(u_new, u_old, c2h, dt, dx, work, grad):
     return 0.5 * dx * (kinetic + np.sum(np.multiply(flux, gx_old, out=flux)))
 
 
-def discrete_energy(fld: WaveField, t_index: int) -> float:
-    """Energy from stored slices with centered time differences."""
-    if not 0 < t_index < fld.u.shape[0] - 1:
-        raise IndexError("need an interior stored slice")
-    dt_eff = float(fld.ts[t_index + 1] - fld.ts[t_index - 1])
-    ut = (fld.u[t_index + 1] - fld.u[t_index - 1]) / dt_eff
-    ux = np.diff(fld.u[t_index]) / fld.dx
-    c_half = 0.5 * (fld.c[1:] + fld.c[:-1])
-    return float(0.5 * fld.dx * (np.sum(ut * ut) + np.sum(c_half**2 * ux * ux)))
-
-
 def _speeds(scenario: WaveScenario):
     """The grid, the speed at its nodes and at its half cells."""
     xs = scenario.grid()
@@ -243,7 +213,7 @@ def _clock(scenario: WaveScenario, c_nodes, c_half):
     n_steps = int(np.ceil(scenario.duration / dt))
     if c_max * dt / dx > 0.9 + 1e-12:
         raise CFLViolation("effective CFL number exceeds 0.9")
-    stride = max(1, scenario.store_stride)
+    stride = scenario.store_stride
     return dt, n_steps, 1 + n_steps // stride + (n_steps % stride != 0)
 
 
@@ -308,7 +278,7 @@ def _leapfrog(
     s1 = max(s0, min(span[1], e - 1))
     c2h_span, flux_span = c2h[s0:s1], flux[s0 - a : s1 - a]
     lam2 = (dt / dx) ** 2
-    stride = max(1, scenario.store_stride)
+    stride = scenario.store_stride
     forcing, inner = scenario.forcing, slice(a + 1, e - 1)
     for m in range(1, n_steps + 1):
         np.subtract(u_curr[1:], u_curr[:-1], out=flux)
@@ -410,7 +380,7 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     ts[0] = 0.0
     energy[0] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
 
-    ghost = min(max(1, scenario.store_stride), n_steps)
+    ghost = min(scenario.store_stride, n_steps)
     cut = _cut(n, ghost)
     part = partial(_leapfrog, scenario, xs, dt, n_steps, c2h, span, damp, ramps, levels, flux, work,
                    ghost)
@@ -470,23 +440,20 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     )
 
 
+@dataclass
+class WaveField(WaveRecord):
+    """A run's record with every stored slice."""
+
+    u: np.ndarray           # (n_slices, nx + 1)
+
+
 def run(scenario: WaveScenario) -> WaveField:
     """``stream`` into a stack of every stored slice: the whole field
-    history, for tests and for callers that need more than the probe's
-    window spectra."""
+    history, for the tests that read it."""
     u = np.empty((stored_slices(scenario), scenario.nx + 1))
     rows = iter(u)
 
     def keep(t, u_curr):
         next(rows)[:] = u_curr
 
-    rec = stream(scenario, [keep])
-    return WaveField(
-        u=u,
-        ts=rec.ts,
-        xs=rec.xs,
-        c=rec.c,
-        dt=rec.dt,
-        energy=rec.energy,
-        max_trust_freq=rec.max_trust_freq,
-    )
+    return WaveField(**vars(stream(scenario, [keep])), u=u)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wavediff.cli import plan_spectra
 from wavediff.escape import (
     EscapeParams,
     check_positivity,
@@ -35,14 +36,13 @@ from wavediff.orders import (
 )
 from wavediff.probe import (
     ProbeWindow,
+    WindowSpectrum,
     decay_fit,
     default_oracle_scan,
     gain_report,
-    window_plan,
-    window_spectrum,
 )
 from wavediff.tracer import dyadic_construct, gbb_trace, ray_on_characteristic, transversal_integrate
-from wavediff.wave import PulseSpec, SpongeSpec, WaveField, WaveScenario, make_pulse, run
+from wavediff.wave import PulseSpec, SpongeSpec, WaveScenario, make_pulse, stream
 
 F = Fraction
 
@@ -69,17 +69,19 @@ def experiment_scenario(metric, nx=2**14):
     )
 
 
-def fit_windows(fld, windows):
-    return {w.label: decay_fit(window_spectrum(fld, w)) for w in windows}
+def streamed_fits(scenario, spectra):
+    """Solve ``scenario`` into the planned window spectra, as the pipeline
+    does, and fit each one."""
+    stream(scenario, spectra)
+    return {spec.window.label: decay_fit(spec) for spec in spectra}
 
 
 def run_experiment(s0, with_oracle=True):
     m = ConormalMetric(s0=s0, amp=0.4, core_radius=1.0)
     sc = experiment_scenario(m)
     q0 = ray_on_characteristic(m, sc.source.center, 0.0, direction=+1)
-    paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
-    windows = window_plan(sc, paths)
-    fits = fit_windows(run(sc), windows)
+    paths = gbb_trace(m, q0, t_span=sc.duration)
+    fits = streamed_fits(sc, plan_spectra(sc, paths))
     oracle = None
     if with_oracle:
         oracle = default_oracle_scan(m, fits["incident"].band)
@@ -303,9 +305,9 @@ def test_criterion_7_regularity_gain(experiments):
     m_ref = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
     sc_ref = experiment_scenario(m_ref)
     q0 = ray_on_characteristic(m_ref, sc_ref.source.center, 0.0, direction=+1)
-    paths = gbb_trace(m_ref, q0, t_span=scj.duration, policy="tree")
-    windows = window_plan(sc_ref, paths)
-    repj = gain_report(fit_windows(run(scj), windows), hyperbolic_window(1, Fraction(1, 20), 1))
+    paths = gbb_trace(m_ref, q0, t_span=scj.duration)
+    spectra = plan_spectra(sc_ref, paths)  # the reference's windows on the jump's run
+    repj = gain_report(streamed_fits(scj, spectra), hyperbolic_window(1, Fraction(1, 20), 1))
 
     ok = (
         rep.verdict == "pass"
@@ -329,11 +331,9 @@ def test_criterion_8_calibration_closure():
             source=PulseSpec(center=0.0, width=1.0, s_in=s_in),
             sponge=SpongeSpec(cells=600), store_stride=16,
         )
-        u0 = make_pulse(sc)
-        fld = WaveField(u=u0[None, :], ts=np.array([0.0]), xs=sc.grid(),
-                        c=np.ones(u0.size), dt=1.0,
-                        energy=np.array([1.0]), max_trust_freq=1e9)
-        fit = decay_fit(window_spectrum(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal")))
+        spec = WindowSpectrum(ProbeWindow(-4.8, 4.8, -1, 1, "cal"), sc.grid())
+        spec(0.0, make_pulse(sc))
+        fit = decay_fit(spec)
         errs[s_in] = fit.r_hat - (s_in + 0.55)
     worst = max(abs(e) for e in errs.values())
     _report(8, worst <= 0.05,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavediff import wave
+from wavediff import cli, wave
 from wavediff.cli import _cpu_s, _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import ConfigError, ExperimentConfig, load_config
 
@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
 
 
-def small_config_text(out_dir, s0="5/2", eps0="1/20", s="1/2", extra=""):
+def small_config_text(out_dir, s0="5/2", eps0="1/20", s="1/2"):
     return f"""
 [experiment]
 name = smoke
@@ -35,9 +35,6 @@ core_radius = 1.0
 [calc]
 eps0 = {eps0}
 s = {s}
-
-[trace]
-{extra}
 
 [wave]
 nx = 8192
@@ -324,16 +321,20 @@ class TestPipeline:
 
     def test_window_plan_refusal_exit_2(self, tmp_path, capsys):
         cases = [
-            # a reflect-only trace has no transmitted branch to place a window on
-            ("reflect", "policy = reflect", "nx = 2048",
+            # without an interface the trace never branches, so there is no
+            # reflected or transmitted leg to place a window on
+            ("no-interface", {"amp = 0.4": "amp = 0.0", "nx = 8192": "nx = 2048"},
              "reflection and one transmission branch"),
             # the windows fit the geometry but hold too few nodes of a coarse grid
-            ("narrow", "", "nx = 1024", "window too narrow for the grid"),
+            ("narrow", {"nx = 8192": "nx = 1024"}, "window too narrow for the grid"),
         ]
-        for name, extra, nx, reason in cases:
+        for name, edits, reason in cases:
             out = tmp_path / name
             cfgf = tmp_path / (name + ".ini")
-            cfgf.write_text(small_config_text(out, extra=extra).replace("nx = 8192", nx))
+            text = small_config_text(out)
+            for old, new in edits.items():
+                text = text.replace(old, new)
+            cfgf.write_text(text)
             for command in ("pipeline", "probe"):
                 assert main([command, "--config", str(cfgf)]) == 2
                 assert reason in capsys.readouterr().err
@@ -343,26 +344,32 @@ class TestPipeline:
             assert not (out / "field.npz").exists()
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, named",
         [
-            ("k = 1\nn = 2\ns0 = 5/2", "k = 2\nn = 3\ns0 = 7/2"),
-            ("n = 2", "n = 3"),
-            ("nx = 8192", "nx = 8192\ncfl = 0.95"),
-            ("sponge_cells = 300", "sponge_cells = 10"),
-            ("grid = 3000", "grid = 3000\nframe = bogus"),
-            ("grid = 3000", "grid = 3000\nalpha = 2"),
-            ("grid = 3000", "grid = 3000\ndelta = 1.5"),
-            ("[trace]\n", "[trace]\npolicy = bogus\n"),
+            ("k = 1\nn = 2\ns0 = 5/2", "k = 2\nn = 3\ns0 = 7/2", "only k = 1 and n = 2"),
+            ("n = 2", "n = 3", "only k = 1 and n = 2"),
+            ("nx = 8192", "nx = 8192\ncfl = 0.95", "[wave] CFL"),
+            ("sponge_cells = 300", "sponge_cells = 10", "[wave] sponge"),
+            ("grid = 3000", "grid = 3000\nframe = bogus", "[commutant]"),
+            ("grid = 3000", "grid = 3000\nalpha = 2", "[commutant]"),
+            ("grid = 3000", "grid = 3000\ndelta = 1.5", "[commutant]"),
+            # the trace always branches both ways: its old section is unknown
+            ("[wave]\n", "[trace]\npolicy = tree\n\n[wave]\n", "unknown section [trace]"),
+            ("store_stride = 8", "store_stride = 0", "[wave] store_stride"),
+            ("seed = 7", "seed = -1", "[experiment] seed"),
+            ("sponge_cells = 300", "sponge_cells = 300\npulse_seed = -5", "[wave] pulse_seed"),
         ],
-        ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy"],
+        ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy",
+             "store-stride", "seed", "pulse-seed"],
     )
-    def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new):
+    def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new, named):
         cfgf = tmp_path / "fault.ini"
         text = small_config_text(tmp_path / "out")
         assert old in text
         cfgf.write_text(text.replace(old, new))
         assert main(["pipeline", "--config", str(cfgf)]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
         assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_smooth_background_runs_no_oracle(self, tmp_path):
@@ -434,3 +441,30 @@ def test_scipy_stays_off_the_import_path(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_hooks_resolve_and_are_restored(monkeypatch):
+    """The benchmark's traced runs (``perfbench/run.py --trace 1``) patch the
+    package's functions by name: each one must still exist, and leaving the
+    block must put every patched attribute back."""
+    from wavediff import config, escape, helmholtz, metric, orders, probe, tracer
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    homes = [cli, config, escape, helmholtz, metric, orders, probe, tracer, wave,
+             ExperimentConfig, metric.ConormalMetric]
+    before = [dict(vars(home)) for home in homes]
+    with tracing.instrumented(tracing.Tracer()):
+        patched = {
+            (home.__name__, key)
+            for home, saved in zip(homes, before)
+            for key, value in vars(home).items()
+            if saved.get(key) is not value
+        }
+    assert {("wavediff.wave", "run"), ("wavediff.helmholtz", "solve_ivp"),
+            ("wavediff.cli", "stage_wave"), ("ConormalMetric", "speed")} <= patched
+    for home, saved in zip(homes, before):
+        now = vars(home)
+        assert now.keys() == saved.keys()
+        assert [key for key in saved if now[key] is not saved[key]] == [], home.__name__

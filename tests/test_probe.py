@@ -4,45 +4,40 @@ import numpy as np
 import pytest
 
 from wavediff import helmholtz
+from wavediff.cli import plan_spectra
 from wavediff.helmholtz import layer_scan, reflection_scan, reflection_scan_ivp
 from wavediff.metric import ConormalMetric, PhasePoint, PiecewiseSpeed
 from wavediff.probe import (
     InsufficientBandsError,
     ProbeWindow,
     WindowPlanError,
+    WindowSpectrum,
     _weighted_slope,
     decay_fit,
     default_oracle_scan,
     gain_report,
     oracle_band_exponent,
     window_plan,
-    window_spectrum,
     window_taper,
 )
 from wavediff.orders import hyperbolic_window
 from wavediff.tracer import gbb_trace, ray_on_characteristic
-from wavediff.wave import PulseSpec, SpongeSpec, WaveField, WaveScenario, make_pulse, run
+from wavediff.wave import PulseSpec, SpongeSpec, WaveScenario, make_pulse, run, stream
 
 
-def synthetic_field(u0, x_lo=-8.0, x_hi=8.0):
-    xs = np.linspace(x_lo, x_hi, u0.size)
-    return WaveField(
-        u=u0[None, :],
-        ts=np.array([0.0]),
-        xs=xs,
-        c=np.ones(u0.size),
-        dt=1.0,
-        energy=np.array([1.0]),
-        max_trust_freq=1e9,
-    )
+def fit_window(u0, window, **kw):
+    """Fit one profile on a uniform grid over [-8, 8], handed to the window's
+    spectrum as a single slice at t = 0."""
+    spec = WindowSpectrum(window, np.linspace(-8.0, 8.0, u0.size))
+    spec(0.0, u0)
+    return decay_fit(spec, **kw)
 
 
-def fit_window(fld, window, **kw):
-    return decay_fit(window_spectrum(fld, window), **kw)
-
-
-def fit_windows(fld, windows):
-    return {w.label: fit_window(fld, w) for w in windows}
+def streamed_fits(scenario, spectra):
+    """Solve ``scenario`` into the planned window spectra, as the pipeline
+    does, and fit each one."""
+    stream(scenario, spectra)
+    return {spec.window.label: decay_fit(spec) for spec in spectra}
 
 
 class TestTaper:
@@ -56,66 +51,64 @@ class TestTaper:
 
 
 class TestDecayFit:
-    def _power_law_field(self, r, n=2**15, seed=3):
+    def _power_law_profile(self, r, n=2**15, seed=3):
         rng = np.random.default_rng(seed)
         k = 2 * np.pi * np.fft.rfftfreq(n, d=16.0 / n)
         mag = np.zeros_like(k)
         mag[1:] = (1.0 + k[1:] ** 2) ** (-r / 2.0)
         spec = mag * np.exp(1j * rng.uniform(0, 2 * np.pi, k.size))
-        u = np.fft.irfft(spec, n=n)
-        return synthetic_field(u)
+        return np.fft.irfft(spec, n=n)
 
     def test_power_law_recovered(self):
-        fld = self._power_law_field(2.0)
+        u = self._power_law_profile(2.0)
         w = ProbeWindow(-7.6, 7.6, -1, 1, "synthetic")
-        fit = fit_window(fld, w)
+        fit = fit_window(u, w)
         assert fit.r_hat == pytest.approx(2.0, abs=0.05)
 
     def test_heaviside_step(self):
         n = 2**15
         xs = np.linspace(-8, 8, n)
         u = np.where(xs > 0.37, 1.0, 0.0)
-        fld = synthetic_field(u)
-        fit = fit_window(fld, ProbeWindow(-7.6, 7.6, -1, 1, "step"))
+        fit = fit_window(u, ProbeWindow(-7.6, 7.6, -1, 1, "step"))
         assert fit.r_hat == pytest.approx(1.0, abs=0.05)
 
     def test_gaussian_smooth_at_resolution(self):
         n = 2**15
         xs = np.linspace(-8, 8, n)
         u = np.exp(-0.5 * (xs / 0.25) ** 2)
-        fit = fit_window(synthetic_field(u), ProbeWindow(-7.6, 7.6, -1, 1, "gauss"))
+        fit = fit_window(u, ProbeWindow(-7.6, 7.6, -1, 1, "gauss"))
         assert fit.smooth_at_resolution
 
     def test_noise_only_low_confidence(self):
         rng = np.random.default_rng(0)
         u = 1e-12 * rng.normal(size=2**15)
-        fit = fit_window(synthetic_field(u), ProbeWindow(-7.6, 7.6, -1, 1, "noise"))
+        fit = fit_window(u, ProbeWindow(-7.6, 7.6, -1, 1, "noise"))
         assert fit.low_confidence
 
     def test_rejects_tiny_window(self):
-        fld = self._power_law_field(1.0)
+        u = self._power_law_profile(1.0)
         with pytest.raises((WindowPlanError, InsufficientBandsError)):
-            fit_window(fld, ProbeWindow(-0.01, 0.01, -1, 1, "tiny"))
+            fit_window(u, ProbeWindow(-0.01, 0.01, -1, 1, "tiny"))
 
     def test_rejects_excess_top_band(self):
-        fld = self._power_law_field(1.0)
+        u = self._power_law_profile(1.0)
         with pytest.raises(InsufficientBandsError):
-            fit_window(fld, ProbeWindow(-7.6, 7.6, -1, 1, "x"), k_top=np.pi / (16 / 2**15) / 2)
+            fit_window(u, ProbeWindow(-7.6, 7.6, -1, 1, "x"), k_top=np.pi / (16 / 2**15) / 2)
 
     def test_taper_invariance(self):
         # doubling the window changes the exponent mildly
-        fld = self._power_law_field(1.5)
-        f1 = fit_window(fld, ProbeWindow(-3.8, 3.8, -1, 1, "half"))
-        f2 = fit_window(fld, ProbeWindow(-7.6, 7.6, -1, 1, "full"))
+        u = self._power_law_profile(1.5)
+        f1 = fit_window(u, ProbeWindow(-3.8, 3.8, -1, 1, "half"))
+        f2 = fit_window(u, ProbeWindow(-7.6, 7.6, -1, 1, "full"))
         assert abs(f1.r_hat - f2.r_hat) <= 0.1
 
 
-def batched_peak(fld, window):
+def batched_peak(u, ts, xs, window):
     """The per-bin maximum as one transform over every slice in the window."""
-    sel_x = (fld.xs >= window.x_lo) & (fld.xs <= window.x_hi)
-    sel_t = (fld.ts >= window.t_lo) & (fld.ts <= window.t_hi)
-    taper = window_taper(fld.xs[sel_x], window.x_lo, window.x_hi)
-    agg = np.abs(np.fft.rfft(taper * fld.u[np.ix_(sel_t, sel_x)], axis=1)).max(axis=0)
+    sel_x = (xs >= window.x_lo) & (xs <= window.x_hi)
+    sel_t = (ts >= window.t_lo) & (ts <= window.t_hi)
+    taper = window_taper(xs[sel_x], window.x_lo, window.x_hi)
+    agg = np.abs(np.fft.rfft(taper * u[np.ix_(sel_t, sel_x)], axis=1)).max(axis=0)
     return agg, int(np.count_nonzero(sel_t))
 
 
@@ -124,21 +117,19 @@ class TestWindowSpectrum:
     def test_slice_by_slice_equals_batched_transform(self, x_lo, x_hi):
         rng = np.random.default_rng(5)
         n_t, n_x = 40, 2**13 + 1
-        fld = WaveField(
-            u=rng.normal(size=(n_t, n_x)), ts=np.linspace(0.0, 3.9, n_t),
-            xs=np.linspace(-8.0, 8.0, n_x), c=np.ones(n_x), dt=0.1,
-            energy=np.ones(n_t), max_trust_freq=1e9,
-        )
+        u = rng.normal(size=(n_t, n_x))
+        ts, xs = np.linspace(0.0, 3.9, n_t), np.linspace(-8.0, 8.0, n_x)
         w = ProbeWindow(x_lo, x_hi, 0.5, 2.5, "w")
-        spec = window_spectrum(fld, w)
-        agg, n_slices = batched_peak(fld, w)
+        spec = WindowSpectrum(w, xs)
+        for t, u_t in zip(ts, u):
+            spec(t, u_t)
+        agg, n_slices = batched_peak(u, ts, xs, w)
         assert spec.n_slices == n_slices > 1
         assert np.array_equal(spec.peak, agg)
 
     def test_window_without_slices_refused(self):
-        fld = synthetic_field(np.ones(2**12))
         with pytest.raises(WindowPlanError, match="no stored slices"):
-            fit_window(fld, ProbeWindow(-7.6, 7.6, 1.0, 2.0, "late"))
+            fit_window(np.ones(2**12), ProbeWindow(-7.6, 7.6, 1.0, 2.0, "late"))
 
 
 class TestCalibrationClosure:
@@ -150,9 +141,7 @@ class TestCalibrationClosure:
             source=PulseSpec(center=0.0, width=1.0, s_in=s_in),
             sponge=SpongeSpec(cells=600), store_stride=16,
         )
-        u0 = make_pulse(sc)
-        fld = synthetic_field(u0)
-        fit = fit_window(fld, ProbeWindow(-4.8, 4.8, -1, 1, "cal"))
+        fit = fit_window(make_pulse(sc), ProbeWindow(-4.8, 4.8, -1, 1, "cal"))
         assert fit.r_hat == pytest.approx(s_in + 0.55, abs=0.05)
 
 
@@ -281,7 +270,7 @@ def small_experiment(metric, duration=6.6, nx=2**13, width=0.06):
 class TestWindowPlan:
     def _paths(self, m, duration=6.6, x0=-2.2):
         q0 = ray_on_characteristic(m, x0, 0.0, direction=+1)
-        return gbb_trace(m, q0, t_span=duration, policy="tree")
+        return gbb_trace(m, q0, t_span=duration)
 
     def test_three_disjoint_windows(self):
         m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
@@ -335,12 +324,11 @@ class TestWindowPlan:
         fld = run(sc)
         # rays in the flat left region: incident hits Y at t=1.5, reflected
         # then sits at x = -(t - 1.5)
-        t_probe = 2.6
-        idx = fld.slice_at(t_probe)
+        idx = int(np.argmin(np.abs(fld.ts - 2.6)))
         x_pred = -(fld.ts[idx] - 1.5)
         sel = (fld.xs > -2.5) & (fld.xs < -0.5)
         x_meas = fld.xs[sel][np.argmax(np.abs(fld.u[idx, sel]))]
-        assert abs(x_meas - x_pred) <= 2 * fld.dx
+        assert abs(x_meas - x_pred) <= 2 * sc.dx
 
 
 # the exact theorem window of s0 = 5/2, eps0 = 1/20, k = 1
@@ -352,10 +340,8 @@ class TestGainReport:
         m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m)
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
-        paths = gbb_trace(m, q0, t_span=sc.duration, policy="tree")
-        wins = window_plan(sc, paths)
-        fld = run(sc)
-        fits = fit_windows(fld, wins)
+        paths = gbb_trace(m, q0, t_span=sc.duration)
+        fits = streamed_fits(sc, plan_spectra(sc, paths))
         oracle = default_oracle_scan(m, fits["incident"].band, points_per_octave=4)
         rep = gain_report(fits, WINDOW, oracle=oracle)
         assert rep.verdict == "pass"
@@ -370,9 +356,8 @@ class TestGainReport:
         m_ref = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc_ref = small_experiment(m_ref)
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
-        wins = window_plan(sc_ref, gbb_trace(m_ref, q0, t_span=6.6, policy="tree"))
-        fld = run(small_experiment(m_flat))
-        rep = gain_report(fit_windows(fld, wins), WINDOW)
+        spectra = plan_spectra(sc_ref, gbb_trace(m_ref, q0, t_span=6.6))
+        rep = gain_report(streamed_fits(small_experiment(m_flat), spectra), WINDOW)
         assert rep.fits["reflected"].low_confidence
         assert rep.verdict == "inconclusive"
 
@@ -382,8 +367,7 @@ class TestGainReport:
         m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         sc = small_experiment(m)
         q0 = PhasePoint([-2.2, 0.0], [-1.0, 1.0])
-        wins = window_plan(sc, gbb_trace(m, q0, t_span=sc.duration, policy="tree"))
-        fld = run(sc)
-        rep = gain_report(fit_windows(fld, wins), WINDOW)
+        spectra = plan_spectra(sc, gbb_trace(m, q0, t_span=sc.duration))
+        rep = gain_report(streamed_fits(sc, spectra), WINDOW)
         js = json.dumps(rep.asdict())
         assert "reflected" in js

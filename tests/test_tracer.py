@@ -102,7 +102,7 @@ class TestGBBTrace:
     def test_flat_metric_single_leg(self):
         m = ConormalMetric(s0=2.5, amp=0.0)
         q0 = PhasePoint([-1.0, 0.0], [-1.0, 1.0])  # rightward at speed 1
-        paths = gbb_trace(m, q0, t_span=2.0, policy="tree")
+        paths = gbb_trace(m, q0, t_span=2.0)
         assert len(paths) == 1
         assert paths[0].events == []
         for s in paths[0].legs[0]:
@@ -112,7 +112,7 @@ class TestGBBTrace:
     def test_normal_incidence_two_branches(self):
         m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-1.0, 0.0], [-1.0, 1.0])
-        paths = gbb_trace(m, q0, t_span=2.5, policy="tree")
+        paths = gbb_trace(m, q0, t_span=2.5)
         kinds = {p.events[0].kind for p in paths if p.events}
         assert kinds == {EventType.REFLECTION, EventType.TRANSMISSION}
         for p in paths:
@@ -130,8 +130,8 @@ class TestGBBTrace:
     def test_event_time_matches_travel_time(self):
         m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-2.0, 0.0], [-1.0, 1.0])
-        paths = gbb_trace(m, q0, t_span=4.0, policy="reflect")
-        ev = paths[0].events[0]
+        paths = gbb_trace(m, q0, t_span=4.0)
+        ev = next(p.events[0] for p in paths if p.events[0].kind is EventType.REFLECTION)
         # travel time = integral of 1/c from -2 to 0
         xs = np.linspace(-2.0, 0.0, 20001)
         expected = np.trapezoid(1.0 / m.speed(xs), xs)
@@ -140,7 +140,7 @@ class TestGBBTrace:
     def test_characteristic_set_conserved_along_legs(self):
         m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-1.5, 0.0], [-1.0, 1.0])
-        paths = gbb_trace(m, q0, t_span=3.0, policy="tree")
+        paths = gbb_trace(m, q0, t_span=3.0)
         for p in paths:
             for leg in p.legs:
                 for s in leg[:: max(1, len(leg) // 50)]:
@@ -151,7 +151,7 @@ class TestGBBTrace:
     def test_tau_conserved(self):
         m = ConormalMetric(s0=2.5, amp=0.4)
         q0 = PhasePoint([-1.0, 0.0], [-2.0, 2.0])
-        paths = gbb_trace(m, q0, t_span=2.5, policy="tree")
+        paths = gbb_trace(m, q0, t_span=2.5)
         for p in paths:
             taus = np.array([s.q[3] for leg in p.legs for s in leg])
             assert np.max(np.abs(taus - taus[0])) <= 1e-10 * abs(taus[0])
@@ -343,12 +343,12 @@ def assert_same_samples(got, ref):
 
 class TestFloatLoop:
     def test_gbb_trace_matches_array_loop(self, monkeypatch):
-        # the bundled metric and packet, every branch of the tree policy
+        # the bundled metric and packet, both branches of the tree
         m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
         q0 = ray_on_characteristic(m, -2.2, 0.0, +1)
-        paths = gbb_trace(m, q0, t_span=6.6, policy="tree")
+        paths = gbb_trace(m, q0, t_span=6.6)
         monkeypatch.setattr(tracer, "_reparam_leg", reference_reparam_leg)
-        ref = gbb_trace(m, q0, t_span=6.6, policy="tree")
+        ref = gbb_trace(m, q0, t_span=6.6)
         assert len(paths) == len(ref) == 2
         for p, r in zip(paths, ref):
             assert len(p.legs) == len(r.legs) == 2
