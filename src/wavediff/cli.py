@@ -1,7 +1,8 @@
 """Command-line orchestration: calc, trace, wave run, probe, verify-commutant,
 report, and the end-to-end pipeline.
 
-Exit codes: 0 success, 1 assertion/verdict failure, 2 configuration error.
+Exit codes: 0 success, 1 assertion/verdict failure, 2 configuration error or
+no C compiler to build the leapfrog kernel with.
 Every pipeline run writes a manifest with the config hash and, per stage, the
 output checksums, wall-clock and CPU times and the peak RSS; deterministic
 stages reproduce identical checksums on identical configs.
@@ -55,7 +56,7 @@ from .probe import (
     window_plan,
 )
 from .tracer import gbb_trace, ray_on_characteristic
-from .wave import stored_slices, stream
+from .wave import KernelBuildError, stored_slices, stream
 
 
 def _sha256_file(path: Path) -> str:
@@ -408,7 +409,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     wave_npz = out / "field.npz"
     rec = stage_wave(scenario, spectra, wave_npz)
     record("wave", [wave_npz], clock, steps=rec.steps, slices=int(rec.ts.size),
-           solver_processes=rec.processes)
+           solver_processes=rec.processes, kernel_build_s=round(rec.kernel_build_s, 3))
 
     clock = start()
     probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
@@ -442,8 +443,10 @@ def cmd_report(out_dir: Path) -> int:
             stage, entry["seconds"], entry["cpu_s"], entry["peak_rss_mb"],
             " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
         if "steps" in entry:
-            print("  %-18s leapfrog steps %d, stored slices %d, solver processes %d" % (
-                "", entry["steps"], entry["slices"], entry.get("solver_processes", 1)))
+            print("  %-18s leapfrog steps %d, stored slices %d, solver processes %d,"
+                  " kernel build %.3fs" % ("", entry["steps"], entry["slices"],
+                                           entry.get("solver_processes", 1),
+                                           entry.get("kernel_build_s", 0.0)))
         if "rk4_steps" in entry:
             print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
                 "", entry["rk4_steps"], entry["p_residual_max"]))
@@ -560,6 +563,9 @@ def main(argv=None) -> int:
             return code
     except (ConfigError, WindowPlanError) as err:
         print("configuration error: %s" % err, file=sys.stderr)
+        return 2
+    except KernelBuildError as err:  # no usable C compiler
+        print("wavediff: %s" % err, file=sys.stderr)
         return 2
     return 2
 

@@ -13,38 +13,39 @@ rightward using the exact discrete dispersion relation.
 times, energies and grid.  ``run`` streams into a stack of every slice for
 the tests that read the whole history; the pipeline never calls it.
 
-When ``os.fork`` exists, the process may run on two CPUs and each part
-would hold at least ``MIN_PART_NODES`` nodes, ``stream`` forks one child
-after building the launch levels.  The parent advances the left
-``PARENT_SHARE`` of the grid (the smaller part, since it also runs the
-observers and the energy) and the child the rest.  Each part keeps
-``store_stride`` ghost nodes on its inner side, so the two meet once per
-stored slice, not once per step: both write their owned nodes of both
-levels into a double-buffered shared map, swap one byte over a pair of
-pipes and refresh their ghosts from it, and the parent reads the full
-level while the child already runs the next block.  Every node sees the
-operations of the one-part loop in the same order, so the values are
-bit-identical to it whichever path runs.
+Each step of the time loop is one pass of a C function over the whole grid
+(``_leapfrog.c``, loaded through ``ctypes``).  It is compiled with ``cc`` on
+the first solve of a process, never at import, and cached under the
+package's ``__pycache__``.  Per node the kernel performs the IEEE
+operations of the tests' allocating numpy reference loop in their order, so
+the fields are bit-identical to it.  Without a compiler ``stream`` raises
+``KernelBuildError``.
+
+When ``os.fork`` exists and the process may run on two CPUs, ``stream``
+forks one child after building the launch levels.  The child runs the
+kernel over the whole grid and writes the two levels of each stored step
+into one of two sets of a shared map; the parent consumes them as the
+one-process loop does (the finiteness check, the observers and the energy)
+and acknowledges each block over a pipe, so the child never overwrites a
+set the parent still reads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import mmap
 import os
+import tempfile
+import time
 from dataclasses import dataclass, field
-from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .escape import chi1
 from .metric import ConormalMetric
-
-
-# the split pays for its block exchange only when each part holds this many nodes
-MIN_PART_NODES = 2048
-# the parent's share of the grid is the smaller one: it also runs the observers
-PARENT_SHARE = 0.30
 
 
 class CFLViolation(ValueError):
@@ -92,6 +93,15 @@ class WaveScenario:
     forcing: Callable | None = None  # f(x_array, t) -> array, optional
 
     def __post_init__(self):
+        if self.nx < 1:
+            raise ValueError("nx must be at least 1, got %d" % self.nx)
+        if not self.x_hi > self.x_lo:
+            raise ValueError("x_hi must exceed x_lo, got [%g, %g]" % (self.x_lo, self.x_hi))
+        if self.sponge.cells > self.nx + 1:
+            raise ValueError("sponge of %d cells does not fit the %d grid nodes"
+                             % (self.sponge.cells, self.nx + 1))
+        if self.source is not None and not self.source.width > 0:
+            raise ValueError("pulse width must be positive, got %g" % self.source.width)
         if self.store_stride < 1:
             raise ValueError("store_stride must be at least 1, got %d" % self.store_stride)
         if self.cfl > 0.9 + 1e-12:
@@ -235,102 +245,185 @@ class WaveRecord:
     energy: np.ndarray      # staggered discrete energy per stored slice
     max_trust_freq: float   # dispersion-limited wavenumber for probing
     steps: int              # leapfrog steps taken
-    processes: int          # 2 when a forked child advanced part of the grid
+    processes: int          # 2 when a forked child ran the kernel
+    kernel_build_s: float   # compiling the kernel; 0 when it was loaded or cached
 
 
-def _cut(n: int, ghost: int):
-    """Node where the forked child's part of the grid starts, or None to
-    solve in one part: without ``fork``, on one usable CPU, or when either
-    part would hold fewer than ``MIN_PART_NODES`` nodes or fewer nodes than
-    its ghost width."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return None
-    if len(os.sched_getaffinity(0)) < 2:
-        return None
-    cut = round(PARENT_SHARE * n)
-    return cut if min(cut, n - cut) >= max(MIN_PART_NODES, ghost) else None
+class KernelBuildError(RuntimeError):
+    """The leapfrog kernel could not be compiled: ``command`` is the compiler
+    command that failed and ``stderr`` what it printed, or why it could not
+    start."""
+
+    def __init__(self, command, stderr: str):
+        self.command, self.stderr = list(command), stderr
+        lines = stderr.strip().splitlines() or ["no output"]
+        why = next((line for line in lines if "error" in line), lines[-1])
+        super().__init__("cannot build the leapfrog kernel: `%s` failed: %s"
+                         % (" ".join(self.command), why.strip()))
 
 
-def _leapfrog(
-    scenario, xs, dt, n_steps, c2h, span, damp, ramps, levels, flux, work, ghost, lo, hi
-):
-    """Advance the owned nodes [lo, hi) of the grid and up to ``ghost`` nodes
-    on either side, in place in those columns of the three ``levels``
-    (previous, current, next); after a fork each process has its own copy.
+# -ffp-contract=off keeps the compiler from fusing a multiply and an add
+# (aarch64 gcc and clang do by default), which would change the bits; never
+# -ffast-math or -march=native
+CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+KERNEL_SOURCE = Path(__file__).with_name("_leapfrog.c")
+# built libraries, named by a hash of the source and the compiler command
+KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
-    Yields ``(m, a, u_prev, u_curr)`` after every block that ends on a stored
-    step ``m``: the levels hold nodes [a, a + size), and their nodes outside
-    [lo, hi) go stale as the block runs; the consumer refreshes them in place
-    before the next block.  The scratch arrays ``flux`` (n - 1 values) and
-    ``work`` (n) are free for the consumer between blocks.  Every node sees
-    the operations of the one-part loop in the same order, so the owned nodes
-    carry its bits.
+_kernel_lib = None  # the library once loaded in this process
+_private_cache = None  # a TemporaryDirectory when KERNEL_CACHE cannot be written
+
+
+def _build(path: Path) -> None:
+    """Compile the kernel to ``path`` through a temporary name in its
+    directory, so a process that loads it sees the whole file or none."""
+    import subprocess  # only a cold cache compiles: kept off the import path
+
+    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+    command = [*CC, "-o", str(tmp), str(KERNEL_SOURCE)]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+    except OSError as err:  # the compiler does not exist or cannot start
+        raise KernelBuildError(command, str(err)) from None
+    if done.returncode:
+        tmp.unlink(missing_ok=True)
+        raise KernelBuildError(command, done.stderr)
+    os.replace(tmp, path)
+
+
+def _kernel():
+    """The leapfrog library and the seconds this call spent compiling it.
+
+    It is compiled on the first solve of a process, never at import, into
+    ``KERNEL_CACHE`` as ``_leapfrog.<hash>.so``, or into a private temporary
+    directory of the process when that one cannot be written.  The seconds
+    are 0 when the library was loaded already or came from the cache.
     """
-    n, dx = xs.size, scenario.dx
-    a, e = max(0, lo - ghost), min(n, hi + ghost)
-    u_prev, u_curr, u_next = levels[:, a:e]
-    flux, lap = flux[: e - a - 1], work[: e - a - 2]
-    # the sponge ramps (node ranges) and the span of half cells with c2h != 1,
-    # clipped to the part's nodes [a, e) and half cells [a, e - 1)
-    clipped = [(max(r0, a), min(r1, e)) for r0, r1 in ramps]
-    ramps = [(slice(r0 - a, r1 - a), damp[r0:r1]) for r0, r1 in clipped if r0 < r1]
-    s0 = max(span[0], a)
-    s1 = max(s0, min(span[1], e - 1))
-    c2h_span, flux_span = c2h[s0:s1], flux[s0 - a : s1 - a]
-    lam2 = (dt / dx) ** 2
-    stride = scenario.store_stride
-    forcing, inner = scenario.forcing, slice(a + 1, e - 1)
-    for m in range(1, n_steps + 1):
-        np.subtract(u_curr[1:], u_curr[:-1], out=flux)
-        np.multiply(c2h_span, flux_span, out=flux_span)
-        np.multiply(2.0, u_curr, out=u_next)
-        np.subtract(u_next, u_prev, out=u_next)
-        np.subtract(flux[1:], flux[:-1], out=lap)
-        np.multiply(lam2, lap, out=lap)
-        np.add(u_next[1:-1], lap, out=u_next[1:-1])
-        # only the part that holds a grid end zeroes it
-        if a == 0:
-            u_next[0] = 0.0
-        if e == n:
-            u_next[-1] = 0.0
-        if forcing is not None:
-            u_next[1:-1] += dt * dt * np.asarray(forcing(xs, (m - 1) * dt), float)[inner]
-        for s, d in ramps:
-            # damp the views in place; ``u[s] *= d`` would also copy them back
-            for v in (u_next[s], u_curr[s]):
-                np.multiply(v, d, out=v)
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
-        if m % stride == 0 or m == n_steps:
-            yield m, a, u_prev, u_curr
+    global _kernel_lib, _private_cache
+    if _kernel_lib is not None:
+        return _kernel_lib, 0.0
+    key = KERNEL_SOURCE.read_bytes() + "\0".join(CC).encode()
+    path = KERNEL_CACHE / ("_leapfrog.%s.so" % hashlib.sha256(key).hexdigest()[:16])
+    build_s = 0.0
+    if not path.is_file():
+        t0 = time.perf_counter()
+        try:
+            KERNEL_CACHE.mkdir(exist_ok=True)
+            writable = os.access(KERNEL_CACHE, os.W_OK)
+        except OSError:
+            writable = False
+        if not writable:
+            if _private_cache is None:
+                _private_cache = tempfile.TemporaryDirectory(prefix="wavediff-")
+            path = Path(_private_cache.name) / path.name
+        _build(path)
+        build_s = time.perf_counter() - t0
+    lib = ctypes.CDLL(str(path))
+    ptr, size = ctypes.c_void_p, ctypes.c_long
+    lib.leapfrog.argtypes = [ptr, ptr, ptr, size, ptr, ctypes.c_double,
+                             ptr, size, ptr, size, ptr, size]
+    lib.leapfrog.restype = None
+    _kernel_lib = lib
+    return lib, build_s
 
 
-def _fork_part(part, shared, cut, down, up) -> int:
-    """Fork a child that runs ``part``, the blocks of the nodes right of
-    ``cut``, and return its pid; the child never returns.
+def _contiguous(*arrays):
+    for a in arrays:
+        if not (a.dtype == np.float64 and a.ndim == 1 and a.flags.c_contiguous):
+            raise TypeError("the leapfrog kernel takes 1-d contiguous float64 arrays")
 
-    After each block the child writes its owned nodes of both levels into
-    the shared set of that block, sends one byte up, waits for the parent's
-    byte on ``down`` and refreshes its ghost nodes from the same set.  It
-    exits when ``down`` reads end of file.
+
+def _leapfrog(lib, scenario, xs, dt, stops, c2h, ramps, levels):
+    """Advance the three ``levels`` (previous, current, next) in place with
+    the compiled kernel, one call per block of steps, and yield
+    ``(m, u_prev, u_curr)`` at each stored step ``m`` of ``stops``.
+
+    ``ramps`` are the sponge's damping factors on the first and on the last
+    nodes of the grid.  A forcing is evaluated here, so its blocks are one
+    step long.  Every length the kernel sees is taken from the arrays
+    handed to it, after they are checked to be contiguous ``float64``.
+    """
+    n = xs.size
+    damp_lo, damp_hi = ramps
+    _contiguous(*levels, c2h, damp_lo, damp_hi)
+    if not (n >= 2 and all(u.size == n for u in levels) and c2h.size == n - 1
+            and damp_lo.size + damp_hi.size <= n):
+        raise ValueError("the leapfrog's arrays do not fit one grid of %d nodes" % n)
+    lam2 = (dt / scenario.dx) ** 2
+    fixed = (n, c2h.ctypes.data, lam2, damp_lo.ctypes.data, damp_lo.size,
+             damp_hi.ctypes.data, damp_hi.size)
+    rows = list(levels)
+    forcing = scenario.forcing
+    m = 0
+    for stop in stops:
+        while m < stop:
+            k, force = stop - m, None
+            if forcing is not None:
+                k, force = 1, dt * dt * np.asarray(forcing(xs, m * dt), float)
+                _contiguous(force)
+                if force.size != n:
+                    raise ValueError("the forcing must give one value per grid node")
+            lib.leapfrog(*(u.ctypes.data for u in rows), *fixed,
+                         None if force is None else force.ctypes.data, k)
+            m += k
+            rows = rows[k % 3 :] + rows[: k % 3]  # the kernel rotated the levels k times
+        yield m, rows[0], rows[1]
+
+
+def _two_cpus() -> bool:
+    """Whether ``stream`` forks a producer: ``os.fork`` exists and this
+    process may run on two CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    return len(os.sched_getaffinity(0)) >= 2
+
+
+def _fork_producer(blocks, shared, down, up) -> int:
+    """Fork a child that runs ``blocks``, the whole grid's leapfrog, and
+    return its pid; the child never returns.
+
+    The child writes both levels of block ``j`` into set ``j % 2`` of
+    ``shared`` and sends one byte up.  Before it overwrites a set it waits
+    for the parent's byte on ``down`` that acknowledges the block two back.
+    It exits only when ``down`` reads end of file, so the parent's last
+    acknowledgement never meets a closed pipe.
     """
     pid = os.fork()
     if pid:
+        os.close(down[0])
+        os.close(up[1])
         return pid
     status = 1
     try:
         os.close(down[1])
         os.close(up[0])
-        for j, (_, a, prev, curr) in enumerate(part, start=1):
-            level = shared[j % 2]
-            level[0, cut:], level[1, cut:] = prev[cut - a :], curr[cut - a :]
-            os.write(up[1], b"\0")
-            if not os.read(down[0], 1):
+        for j, (_, prev, curr) in enumerate(blocks, start=1):
+            if j > 2 and not os.read(down[0], 1):
                 break  # the parent has stopped
-            prev[: cut - a], curr[: cut - a] = level[0, a:cut], level[1, a:cut]
+            level = shared[j % 2]
+            level[0], level[1] = prev, curr
+            os.write(up[1], b"\0")
+        while os.read(down[0], 1):
+            pass
         status = 0
     finally:
         # never unwind into the caller, which may hold open files
         os._exit(status)
+
+
+def _received(stops, shared, down, up):
+    """The parent's side of ``_fork_producer``: yield ``(m, u_prev, u_curr)``
+    from the shared set of each block once the child reports it, and
+    acknowledge the block when the consumer asks for the next one."""
+    for j, m in enumerate(stops, start=1):
+        if not os.read(up[0], 1):
+            raise RuntimeError("the solver's child process ended early")
+        prev, curr = shared[j % 2]
+        yield m, prev, curr
+        try:
+            os.write(down[1], b"\0")
+        except BrokenPipeError:
+            raise RuntimeError("the solver's child process ended early") from None
 
 
 def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
@@ -341,14 +434,16 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     copy it.  No slice stack is held, so the memory is a few grid arrays
     whatever the duration.
 
-    When ``_cut`` allows, a forked child advances the nodes right of the cut
-    while this process advances the rest, runs the observers and computes
-    the energy; the record's ``processes`` says which path ran.
+    When ``_two_cpus`` allows, a forked child runs the kernel and this
+    process consumes its slices: the finiteness check, the observers and
+    the energy; the record's ``processes`` says which path ran.  Raises
+    ``KernelBuildError`` before any step when the kernel cannot be built.
     """
     xs, c_nodes, c_half = _speeds(scenario)
     n = xs.size
     dx = scenario.dx
     dt, n_steps, n_store = _clock(scenario, c_nodes, c_half)
+    lib, build_s = _kernel()  # before any fork, so the child never compiles
 
     # three rotating time levels, updated in place
     levels = np.zeros((3, n))
@@ -359,19 +454,15 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
 
     # sponge: exponential damping ramp applied multiplicatively to both levels;
     # damp is exactly 1.0 between the two ramps, so only their cells are touched;
-    # on a grid narrower than two ramps the right slice starts where the left ends
+    # on a grid narrower than two ramps the right one starts where the left ends
     sp = scenario.sponge
     damp = np.ones(n)
     damp[: sp.cells] = np.exp(-sp.strength * dt * np.linspace(1.0, 0.0, sp.cells) ** 2)
     damp[-sp.cells :] = np.exp(-sp.strength * dt * np.linspace(0.0, 1.0, sp.cells) ** 2)
-    ramps = [(0, sp.cells), (max(sp.cells, n - sp.cells), n)]
+    ramps = (damp[: sp.cells], damp[max(sp.cells, n - sp.cells) :])
 
     c2h = c_half**2
-    # x * 1.0 == x bit for bit, so the flux is scaled only over the span of
-    # half cells whose squared speed is not exactly 1.0 (empty if none is)
-    varied = np.flatnonzero(c2h != 1.0)
-    span = (varied[0], varied[-1] + 1) if varied.size else (0, 0)
-    # the leapfrog's scratch, and between blocks the staggered energy's
+    # the staggered energy's scratch
     flux, work = np.empty(n - 1), np.empty(n)
     ts = np.empty(n_store)
     energy = np.empty(n_store)
@@ -380,32 +471,19 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     ts[0] = 0.0
     energy[0] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
 
-    ghost = min(scenario.store_stride, n_steps)
-    cut = _cut(n, ghost)
-    part = partial(_leapfrog, scenario, xs, dt, n_steps, c2h, span, damp, ramps, levels, flux, work,
-                   ghost)
-    blocks = part(0, n if cut is None else cut)
+    stride = scenario.store_stride
+    # the stored steps: every stride-th and the last (none without steps)
+    stops = [*range(stride, n_steps, stride), n_steps][: n_store - 1]
+    blocks = _leapfrog(lib, scenario, xs, dt, stops, c2h, ramps, levels)
     pid = None
-    if cut is not None:
+    if _two_cpus():
         # both levels of two sets, so one set is read while the next is written
         shared = np.frombuffer(mmap.mmap(-1, 4 * n * 8), float).reshape(2, 2, n)
         down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
-        pid = _fork_part(part(cut, n), shared, cut, down, up)
+        pid = _fork_producer(blocks, shared, down, up)
+        blocks = _received(stops, shared, down, up)
     try:
-        if pid is not None:
-            os.close(down[0])
-            os.close(up[1])
-        for j, (m, a, prev, curr) in enumerate(blocks, start=1):
-            if pid is not None:
-                level = shared[j % 2]
-                level[0, :cut], level[1, :cut] = prev[:cut], curr[:cut]
-                # the child's byte first: a child that died leaves end of file
-                if not os.read(up[0], 1):
-                    raise RuntimeError("the solver's child process ended early")
-                os.write(down[1], b"\0")
-                e = a + prev.size
-                prev[cut:], curr[cut:] = level[0, cut:e], level[1, cut:e]
-                prev, curr = level
+        for j, (m, prev, curr) in enumerate(blocks, start=1):
             t = m * dt
             if not np.all(np.isfinite(curr)):
                 raise FieldBlowup("non-finite field at t=%g" % t)
@@ -436,7 +514,8 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
         energy=energy,
         max_trust_freq=max_trust,
         steps=n_steps,
-        processes=1 if cut is None else 2,
+        processes=1 if pid is None else 2,
+        kernel_build_s=build_s,
     )
 
 

@@ -238,9 +238,9 @@ class TestPipeline:
             assert wave_entry["steps"] == math.ceil(6.6 / float(z["dt"]))
             assert wave_entry["slices"] == z["u"].shape[0] == z["ts"].size
         assert wave_entry["slices"] == 1 + math.ceil(wave_entry["steps"] / 8)
+        assert wave_entry["kernel_build_s"] >= 0
         # identical rerun reproduces identical checksums for every stage
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(wave, "MIN_PART_NODES", 1)
         code2, manifest2 = run_pipeline(cfg)
         assert len(builds) == 2
         assert (wave_entry["solver_processes"], manifest2["stages"]["wave"]["solver_processes"]) \
@@ -286,8 +286,9 @@ class TestPipeline:
             assert "cpu %6.2fs" % entry["cpu_s"] in line
             assert "peak rss %6.1f MB" % entry["peak_rss_mb"] in line
         wave_entry = manifest["stages"]["wave"]
-        assert "leapfrog steps %d, stored slices %d, solver processes %d" % (
-            wave_entry["steps"], wave_entry["slices"], wave_entry["solver_processes"]) in out
+        assert "leapfrog steps %d, stored slices %d, solver processes %d, kernel build %.3fs" % (
+            wave_entry["steps"], wave_entry["slices"], wave_entry["solver_processes"],
+            wave_entry["kernel_build_s"]) in out
         # the probe's work: the oracle's frequencies and each window's slices
         probe_entry = manifest["stages"]["probe"]
         assert probe_entry["oracle_freqs"] > 0
@@ -297,6 +298,20 @@ class TestPipeline:
         assert "oracle frequencies %d, window slices %s" % (
             probe_entry["oracle_freqs"],
             " ".join("%s=%d" % kv for kv in slices.items())) in out
+
+    def test_missing_compiler_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wave, "_kernel_lib", None)
+        monkeypatch.setattr(wave, "KERNEL_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(wave, "CC", ("wavediff-no-such-cc", *wave.CC[1:]))
+        cfgf = tmp_path / "smoke.ini"
+        cfgf.write_text(small_config_text(tmp_path / "out"))
+        assert main(["pipeline", "--config", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavediff: cannot build the leapfrog kernel: `wavediff-no-such-cc ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out" / "field.npz").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_cpu_time_counts_reaped_children(self):
         # a stage's cpu_s covers the wave solver's child once it is reaped
@@ -358,9 +373,16 @@ class TestPipeline:
             ("store_stride = 8", "store_stride = 0", "[wave] store_stride"),
             ("seed = 7", "seed = -1", "[experiment] seed"),
             ("sponge_cells = 300", "sponge_cells = 300\npulse_seed = -5", "[wave] pulse_seed"),
+            # no grid and no pulse ever reach the kernel
+            ("nx = 8192", "nx = 0", "[wave] nx must be at least 1"),
+            ("nx = 8192", "nx = -5", "[wave] nx must be at least 1"),
+            ("pulse_width = 0.06", "pulse_width = 0", "[wave] pulse width must be positive"),
+            ("nx = 8192", "nx = 256", "[wave] sponge of 300 cells does not fit the 257 grid nodes"),
+            ("nx = 8192", "nx = 8192\nx_lo = 4.0\nx_hi = -4.0", "[wave] x_hi must exceed x_lo"),
         ],
         ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy",
-             "store-stride", "seed", "pulse-seed"],
+             "store-stride", "seed", "pulse-seed", "nx-0", "nx-negative", "pulse-width",
+             "sponge-wider-than-grid", "x-range"],
     )
     def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new, named):
         cfgf = tmp_path / "fault.ini"

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import time
 import zipfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from wavediff.probe import ProbeWindow, WindowSpectrum
 from wavediff.wave import (
     CFLViolation,
     FieldBlowup,
+    KernelBuildError,
     PulseSpec,
     SpongeSpec,
     WaveField,
@@ -202,10 +205,10 @@ INPLACE_CASES = pytest.mark.parametrize(
 
 
 def use_parts(monkeypatch, parts):
-    """Make ``stream`` solve in ``parts`` parts (1 or 2) on any grid here:
-    report that many usable CPUs and drop the minimum part size."""
+    """Make ``stream`` solve in one process, or in a forked producer and
+    this process as its consumer (``parts`` 1 or 2): report that many
+    usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
-    monkeypatch.setattr(wave, "MIN_PART_NODES", 1)
 
 
 def assert_no_child():
@@ -266,10 +269,8 @@ class TestInPlaceLeapfrog:
 
 
 class TestInPlaceLeapfrogSplit(TestInPlaceLeapfrog):
-    """The same cases with the grid split between this process and a forked
-    child at node 450 of the 1501: inside the left sponge ramp of
-    ``cut-in-sponge-ramp`` and inside the span of ``c2h != 1`` of
-    ``cut-in-speed-span`` and ``speed-varies-everywhere``."""
+    """The same cases with a forked child running the kernel and this
+    process consuming the slices it hands over in the shared map."""
 
     @pytest.fixture(autouse=True)
     def parts(self, monkeypatch):
@@ -332,8 +333,8 @@ class TestFieldArchive:
 
 
 class TestFieldArchiveSplit(TestFieldArchive):
-    """The same archives, and the same failed solve, with the grid split
-    between this process and a forked child."""
+    """The same archives, and the same failed solve, with a forked child
+    running the kernel."""
 
     @pytest.fixture(autouse=True)
     def parts(self, monkeypatch):
@@ -392,11 +393,106 @@ class TestSolverChild:
         use_parts(monkeypatch, 1)
         assert stream(flat_scenario(duration=0.2)).processes == 1
 
-    def test_split_needs_parts_of_minimum_size(self, monkeypatch):
+    def test_slow_consumer_reads_every_set_whole(self, monkeypatch):
+        # the observer sleeps before it copies the first slices, so a child
+        # that wrote a set the parent still reads would change the copy; it
+        # also sleeps on the last ones, so a child that exited after its last
+        # block would meet the parent's acknowledgements with a closed pipe
         use_parts(monkeypatch, 2)
-        assert stream(flat_scenario(duration=0.05)).processes == 2
-        monkeypatch.setattr(wave, "MIN_PART_NODES", 1201)  # the parent's part holds 1200
-        assert stream(flat_scenario(duration=0.05)).processes == 1
+        sc = inplace_scenario(store_stride=2, duration=0.5)
+        n_slices = stored_slices(sc)
+        kept = []
+
+        def slow(t, u):
+            if len(kept) < 6 or len(kept) >= n_slices - 3:
+                time.sleep(0.05)
+            kept.append(u.copy())
+
+        rec = stream(sc, [slow])
+        assert rec.processes == 2
+        u, ts, energy, _ = reference_leapfrog(sc, rec.dt)
+        assert np.array_equal(np.asarray(kept), u)
+        assert np.array_equal(rec.ts, ts) and np.array_equal(rec.energy, energy)
+        assert_no_child()
+
+
+class TestKernel:
+    """The kernel is compiled on the first solve into its cache and loaded
+    from there after; a compiler that fails is a named error before any
+    step, and the kernel takes only arrays that fit one grid."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(wave, "_kernel_lib", None)
+        monkeypatch.setattr(wave, "KERNEL_CACHE", tmp_path / "cache")
+        return tmp_path / "cache"
+
+    def test_warm_cache_runs_no_compiler(self, cold, monkeypatch):
+        _, build_s = wave._kernel()
+        assert build_s > 0
+        built = list(cold.iterdir())  # the library alone: no temporary name is left
+        assert len(built) == 1 and built[0].match("_leapfrog.*.so")
+        assert wave._kernel()[1] == 0.0  # loaded in this process already
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the cached library was compiled again")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(wave, "_kernel_lib", None)
+        assert wave._kernel()[1] == 0.0
+        assert stream(flat_scenario(duration=0.05)).kernel_build_s == 0.0
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, cold, monkeypatch, tmp_path):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(wave, "KERNEL_CACHE", tmp_path / "file" / "cache")
+        monkeypatch.setattr(wave, "_private_cache", None)
+        rec = stream(flat_scenario(duration=0.05))
+        assert rec.kernel_build_s > 0
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_missing_compiler_is_a_named_error(self, cold, monkeypatch, tmp_path, parts):
+        use_parts(monkeypatch, parts)
+        monkeypatch.setattr(wave, "CC", ("wavediff-no-such-cc", *wave.CC[1:]))
+        with pytest.raises(KernelBuildError) as info:
+            stage_wave(flat_scenario(duration=0.05), [], tmp_path / "f.npz")
+        err = info.value
+        assert err.command[0] == "wavediff-no-such-cc" and "wavediff-no-such-cc" in err.stderr
+        assert "wavediff-no-such-cc" in str(err) and "\n" not in str(err)
+        assert not (tmp_path / "f.npz").exists()
+        assert not cold.exists() or not list(cold.iterdir())
+        assert_no_child()
+
+    def test_failed_compile_carries_its_stderr(self, cold, monkeypatch):
+        monkeypatch.setattr(wave, "CC", (*wave.CC, "-fwavediff-no-such-option"))
+        with pytest.raises(KernelBuildError) as info:
+            wave._kernel()
+        assert "wavediff-no-such-option" in info.value.stderr
+        assert "wavediff-no-such-option" in str(info.value) and "\n" not in str(info.value)
+        assert not list(cold.iterdir())  # the temporary output is removed
+
+    def test_kernel_takes_contiguous_float64_grids_only(self):
+        sc = flat_scenario(nx=100, sponge=SpongeSpec(cells=20), duration=0.01)
+        lib, _ = wave._kernel()
+        xs, n = sc.grid(), sc.nx + 1
+        ramps, c2h, good = (np.ones(20), np.ones(20)), np.ones(n - 1), np.zeros((3, n))
+        for levels, half in [(np.zeros((3, n), np.float32), c2h),
+                             (np.zeros((3, 2 * n))[:, ::2], c2h),
+                             (good, c2h.astype(np.float32))]:
+            with pytest.raises(TypeError, match="contiguous float64"):
+                next(wave._leapfrog(lib, sc, xs, 0.01, [1], half, ramps, levels))
+        for levels, half, damp in [(good, np.ones(n), ramps),
+                                   (np.zeros((3, n - 1)), c2h, ramps),
+                                   (good, c2h, (np.ones(60), np.ones(60)))]:
+            with pytest.raises(ValueError, match="do not fit"):
+                next(wave._leapfrog(lib, sc, xs, 0.01, [1], half, damp, levels))
+
+        def short_forcing(xs, t):
+            return np.zeros(xs.size - 1)
+
+        with pytest.raises(ValueError, match="one value per grid node"):
+            next(wave._leapfrog(lib, WaveScenario(**{**vars(sc), "forcing": short_forcing}),
+                                xs, 0.01, [1], c2h, ramps, good))
 
 
 def discrete_energy(fld: WaveField, t_index: int) -> float:
