@@ -10,15 +10,14 @@
  * m the level that was ``next`` holds the newest field, the one that was
  * ``curr`` the previous one.  Per step: the flux f_j = c2h[j] (u_{j+1} - u_j)
  * on the n - 1 half cells, the interior update
- * next_j = (2 curr_j - prev_j) + lam2 (f_j - f_{j-1}), zero ends, the forcing
- * ``force`` (n values, interior only; NULL for none) and the sponge ramps:
- * ``damp_lo`` on the first ``n_lo`` nodes and ``damp_hi`` on the last
- * ``n_hi``, applied to both ``next`` and ``curr``. */
+ * next_j = (2 curr_j - prev_j) + lam2 (f_j - f_{j-1}), zero ends and the
+ * sponge ramps: ``damp_lo`` on the first ``n_lo`` nodes and ``damp_hi`` on the
+ * last ``n_hi``, applied to both ``next`` and ``curr``.  There is no source
+ * term: the wave is launched by its two initial levels. */
 void leapfrog(double *prev, double *curr, double *next, long n,
               const double *c2h, double lam2,
               const double *damp_lo, long n_lo,
-              const double *damp_hi, long n_hi,
-              const double *force, long steps)
+              const double *damp_hi, long n_hi, long steps)
 {
     for (long m = 0; m < steps; m++) {
         double f_left = c2h[0] * (curr[1] - curr[0]);
@@ -29,9 +28,6 @@ void leapfrog(double *prev, double *curr, double *next, long n,
         }
         next[0] = 0.0;
         next[n - 1] = 0.0;
-        if (force)
-            for (long j = 1; j < n - 1; j++)
-                next[j] += force[j];
         for (long j = 0; j < n_lo; j++) {
             next[j] *= damp_lo[j];
             curr[j] *= damp_lo[j];

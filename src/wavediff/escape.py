@@ -380,18 +380,6 @@ class PositivityReport:
     delta: float
     eps: float
 
-    def asdict(self):
-        return dict(
-            min_margin=self.min_hp_phi,
-            threshold=self.threshold,
-            passed=self.passed,
-            schedule_valid=self.schedule_valid,
-            C_prime_derived=self.C_prime_derived,
-            n_support=self.n_support,
-            delta=self.delta,
-            eps=self.eps,
-        )
-
 
 def check_positivity(
     frame: EscapeFrame,
@@ -460,6 +448,10 @@ def absorption_factor(
     return out if out.ndim else float(out)
 
 
+# the F values find_F_threshold tries, in increasing order
+F_GRID = [2.0**j for j in range(-2, 42)]
+
+
 def find_F_threshold(
     s: float,
     r_weight: float,
@@ -470,15 +462,12 @@ def find_F_threshold(
     hp_phi,
     rho_bound: float,
     c0: float = 1.0,
-    F_grid=None,
 ):
-    """Least F on a grid making the absorption factor >= c0/8 at every
+    """Least F of ``F_GRID`` making the absorption factor >= c0/8 at every
     supplied support sample; None if the grid is exhausted."""
-    if F_grid is None:
-        F_grid = [2.0**j for j in range(-2, 42)]
     phi_over_delta = np.asarray(phi_over_delta, float)
     hp_phi = np.asarray(hp_phi, float)
-    for F in F_grid:
+    for F in F_GRID:
         vals = absorption_factor(
             s, r_weight, M, F, beta, delta, phi_over_delta, hp_phi, rho_bound, c0
         )

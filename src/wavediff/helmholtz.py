@@ -140,7 +140,7 @@ def layer_scan(speed, omegas, x_match: float, cells: int) -> ReflectionScan:
     return ReflectionScan(omegas=omegas, R=R, T=T, c_left=c_left, c_right=c_right)
 
 
-def reflection_scan(speed, omegas, x_match: float = 0.6) -> ReflectionScan:
+def reflection_scan(speed, omegas, x_match: float) -> ReflectionScan:
     """Reflection/transmission coefficients of the profile at each frequency.
 
     ``speed`` maps an array of positions to the sound speed and must be
@@ -171,7 +171,7 @@ def solve_ivp(*args, **kwargs):
 def reflection_scan_ivp(
     speed,
     omegas,
-    x_match: float = 0.6,
+    x_match: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> ReflectionScan:

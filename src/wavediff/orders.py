@@ -582,32 +582,18 @@ def verify_constraint_chain(
     )
 
 
-def bootstrap_schedule(
-    s_target: Rational, eps0: Rational, s_prior: Rational | None = None
-) -> list[Fraction]:
-    """Increasing ladder of orders for the elliptic bootstrap.
+def bootstrap_schedule(s_target: Rational, eps0: Rational) -> list[Fraction]:
+    """Increasing ladder of orders for the elliptic bootstrap from the
+    a-priori order ``s_target - eps0``.
 
     Starts at ``min(s_target - eps0 + 1/2, s_target)`` and climbs by ``1/2``
-    per step, clamped at ``s_target``.  ``s_prior`` (the a-priori order,
-    defaulting to ``s_target - eps0``) must not exceed the target.
+    per step, clamped at ``s_target``.
     """
     s_target, eps0 = frac(s_target), frac(eps0)
     if eps0 <= 0:
         raise OrderError("eps0 must be positive")
-    if s_prior is None:
-        s_prior = s_target - eps0
-    else:
-        s_prior = frac(s_prior)
-    if s_prior > s_target:
-        raise OrderError("a-priori order exceeds the target")
     half = Fraction(1, 2)
     steps = [min(s_target - eps0 + half, s_target)]
     while steps[-1] < s_target:
         steps.append(min(steps[-1] + half, s_target))
     return steps
-
-
-def schedule_length(eps0: Rational) -> int:
-    """Closed-form length of the bootstrap ladder: 1 + max(0, ceil(2(eps0 - 1/2)))."""
-    eps0 = frac(eps0)
-    return 1 + max(0, math.ceil(2 * (eps0 - Fraction(1, 2))))

@@ -45,10 +45,6 @@ class ProbeWindow:
     t_hi: float
     label: str
 
-    @property
-    def width(self) -> float:
-        return self.x_hi - self.x_lo
-
 
 def window_taper(x, lo, hi):
     """Smooth plateau over the window, exactly zero at and beyond the edges;
@@ -225,11 +221,7 @@ def _leg_time_at(leg, x):
     return float(np.interp(x, xs[order], ts[order]))
 
 
-def window_plan(
-    scenario: WaveScenario,
-    paths: list,
-    width: float | None = None,
-) -> list:
+def window_plan(scenario: WaveScenario, paths: list) -> list:
     """Place incident / reflected / transmitted windows from a traced path set.
 
     Spatial windows sit in the homogeneous region on either side of the
@@ -250,14 +242,11 @@ def window_plan(
     m = scenario.metric
     dx = scenario.dx
     src = scenario.source
-    if src is None:
-        raise WindowPlanError("scenario has no source to probe")
     clear = max(10 * dx, 1.1 * m.core_radius)
     sponge_pad = scenario.sponge.cells * dx + 20 * dx
     lo_usable = scenario.x_lo + sponge_pad
     hi_usable = scenario.x_hi - sponge_pad
-    if width is None:
-        width = min(-clear - lo_usable, hi_usable - clear)
+    width = min(-clear - lo_usable, hi_usable - clear)
     if width <= 0:
         raise WindowPlanError("no room between the core and the sponges; enlarge the domain")
 

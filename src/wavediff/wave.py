@@ -8,18 +8,20 @@ calibration rather than assumed.  Sobolev-calibrated initial pulses are
 synthesized in frequency space with fixed-seed random phases and launched
 rightward using the exact discrete dispersion relation.
 
-``stream`` is the one time loop: it hands each stored slice to observers
-(the probe's window spectra, the ``field.npz`` writer) and keeps only the
-times, energies and grid.  ``run`` streams into a stack of every slice for
-the tests that read the whole history; the pipeline never calls it.
+Every scenario launches its packet from two initial levels, with no
+source term, so there is one time loop and one kernel.  ``stream`` is that
+loop: it hands each stored slice to observers (the probe's window spectra,
+the ``field.npz`` writer) and keeps only the times, energies and grid.
+``run`` streams into a stack of every slice for the tests that read the
+whole history; the pipeline never calls it.
 
-Each step of the time loop is one pass of a C function over the whole grid
-(``_leapfrog.c``, loaded through ``ctypes``).  It is compiled with ``cc`` on
-the first solve of a process, never at import, and cached under the
-package's ``__pycache__``.  Per node the kernel performs the IEEE
-operations of the tests' allocating numpy reference loop in their order, so
-the fields are bit-identical to it.  Without a compiler ``stream`` raises
-``KernelBuildError``.
+The steps from one stored slice to the next are one call of a C function
+over the whole grid (``_leapfrog.c``, loaded through ``ctypes``).  It is
+compiled with ``cc`` on the first solve of a process, never at import, and
+cached under the package's ``__pycache__``.  Per node the kernel performs
+the IEEE operations of the tests' allocating numpy reference loop in their
+order, so the fields are bit-identical to it.  Without a compiler
+``stream`` raises ``KernelBuildError``.
 
 When ``os.fork`` exists and the process may run on two CPUs, ``stream``
 forks one child after building the launch levels.  The child runs the
@@ -40,7 +42,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class SpongeSpec:
     def __post_init__(self):
         if self.cells < 20:
             raise ValueError("sponge must be at least 20 cells wide")
+        if not self.strength >= 0:  # a negative strength amplifies; nan fails too
+            raise ValueError("sponge strength must not be negative, got %g" % self.strength)
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,10 @@ class WaveScenario:
     x_hi: float
     duration: float
     nx: int
+    source: PulseSpec
     cfl: float = 0.9
-    source: PulseSpec | None = None
     sponge: SpongeSpec = field(default_factory=SpongeSpec)
     store_stride: int = 8
-    forcing: Callable | None = None  # f(x_array, t) -> array, optional
 
     def __post_init__(self):
         if self.nx < 1:
@@ -100,16 +102,20 @@ class WaveScenario:
         if self.sponge.cells > self.nx + 1:
             raise ValueError("sponge of %d cells does not fit the %d grid nodes"
                              % (self.sponge.cells, self.nx + 1))
-        if self.source is not None and not self.source.width > 0:
+        if not self.duration > 0:  # written so that nan fails too
+            raise ValueError("duration must be positive, got %g" % self.duration)
+        if not self.source.width > 0:
             raise ValueError("pulse width must be positive, got %g" % self.source.width)
         if self.store_stride < 1:
             raise ValueError("store_stride must be at least 1, got %d" % self.store_stride)
+        if not self.cfl > 0:
+            raise ValueError("CFL factor must be positive, got %g" % self.cfl)
         if self.cfl > 0.9 + 1e-12:
             raise CFLViolation("CFL factor must not exceed 0.9")
-        if self.source is not None and self.source.s_in is not None:
+        if self.source.s_in is not None:
             if not -1.0 <= self.source.s_in <= 4.0:
                 raise ValueError("pulse order must lie in [-1, 4]")
-        if self.source is not None and self.metric.amp != 0.0:
+        if self.metric.amp != 0.0:
             # keep the packet's full envelope well clear of the interface
             if abs(self.source.center) < 10 * self.source.width:
                 raise ValueError("source must sit at least 10 pulse widths from the interface")
@@ -139,8 +145,6 @@ def make_pulse(scenario: WaveScenario) -> np.ndarray:
     """
     src = scenario.source
     xs = scenario.grid()
-    if src is None:
-        raise ValueError("scenario has no source")
     if src.s_in is None:
         prof = np.exp(-0.5 * ((xs - src.center) / src.width) ** 2)
         if src.carrier:
@@ -321,7 +325,7 @@ def _kernel():
     lib = ctypes.CDLL(str(path))
     ptr, size = ctypes.c_void_p, ctypes.c_long
     lib.leapfrog.argtypes = [ptr, ptr, ptr, size, ptr, ctypes.c_double,
-                             ptr, size, ptr, size, ptr, size]
+                             ptr, size, ptr, size, size]
     lib.leapfrog.restype = None
     _kernel_lib = lib
     return lib, build_s
@@ -333,40 +337,31 @@ def _contiguous(*arrays):
             raise TypeError("the leapfrog kernel takes 1-d contiguous float64 arrays")
 
 
-def _leapfrog(lib, scenario, xs, dt, stops, c2h, ramps, levels):
+def _leapfrog(lib, lam2, stops, c2h, ramps, levels):
     """Advance the three ``levels`` (previous, current, next) in place with
-    the compiled kernel, one call per block of steps, and yield
-    ``(m, u_prev, u_curr)`` at each stored step ``m`` of ``stops``.
+    the compiled kernel and yield ``(m, u_prev, u_curr)`` at each stored
+    step ``m`` of ``stops``, an increasing list: one kernel call per block
+    of steps up to the next stop.
 
-    ``ramps`` are the sponge's damping factors on the first and on the last
-    nodes of the grid.  A forcing is evaluated here, so its blocks are one
-    step long.  Every length the kernel sees is taken from the arrays
-    handed to it, after they are checked to be contiguous ``float64``.
+    ``lam2`` is ``(dt / dx) ** 2`` and ``ramps`` are the sponge's damping
+    factors on the first and on the last nodes of the grid.  Every length
+    the kernel sees is taken from the arrays handed to it, after they are
+    checked to be contiguous ``float64``.
     """
-    n = xs.size
     damp_lo, damp_hi = ramps
     _contiguous(*levels, c2h, damp_lo, damp_hi)
+    n = levels[0].size
     if not (n >= 2 and all(u.size == n for u in levels) and c2h.size == n - 1
             and damp_lo.size + damp_hi.size <= n):
         raise ValueError("the leapfrog's arrays do not fit one grid of %d nodes" % n)
-    lam2 = (dt / scenario.dx) ** 2
     fixed = (n, c2h.ctypes.data, lam2, damp_lo.ctypes.data, damp_lo.size,
              damp_hi.ctypes.data, damp_hi.size)
     rows = list(levels)
-    forcing = scenario.forcing
     m = 0
     for stop in stops:
-        while m < stop:
-            k, force = stop - m, None
-            if forcing is not None:
-                k, force = 1, dt * dt * np.asarray(forcing(xs, m * dt), float)
-                _contiguous(force)
-                if force.size != n:
-                    raise ValueError("the forcing must give one value per grid node")
-            lib.leapfrog(*(u.ctypes.data for u in rows), *fixed,
-                         None if force is None else force.ctypes.data, k)
-            m += k
-            rows = rows[k % 3 :] + rows[: k % 3]  # the kernel rotated the levels k times
+        k, m = stop - m, stop
+        lib.leapfrog(*(u.ctypes.data for u in rows), *fixed, k)
+        rows = rows[k % 3 :] + rows[: k % 3]  # the kernel rotated the levels k times
         yield m, rows[0], rows[1]
 
 
@@ -448,9 +443,8 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     # three rotating time levels, updated in place
     levels = np.zeros((3, n))
     u_prev, u_curr = levels[0], levels[1]
-    if scenario.source is not None:
-        u_curr[:] = make_pulse(scenario)
-        u_prev[:] = _one_way_previous(u_curr, scenario, dt)
+    u_curr[:] = make_pulse(scenario)
+    u_prev[:] = _one_way_previous(u_curr, scenario, dt)
 
     # sponge: exponential damping ramp applied multiplicatively to both levels;
     # damp is exactly 1.0 between the two ramps, so only their cells are touched;
@@ -472,9 +466,9 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     energy[0] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
 
     stride = scenario.store_stride
-    # the stored steps: every stride-th and the last (none without steps)
-    stops = [*range(stride, n_steps, stride), n_steps][: n_store - 1]
-    blocks = _leapfrog(lib, scenario, xs, dt, stops, c2h, ramps, levels)
+    # the stored steps: every stride-th and the last
+    stops = [*range(stride, n_steps, stride), n_steps]
+    blocks = _leapfrog(lib, (dt / dx) ** 2, stops, c2h, ramps, levels)
     pid = None
     if _two_cpus():
         # both levels of two sets, so one set is read while the next is written

@@ -379,10 +379,18 @@ class TestPipeline:
             ("pulse_width = 0.06", "pulse_width = 0", "[wave] pulse width must be positive"),
             ("nx = 8192", "nx = 256", "[wave] sponge of 300 cells does not fit the 257 grid nodes"),
             ("nx = 8192", "nx = 8192\nx_lo = 4.0\nx_hi = -4.0", "[wave] x_hi must exceed x_lo"),
+            # values that divide by zero, size no grid or amplify in the sponge
+            ("nx = 8192", "nx = 8192\ncfl = 0", "[wave] CFL factor must be positive"),
+            ("nx = 8192", "nx = 8192\ncfl = -0.5", "[wave] CFL factor must be positive"),
+            ("nx = 8192", "nx = 8192\ncfl = nan", "[wave] CFL factor must be positive"),
+            ("duration = 6.6", "duration = -1", "[wave] duration must be positive"),
+            ("sponge_cells = 300", "sponge_cells = 300\nsponge_strength = -60",
+             "[wave] sponge strength must not be negative"),
         ],
         ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy",
              "store-stride", "seed", "pulse-seed", "nx-0", "nx-negative", "pulse-width",
-             "sponge-wider-than-grid", "x-range"],
+             "sponge-wider-than-grid", "x-range", "cfl-0", "cfl-negative", "cfl-nan",
+             "duration-negative", "sponge-strength-negative"],
     )
     def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new, named):
         cfgf = tmp_path / "fault.ini"

@@ -32,7 +32,6 @@ from wavediff.orders import (
     mult_decompose,
     psdo_shift,
     reverse_pair,
-    schedule_length,
     verify_constraint_chain,
 )
 from wavediff.orders import Rational, _check_same_k, _reject_float, frac
@@ -386,6 +385,12 @@ class TestConstraintChain:
             assert rep.prelim_matches_reduced
             assert rep.reduced_implies_reduction
             assert rep.second_automatic
+
+
+def schedule_length(eps0: Rational) -> int:
+    """Closed-form length of the bootstrap ladder: 1 + max(0, ceil(2(eps0 - 1/2)))."""
+    eps0 = frac(eps0)
+    return 1 + max(0, math.ceil(2 * (eps0 - Fraction(1, 2))))
 
 
 class TestBootstrap:

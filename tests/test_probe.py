@@ -250,8 +250,7 @@ class TestBlockedProduct:
 def bundled_metric_and_band():
     """The bundled scenario's profile and the probe band of its 2^14 grid."""
     m = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
-    sc = WaveScenario(metric=m, x_lo=-4.0, x_hi=4.0, duration=6.6, nx=2**14)
-    k_top = np.pi / sc.dx / 4.0
+    k_top = np.pi / (8.0 / 2**14) / 4.0  # a quarter of the Nyquist of [-4, 4]
     return m, (k_top / 2**8, k_top)
 
 

@@ -147,8 +147,8 @@ def reference_leapfrog(sc, dt):
     """The allocating leapfrog: a new array per term, full-grid damping."""
     xs, dx = sc.grid(), sc.dx
     c_half = np.asarray(sc.metric.speed(0.5 * (xs[1:] + xs[:-1])), float)
-    u_curr = make_pulse(sc) if sc.source is not None else np.zeros(xs.size)
-    u_prev = _one_way_previous(u_curr, sc, dt) if sc.source is not None else np.zeros(xs.size)
+    u_curr = make_pulse(sc)
+    u_prev = _one_way_previous(u_curr, sc, dt)
     cells, strength = sc.sponge.cells, sc.sponge.strength
     damp = np.ones(xs.size)
     damp[:cells] = np.exp(-strength * dt * np.linspace(1.0, 0.0, cells) ** 2)
@@ -161,8 +161,6 @@ def reference_leapfrog(sc, dt):
         u_next = 2.0 * u_curr - u_prev
         u_next[1:-1] += lam2 * (flux[1:] - flux[:-1])
         u_next[0] = u_next[-1] = 0.0
-        if sc.forcing is not None:
-            u_next[1:-1] += dt * dt * np.asarray(sc.forcing(xs, (m - 1) * dt), float)[1:-1]
         u_next *= damp
         u_prev, u_curr = u_curr * damp, u_next
         if m % sc.store_stride == 0 or m == n_steps:
@@ -172,24 +170,10 @@ def reference_leapfrog(sc, dt):
     return np.asarray(us), np.asarray(ts), np.asarray(es), n_steps
 
 
-def forcing_at(x0):
-    """Ricker wavelet in time on a gaussian bump at ``x0``."""
-
-    def f(xs, t):
-        bump = np.exp(-0.5 * ((xs - x0) / 0.05) ** 2)
-        wavelet = (1 - 2 * (np.pi * 2.0 * (t - 0.3)) ** 2) * np.exp(
-            -((np.pi * 2.0 * (t - 0.3)) ** 2)
-        )
-        return bump * wavelet
-
-    return f
-
-
 INPLACE_CASES = pytest.mark.parametrize(
     "kw, ragged",
     [
         (dict(), False),
-        (dict(source=None, forcing=forcing_at(1.0)), False),
         (dict(store_stride=7), True),
         (dict(nx=200, store_stride=4), False),
         (dict(metric=ConormalMetric(s0=2.5, amp=0.4, core_radius=0.3, c_bg=1.3)), True),
@@ -198,7 +182,7 @@ INPLACE_CASES = pytest.mark.parametrize(
         (dict(sponge=SpongeSpec(cells=500)), False),
         (dict(metric=ConormalMetric(s0=2.5, amp=0.4, core_radius=0.8)), True),
     ],
-    ids=["sponges", "forcing", "ragged-stride", "overlapping-sponges",
+    ids=["sponges", "ragged-stride", "overlapping-sponges",
          "speed-varies-everywhere", "uniform-unit-speed", "ghost-width-1",
          "cut-in-sponge-ramp", "cut-in-speed-span"],
 )
@@ -214,6 +198,20 @@ def use_parts(monkeypatch, parts):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def wrap_leapfrog(monkeypatch, fault):
+    """Make ``stream`` run the real ``wave._leapfrog`` with ``fault(j, curr)``
+    called on the current level of block ``j`` (from 1) before it is
+    handed on: in the forked child when there is one."""
+    real = wave._leapfrog
+
+    def leapfrog(*args):
+        for j, (m, prev, curr) in enumerate(real(*args), start=1):
+            fault(j, curr)
+            yield m, prev, curr
+
+    monkeypatch.setattr(wave, "_leapfrog", leapfrog)
 
 
 def inplace_scenario(**kw):
@@ -321,13 +319,14 @@ class TestFieldArchive:
         streamed = (tmp_path / "streamed.npz").read_bytes()
         assert streamed == (tmp_path / "stacked.npz").read_bytes()
 
-    def test_failed_solve_leaves_no_archive(self, tmp_path):
-        def nan_forcing(xs, t):
-            return np.full(xs.size, np.nan)
+    def test_failed_solve_leaves_no_archive(self, tmp_path, monkeypatch):
+        def nan_on_block_3(j, curr):
+            if j == 3:
+                curr[:] = np.nan
 
-        sc = flat_scenario(duration=0.2, source=None, forcing=nan_forcing)
+        wrap_leapfrog(monkeypatch, nan_on_block_3)
         with pytest.raises(FieldBlowup):
-            stage_wave(sc, [], tmp_path / "f.npz")
+            stage_wave(flat_scenario(duration=0.2), [], tmp_path / "f.npz")
         assert not (tmp_path / "f.npz").exists()
         assert_no_child()
 
@@ -363,14 +362,13 @@ class TestSolverChild:
         use_parts(monkeypatch, 2)
         parent = os.getpid()
 
-        def fails_in_child(xs, t):
-            if os.getpid() != parent and t > 0.05:
-                raise RuntimeError("forcing failed")
-            return np.zeros(xs.size)
+        def fails_in_child(j, curr):
+            if os.getpid() != parent and j == 3:
+                raise RuntimeError("kernel failed")
 
-        sc = flat_scenario(duration=0.2, forcing=fails_in_child)
+        wrap_leapfrog(monkeypatch, fails_in_child)
         with pytest.raises(RuntimeError, match="child process ended early"):
-            stage_wave(sc, [], tmp_path / "f.npz")
+            stage_wave(flat_scenario(duration=0.2), [], tmp_path / "f.npz")
         assert not (tmp_path / "f.npz").exists()
         assert_no_child()
 
@@ -472,27 +470,39 @@ class TestKernel:
         assert not list(cold.iterdir())  # the temporary output is removed
 
     def test_kernel_takes_contiguous_float64_grids_only(self):
-        sc = flat_scenario(nx=100, sponge=SpongeSpec(cells=20), duration=0.01)
         lib, _ = wave._kernel()
-        xs, n = sc.grid(), sc.nx + 1
+        n = 101
         ramps, c2h, good = (np.ones(20), np.ones(20)), np.ones(n - 1), np.zeros((3, n))
         for levels, half in [(np.zeros((3, n), np.float32), c2h),
                              (np.zeros((3, 2 * n))[:, ::2], c2h),
                              (good, c2h.astype(np.float32))]:
             with pytest.raises(TypeError, match="contiguous float64"):
-                next(wave._leapfrog(lib, sc, xs, 0.01, [1], half, ramps, levels))
+                next(wave._leapfrog(lib, 0.81, [1], half, ramps, levels))
         for levels, half, damp in [(good, np.ones(n), ramps),
                                    (np.zeros((3, n - 1)), c2h, ramps),
                                    (good, c2h, (np.ones(60), np.ones(60)))]:
             with pytest.raises(ValueError, match="do not fit"):
-                next(wave._leapfrog(lib, sc, xs, 0.01, [1], half, damp, levels))
+                next(wave._leapfrog(lib, 0.81, [1], half, damp, levels))
 
-        def short_forcing(xs, t):
-            return np.zeros(xs.size - 1)
+    def test_one_kernel_call_per_stored_block(self, monkeypatch):
+        # a ragged stride: every block but the last is 7 steps, and each is
+        # one call, however many steps it holds
+        use_parts(monkeypatch, 1)
+        lib, _ = wave._kernel()
+        steps = []
 
-        with pytest.raises(ValueError, match="one value per grid node"):
-            next(wave._leapfrog(lib, WaveScenario(**{**vars(sc), "forcing": short_forcing}),
-                                xs, 0.01, [1], c2h, ramps, good))
+        class Counting:
+            def leapfrog(self, *args):
+                steps.append(args[-1])
+                lib.leapfrog(*args)
+
+        monkeypatch.setattr(wave, "_kernel", lambda: (Counting(), 0.0))
+        sc = inplace_scenario(store_stride=7)
+        fld = run(sc)
+        u, ts, energy, n_steps = reference_leapfrog(sc, fld.dt)
+        assert n_steps % 7 and steps == [7] * (n_steps // 7) + [n_steps % 7]
+        assert len(steps) == fld.ts.size - 1
+        assert np.array_equal(fld.u, u) and np.array_equal(fld.energy, energy)
 
 
 def discrete_energy(fld: WaveField, t_index: int) -> float:
@@ -506,11 +516,6 @@ def discrete_energy(fld: WaveField, t_index: int) -> float:
 
 
 class TestEnergy:
-    def test_zero_field(self):
-        sc = flat_scenario(source=None, duration=0.1)
-        fld = run(sc)
-        assert np.allclose(fld.energy, 0.0)
-
     def test_staggered_energy_conserved(self):
         sc = flat_scenario(duration=0.8, store_stride=8)
         fld = run(sc)
@@ -587,26 +592,30 @@ class TestPulse:
 class TestStructure:
     def test_reciprocity(self):
         # swap source and receiver: traces agree (self-adjoint operator,
-        # symmetric scheme)
+        # symmetric scheme).  Each run starts at rest from a gaussian bump at
+        # its source, and its trace reads the field at the receiver's node
         m = ConormalMetric(s0=2.5, amp=0.4)
         x_a, x_b = -1.0, 0.8
+        sc = WaveScenario(
+            metric=m, x_lo=-3.0, x_hi=3.0, duration=2.5, nx=3000,
+            source=PulseSpec(center=x_a, width=0.05),
+            sponge=SpongeSpec(cells=150), store_stride=2,
+        )
+        xs, c_nodes, c_half = wave._speeds(sc)
+        dt, n_steps, _ = wave._clock(sc, c_nodes, c_half)
+        cells, strength = sc.sponge.cells, sc.sponge.strength
+        ramps = (np.exp(-strength * dt * np.linspace(1.0, 0.0, cells) ** 2),
+                 np.exp(-strength * dt * np.linspace(0.0, 1.0, cells) ** 2))
+        lib, _ = wave._kernel()
 
         traces = {}
         for src, rec in ((x_a, x_b), (x_b, x_a)):
-            sc = WaveScenario(
-                metric=m,
-                x_lo=-3.0,
-                x_hi=3.0,
-                duration=2.5,
-                nx=3000,
-                source=None,
-                sponge=SpongeSpec(cells=150),
-                store_stride=2,
-                forcing=forcing_at(src),
-            )
-            fld = run(sc)
-            idx = int(np.argmin(np.abs(fld.xs - rec)))
-            traces[(src, rec)] = fld.u[:, idx]
+            levels = np.zeros((3, xs.size))
+            levels[0] = levels[1] = np.exp(-0.5 * ((xs - src) / 0.05) ** 2)
+            idx = int(np.argmin(np.abs(xs - rec)))
+            blocks = wave._leapfrog(lib, (dt / sc.dx) ** 2, range(2, n_steps + 1, 2),
+                                    c_half**2, ramps, levels)
+            traces[(src, rec)] = np.array([curr[idx] for _, _, curr in blocks])
         a = traces[(x_a, x_b)]
         b = traces[(x_b, x_a)]
         assert np.max(np.abs(a - b)) <= 1e-6 * max(np.max(np.abs(a)), 1e-30)
@@ -614,7 +623,7 @@ class TestStructure:
     def test_finite_propagation_speed(self):
         # compactly supported standing start: exactly zero outside the
         # scheme's stencil cone, and tiny just beyond the physical cone
-        sc = flat_scenario(source=None, duration=0.6, nx=3000, store_stride=8)
+        sc = flat_scenario(duration=0.6, nx=3000, store_stride=8)
         xs = sc.grid()
         u0 = smooth_envelope(xs, -0.5, 0.05)
         dx = sc.dx
