@@ -281,30 +281,12 @@ def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_cs
     """Fit each window's spectrum, scan the oracle and write the gain report.
 
     Returns the report and the stage's work counts: ``oracle_freqs``, the
-    frequencies the oracle solved (0 when it is skipped), and
-    ``window_slices``, the stored slices each window's fit saw.
+    frequencies the oracle solved, and ``window_slices``, the stored slices
+    each window's fit saw.
     """
     fits = {spec.window.label: decay_fit(spec) for spec in spectra}
-    oracle = None
-    notes = []
-    if cfg.probe["oracle"]:
-        if cfg.c_smooth is None:
-            oracle = default_oracle_scan(scenario.metric, fits["incident"].band)
-        else:
-            notes.append(
-                "oracle skipped: it matches plane waves at a constant speed outside"
-                " the core, and c_smooth varies there"
-            )
-    rep = gain_report(
-        fits,
-        hyperbolic_window(cfg.s0, cfg.eps0, cfg.k),
-        oracle=oracle,
-        transmit_tol=cfg.probe["transmit_tol"],
-        oracle_tol=cfg.probe["oracle_tol"],
-        gain_floor=cfg.probe["gain_floor"],
-        margin=cfg.probe["margin"],
-    )
-    rep.notes += notes
+    oracle = default_oracle_scan(scenario.metric, fits["incident"].band)
+    rep = gain_report(fits, hyperbolic_window(cfg.s0, cfg.eps0, cfg.k), oracle=oracle)
     out_json.write_text(json.dumps(rep.asdict(), indent=2))
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -314,7 +296,7 @@ def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_cs
                 fitted = np.exp(fit.intercept) * c ** -fit.r_hat
                 w.writerow([label, "%.6g" % c, "%.6g" % mval, "%.6g" % fitted])
     health = {
-        "oracle_freqs": 0 if oracle is None else int(oracle.omegas.size),
+        "oracle_freqs": int(oracle.omegas.size),
         "window_slices": {label: fit.n_slices for label, fit in fits.items()},
     }
     return rep, health

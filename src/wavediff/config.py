@@ -2,10 +2,10 @@
 
 The admissibility parameters (s0, eps0, s, k) appear exactly once, in the
 [metric] and [calc] sections, so the exact-arithmetic gate and the physical
-scenario cannot drift apart.  Unknown sections and keys are rejected (there
-is no [trace] section: the trace always branches both ways at the
-interface), as are negative seeds; probe tolerances may only be loosened
-beyond their defaults when the section carries ``loosened = true``.
+scenario cannot drift apart.  Unknown sections and keys are rejected, as are
+negative seeds.  There is no [trace] section (the trace always branches both
+ways at the interface) and no [probe] section: the background speed is the
+constant ``c_bg``, and the verdict's tolerances are ``probe`` constants.
 """
 
 from __future__ import annotations
@@ -27,51 +27,19 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "experiment": {"name", "out_dir", "seed"},
-    "metric": {"k", "n", "s0", "amp", "c_bg", "core_radius", "c_smooth"},
+    "metric": {"k", "n", "s0", "amp", "c_bg", "core_radius"},
     "calc": {"eps0", "s"},
     "wave": {
         "x_lo", "x_hi", "duration", "nx", "cfl",
         "pulse_center", "pulse_width", "pulse_s_in", "pulse_seed",
         "sponge_cells", "sponge_strength", "store_stride",
     },
-    "probe": {"oracle", "transmit_tol", "oracle_tol", "gain_floor", "margin", "loosened"},
     "commutant": {"frame", "delta", "eps", "beta", "F", "c0", "alpha", "C0", "dim", "grid"},
 }
-
-_PROBE_TOL_DEFAULTS = {"transmit_tol": 0.25, "oracle_tol": 0.25, "margin": 0.25}
 
 
 def _rational(text: str) -> Fraction:
     return Fraction(text.strip())
-
-
-def _boolean(text: str) -> bool:
-    word = text.strip().lower()
-    if word not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError("not a boolean: %r" % text.strip())
-    return configparser.ConfigParser.BOOLEAN_STATES[word]
-
-
-def _compile_speed_expression(expr: str):
-    """Compile a smooth background expression in x (numpy namespace only)."""
-    import ast
-
-    import numpy as np
-
-    tree = ast.parse(expr, mode="eval")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id not in ("np", "x"):
-            raise ConfigError("c_smooth may reference only 'x' and 'np', found %r" % node.id)
-        if isinstance(node, (ast.Import, ast.ImportFrom, ast.Lambda, ast.Subscript)):
-            raise ConfigError("c_smooth must be a plain arithmetic expression")
-    code = compile(tree, "<c_smooth>", "eval")
-
-    def background(x):
-        xs = np.asarray(x, float)
-        val = eval(code, {"np": np, "x": xs, "__builtins__": {}})
-        return np.broadcast_to(np.asarray(val, float), xs.shape).copy()
-
-    return background
 
 
 @dataclass
@@ -85,11 +53,9 @@ class ExperimentConfig:
     amp: float
     c_bg: float
     core_radius: float
-    c_smooth: str | None
     eps0: Fraction
     s: Fraction
     wave: dict
-    probe: dict
     commutant: dict
     raw_text: str
 
@@ -102,14 +68,11 @@ class ExperimentConfig:
                 "the physical stages support only k = 1 and n = 2, got k = %d and n = %d"
                 % (self.k, self.n)
             )
-        background = self.c_bg
-        if self.c_smooth is not None:
-            background = _compile_speed_expression(self.c_smooth)
         try:
             return ConormalMetric(
                 s0=float(self.s0),
                 amp=self.amp,
-                c_bg=background,
+                c_bg=self.c_bg,
                 core_radius=self.core_radius,
             )
         except ValueError as err:
@@ -164,19 +127,6 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError("[%s] %s: %s" % (section, key, err)) from err
         return default
 
-    probe = {
-        "oracle": get("probe", "oracle", True, _boolean),
-        "gain_floor": get("probe", "gain_floor", 1.0, float),
-    }
-    loosened = get("probe", "loosened", False, _boolean)
-    for key, default in _PROBE_TOL_DEFAULTS.items():
-        probe[key] = get("probe", key, default, float)
-        if probe[key] > default and not loosened:
-            raise ConfigError(
-                "tolerance %s=%g exceeds its default %g; set loosened=true to allow"
-                % (key, probe[key], default)
-            )
-
     wave = {
         "x_lo": get("wave", "x_lo", -4.0, float),
         "x_hi": get("wave", "x_hi", 4.0, float),
@@ -227,11 +177,9 @@ def load_config(path) -> ExperimentConfig:
         amp=get("metric", "amp", 0.4, float),
         c_bg=get("metric", "c_bg", 1.0, float),
         core_radius=get("metric", "core_radius", 1.0, float),
-        c_smooth=get("metric", "c_smooth", None, str.strip),
         eps0=get("calc", "eps0", Fraction(1, 20), _rational),
         s=get("calc", "s", Fraction(1, 2), _rational),
         wave=wave,
-        probe=probe,
         commutant=commutant,
         raw_text=text,
     )

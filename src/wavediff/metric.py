@@ -7,9 +7,9 @@ their duals.  The interface is ``Y = {x = 0}``, and the sound speed is
 
 smooth away from ``Y`` and of class C^{1,alpha} across it with
 ``alpha = s0 - 2``; the bump keeps the profile compactly modulated so the
-medium is exactly homogeneous outside the core.  ``c_bg`` may also be a
-smooth function of ``x``.  One ``speed``/``dspeed`` pair evaluates the
-profile: float in, float out; array in, array out.  A float runs a float
+medium is exactly homogeneous outside the core, where the speed is the
+constant ``c_bg``.  One ``speed``/``dspeed`` pair evaluates the profile:
+float in, float out; array in, array out.  A float runs a float
 kernel, and ``hamilton_field`` computes on floats too.  The dual metric
 function is
 
@@ -21,8 +21,8 @@ so rays travel at speed ``c`` and the time-dual ``tau`` is conserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -63,16 +63,20 @@ class ConormalMetric:
         self,
         s0: float = 2.5,
         amp: float = 0.4,
-        c_bg: float | Callable = 1.0,
+        c_bg: float = 1.0,
         core_radius: float = 0.5,
     ):
         if not s0 > 2:
             raise ValueError("need s0 > 2 for a C^1 metric")
         self.s0 = float(s0)
         self.amp = float(amp)
-        self._bg = c_bg
-        self.c_bg = float(c_bg(0.0)) if callable(c_bg) else float(c_bg)
+        self.c_bg = float(c_bg)
         self.core_radius = float(core_radius)
+        if not math.isfinite(self.amp):
+            raise ValueError("amp must be finite, got %g" % self.amp)
+        for name, value in (("c_bg", self.c_bg), ("core_radius", self.core_radius)):
+            if not 0 < value < math.inf:  # nan fails too
+                raise ValueError("%s must be positive and finite, got %g" % (name, value))
         self.exponent = self.s0 - 1.0
 
     # -- speed profile -----------------------------------------------------
@@ -88,7 +92,7 @@ class ConormalMetric:
 
         A scalar x runs the same expressions on Python floats (the tracer
         calls this ~10^4 times per trace); only the cutoff terms branch on
-        float against array, and a callable background still sees arrays.
+        float against array.
         """
         scalar = isinstance(x, float) or np.ndim(x) == 0
         x = float(x) if scalar else np.asarray(x, float)
@@ -99,20 +103,13 @@ class ConormalMetric:
         f, g = chi0(t), chi0(s)
         bump = 1.0 - f / (f + g)
         e = self.exponent
-        smooth = callable(self._bg)
-        if smooth:
-            xa = np.asarray(x, float)
-        bg = np.asarray(self._bg(xa), float) if smooth else self.c_bg
-        c = bg + self.amp * r**e * bump
+        c = self.c_bg + self.amp * r**e * bump
         if not slope:
             return float(c) if scalar else c
         fp, gp = _over_square(f, t), _over_square(g, s)
         dbump = -((fp * g + f * gp) / (f + g) ** 2) / (1.0 - _PLATEAU)
         dc = self.amp * (e * r ** (e - 1.0) * bump + r**e * dbump / self.core_radius)
         dc = dc * np.sign(x)
-        if smooth:  # central difference of the smooth background
-            h, bg = 1e-6, self._bg
-            dc = dc + (np.asarray(bg(xa + h), float) - np.asarray(bg(xa - h), float)) / (2 * h)
         return (float(c), float(dc)) if scalar else (c, dc)
 
     def speed(self, x):

@@ -29,6 +29,13 @@ from .tracer import EventType
 from .wave import WaveScenario
 
 
+# the verdict's tolerances, as ``gain_report`` applies them
+TRANSMIT_TOL = 0.25
+ORACLE_TOL = 0.25
+GAIN_FLOOR = 1.0
+MARGIN = 0.25
+
+
 class WindowPlanError(ValueError):
     pass
 
@@ -340,20 +347,18 @@ def gain_report(
     fits: dict,
     window: HyperbolicWindow,
     oracle: ReflectionScan | None = None,
-    transmit_tol: float = 0.25,
-    oracle_tol: float = 0.25,
-    gain_floor: float = 1.0,
-    margin: float = 0.25,
 ) -> RegularityReport:
     """Compare incident / reflected / transmitted decay exponents.
 
     ``fits`` maps the labels ``incident``, ``reflected`` and ``transmitted``
     to their windows' ``decay_fit``.  The transmitted exponent must match the
-    incident one within ``transmit_tol``; the reflected exponent must match
-    incident + oracle exponent within ``oracle_tol`` when an oracle scan is
-    supplied, and must in any case reach min(incident gain floor, interface
-    ceiling - margin) in inferred Sobolev order.  The gate, the theorem window and the interface
-    ceiling all come from the exact ``window`` (``orders.hyperbolic_window``).
+    incident one within ``TRANSMIT_TOL``; the reflected exponent must match
+    incident + oracle exponent within ``ORACLE_TOL`` when an oracle scan is
+    supplied (the pipeline always supplies one; the tests' jump and flat
+    controls do not), and must in any case reach min(incident + ``GAIN_FLOOR``,
+    interface ceiling - ``MARGIN``) in inferred Sobolev order.  The gate, the
+    theorem window and the interface ceiling all come from the exact
+    ``window`` (``orders.hyperbolic_window``).
     Low-confidence fits make the verdict "inconclusive", never "pass".
     """
     inc, refl, trans = fits["incident"], fits["reflected"], fits["transmitted"]
@@ -371,16 +376,16 @@ def gain_report(
         mismatch = refl.r_hat - predicted
 
     checks = []
-    checks.append(abs(gain_t) <= transmit_tol)
+    checks.append(abs(gain_t) <= TRANSMIT_TOL)
     if not checks[-1]:
         notes.append("transmitted exponent drifted %.3f from incident" % gain_t)
     if mismatch is not None:
-        checks.append(abs(mismatch) <= oracle_tol)
+        checks.append(abs(mismatch) <= ORACLE_TOL)
         if not checks[-1]:
             notes.append("reflected exponent misses the oracle prediction by %.3f" % mismatch)
     # interface ceiling s0 - 1 - k/2: the top of the window as eps0 -> 0
-    ceiling = float(theorem.hi + theorem.eps0) - margin
-    target_s = min(inc.s_hat + gain_floor, ceiling)
+    ceiling = float(theorem.hi + theorem.eps0) - MARGIN
+    target_s = min(inc.s_hat + GAIN_FLOOR, ceiling)
     checks.append(refl.s_hat >= target_s)
     if not checks[-1]:
         notes.append(
@@ -406,7 +411,7 @@ def gain_report(
         window_admissible=window.admissible,
         window_sup=float(theorem.hi),
         window_lo=float(theorem.lo),
-        transmit_tol=transmit_tol,
+        transmit_tol=TRANSMIT_TOL,
         verdict=verdict,
         notes=notes,
     )

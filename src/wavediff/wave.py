@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import mmap
 import os
 import tempfile
@@ -95,6 +96,10 @@ class WaveScenario:
     store_stride: int = 8
 
     def __post_init__(self):
+        for name, value in (("x_lo", self.x_lo), ("x_hi", self.x_hi),
+                            ("pulse_center", self.source.center)):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %g" % (name, value))
         if self.nx < 1:
             raise ValueError("nx must be at least 1, got %d" % self.nx)
         if not self.x_hi > self.x_lo:
@@ -102,10 +107,11 @@ class WaveScenario:
         if self.sponge.cells > self.nx + 1:
             raise ValueError("sponge of %d cells does not fit the %d grid nodes"
                              % (self.sponge.cells, self.nx + 1))
-        if not self.duration > 0:  # written so that nan fails too
-            raise ValueError("duration must be positive, got %g" % self.duration)
-        if not self.source.width > 0:
-            raise ValueError("pulse width must be positive, got %g" % self.source.width)
+        if not 0 < self.duration < math.inf:  # written so that nan fails too
+            raise ValueError("duration must be positive and finite, got %g" % self.duration)
+        if not 0 < self.source.width < math.inf:
+            raise ValueError("pulse width must be positive and finite, got %g"
+                             % self.source.width)
         if self.store_stride < 1:
             raise ValueError("store_stride must be at least 1, got %d" % self.store_stride)
         if not self.cfl > 0:

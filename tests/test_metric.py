@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from wavediff.config import _compile_speed_expression
 from wavediff.metric import ConormalMetric, PhasePoint, holder_estimate
 
 
@@ -141,8 +140,7 @@ def reference_profile(self, x, slope: bool):
     f, g = np.asarray(reference_chi0(t)), np.asarray(reference_chi0(s))
     bump = 1.0 - f / (f + g)
     e = self.exponent
-    bg = np.asarray(self._bg(x), float) if callable(self._bg) else self.c_bg
-    c = bg + self.amp * r**e * bump
+    c = self.c_bg + self.amp * r**e * bump
     if not slope:
         return c if c.ndim else float(c)
     fp, gp = np.zeros_like(f), np.zeros_like(g)
@@ -151,9 +149,6 @@ def reference_profile(self, x, slope: bool):
     dbump = -((fp * g + f * gp) / (f + g) ** 2) / (1.0 - _PLATEAU)
     dc = self.amp * (e * r ** (e - 1.0) * bump + r**e * dbump / self.core_radius)
     dc = dc * np.sign(x)
-    if callable(self._bg):  # central difference of the smooth background
-        h, bg = 1e-6, self._bg
-        dc = dc + (np.asarray(bg(x + h), float) - np.asarray(bg(x - h), float)) / (2 * h)
     return (c, dc) if c.ndim else (float(c), float(dc))
 
 
@@ -226,19 +221,6 @@ class TestFloatKernel:
             assert type(got[0]) is float and type(got[1]) is float
             assert got == reference_profile(metric, x, slope=True), x
             assert metric.speed(x) == reference_profile(metric, x, slope=False), x
-
-    def test_callable_background_matches_array_code(self):
-        # a [metric] c_smooth background still sees the arrays it saw before,
-        # so x**2 and np.sin(x) round as they did
-        bg = _compile_speed_expression("1.0 + 0.05*x**2 + 0.02*np.sin(3*x)")
-        metric = ConormalMetric(s0=2.5, amp=0.4, c_bg=bg, core_radius=1.0)
-        for x in profile_inputs(1.0, np.random.default_rng(4))[::5]:
-            got = metric._profile(x, slope=True)
-            assert type(got[0]) is float and type(got[1]) is float
-            assert got == reference_profile(metric, x, slope=True), x
-        xs = np.linspace(-2.0, 2.0, 101)  # the array path is the old code
-        for got, ref in zip(metric._profile(xs, True), reference_profile(metric, xs, True)):
-            assert np.array_equal(got, ref)
 
     def test_hamilton_field_matches_array_code(self):
         metric = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
