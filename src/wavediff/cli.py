@@ -266,7 +266,7 @@ def stage_wave(scenario, spectra, out_npz: Path | None):
             with zf.open("u.npy", "w", force_zip64=True) as fh:
                 fmt.write_array_header_1_0(fh, header)
                 rec = stream(
-                    scenario, [*spectra, lambda t, u: fh.write(u.astype(np.float32).tobytes())]
+                    scenario, [*spectra, lambda t, u: fh.write(u.astype(np.float32))]
                 )
             for key in ("ts", "xs", "c", "energy", "dt", "max_trust_freq"):
                 with zf.open(key + ".npy", "w", force_zip64=True) as fh:

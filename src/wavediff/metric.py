@@ -78,6 +78,13 @@ class ConormalMetric:
             if not 0 < value < math.inf:  # nan fails too
                 raise ValueError("%s must be positive and finite, got %g" % (name, value))
         self.exponent = self.s0 - 1.0
+        # the bump is at most 1 and the core holds |x| <= core_radius, so the
+        # speed stays above c_bg - |amp| core_radius^(s0-1); compared in logs,
+        # which never overflow
+        if self.amp < 0 and not (math.log(self.c_bg) > math.log(-self.amp)
+                                 + self.exponent * math.log(self.core_radius)):
+            raise ValueError("amp %g may drive the speed non-positive in the core: "
+                             "c_bg %g <= |amp| * core_radius^(s0-1)" % (self.amp, self.c_bg))
 
     # -- speed profile -----------------------------------------------------
     def _profile(self, x, slope: bool):

@@ -16,26 +16,31 @@ the ``field.npz`` writer) and keeps only the times, energies and grid.
 whole history; the pipeline never calls it.
 
 The steps from one stored slice to the next are one call of a C function
-over the whole grid (``_leapfrog.c``, loaded through ``ctypes``).  It is
-compiled with ``cc`` on the first solve of a process, never at import, and
-cached under the package's ``__pycache__``.  Per node the kernel performs
-the IEEE operations of the tests' allocating numpy reference loop in their
-order, so the fields are bit-identical to it.  Without a compiler
-``stream`` raises ``KernelBuildError``.
+over the whole grid (``_leapfrog.c``, loaded through ``ctypes``).  A second
+C function checks each stored slice: it flags a non-finite field and writes
+the staggered energy's per-node terms, which ``np.sum`` adds.  The library
+is compiled with ``cc`` on the first solve of a process, never at import,
+and cached under the package's ``__pycache__``.  Per node it performs the
+IEEE operations of the tests' allocating numpy reference loop and of
+``staggered_energy`` in their order, so the fields and the energies are
+bit-identical to them.  Without a compiler ``stream`` raises
+``KernelBuildError``.
 
 When ``os.fork`` exists and the process may run on two CPUs, ``stream``
 forks one child after building the launch levels.  The child runs the
-kernel over the whole grid and writes the two levels of each stored step
-into one of two sets of a shared map; the parent consumes them as the
-one-process loop does (the finiteness check, the observers and the energy)
-and acknowledges each block over a pipe, so the child never overwrites a
-set the parent still reads.
+kernel over the whole grid and checks each stored slice.  It writes the
+field into one of two rows of a shared map and the energy into a small
+shared array, and sends the finiteness flag up a pipe.  The parent raises
+``FieldBlowup`` on a non-finite slice, runs the observers on the others and
+acknowledges each slice down a pipe, so the child never overwrites a row
+the parent still reads.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import math
 import mmap
 import os
@@ -79,8 +84,11 @@ class SpongeSpec:
     def __post_init__(self):
         if self.cells < 20:
             raise ValueError("sponge must be at least 20 cells wide")
-        if not self.strength >= 0:  # a negative strength amplifies; nan fails too
-            raise ValueError("sponge strength must not be negative, got %g" % self.strength)
+        # a negative strength amplifies and an infinite one makes 0 * inf = nan
+        # at the ramp's inner end; nan fails too
+        if not 0 <= self.strength < math.inf:
+            raise ValueError("sponge strength must not be negative or infinite, got %g"
+                             % self.strength)
 
 
 @dataclass(frozen=True)
@@ -203,7 +211,8 @@ def staggered_energy(u_new, u_old, c2h, dt, dx, work, grad):
     """Discrete energy conserved by the interior scheme.
 
     ``c2h`` is the squared half-cell speed; ``work`` (n values) and ``grad``
-    (n - 1) are scratch arrays that are overwritten.
+    (n - 1) are scratch arrays that are overwritten.  ``stream`` computes
+    the same energy, to the bit, from the kernel's densities (``_checked``).
     """
     ut = np.subtract(u_new, u_old, out=work)
     np.divide(ut, dt, out=ut)
@@ -273,9 +282,10 @@ class KernelBuildError(RuntimeError):
 
 
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add
-# (aarch64 gcc and clang do by default), which would change the bits; never
-# -ffast-math or -march=native
-CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# (aarch64 gcc and clang do by default), which would change the bits; -O3
+# runs the loops on vector registers, lane by lane the same operations;
+# never -ffast-math or -march=native
+CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 KERNEL_SOURCE = Path(__file__).with_name("_leapfrog.c")
 # built libraries, named by a hash of the source and the compiler command
 KERNEL_CACHE = Path(__file__).with_name("__pycache__")
@@ -333,6 +343,8 @@ def _kernel():
     lib.leapfrog.argtypes = [ptr, ptr, ptr, size, ptr, ctypes.c_double,
                              ptr, size, ptr, size, size]
     lib.leapfrog.restype = None
+    lib.densities.argtypes = [ptr, ptr, size, ptr, ctypes.c_double, ctypes.c_double, ptr, ptr]
+    lib.densities.restype = ctypes.c_int
     _kernel_lib = lib
     return lib, build_s
 
@@ -371,6 +383,29 @@ def _leapfrog(lib, lam2, stops, c2h, ramps, levels):
         yield m, rows[0], rows[1]
 
 
+def _checked(lib, slices, c2h, dt, dx):
+    """Yield ``(m, finite, energy, u_curr)`` for each ``(m, u_prev, u_curr)``
+    of ``slices``: whether every value of ``u_curr`` is finite, and the
+    staggered energy of the two levels (nan when ``u_curr`` is not finite).
+
+    The kernel's ``densities`` writes the energy's per-node terms in
+    ``staggered_energy``'s order of operations and ``np.sum`` adds them, so
+    the energy carries ``staggered_energy``'s bits.
+    """
+    _contiguous(c2h)
+    n = c2h.size + 1
+    kinetic, potential = np.empty(n), np.empty(n - 1)
+    args = (n, c2h.ctypes.data, dt, dx, kinetic.ctypes.data, potential.ctypes.data)
+    for m, prev, curr in slices:
+        _contiguous(prev, curr)
+        if not prev.size == curr.size == n:
+            raise ValueError("the slice's levels do not fit the grid of %d nodes" % n)
+        if lib.densities(curr.ctypes.data, prev.ctypes.data, *args):
+            yield m, True, 0.5 * dx * (np.sum(kinetic) + np.sum(potential)), curr
+        else:
+            yield m, False, math.nan, curr
+
+
 def _two_cpus() -> bool:
     """Whether ``stream`` forks a producer: ``os.fork`` exists and this
     process may run on two CPUs."""
@@ -379,15 +414,16 @@ def _two_cpus() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
-def _fork_producer(blocks, shared, down, up) -> int:
-    """Fork a child that runs ``blocks``, the whole grid's leapfrog, and
-    return its pid; the child never returns.
+def _fork_producer(blocks, shared, energies, down, up) -> int:
+    """Fork a child that runs ``blocks``, the checked slices of the whole
+    grid's leapfrog, and return its pid; the child never returns.
 
-    The child writes both levels of block ``j`` into set ``j % 2`` of
-    ``shared`` and sends one byte up.  Before it overwrites a set it waits
-    for the parent's byte on ``down`` that acknowledges the block two back.
-    It exits only when ``down`` reads end of file, so the parent's last
-    acknowledgement never meets a closed pipe.
+    The child writes the field of slice ``j`` into row ``j % 2`` of
+    ``shared`` and its energy into ``energies[j]``, and sends one byte up:
+    1 when the field is finite, 0 when it is not.  Before it overwrites a
+    row it waits for the parent's byte on ``down`` that acknowledges the
+    slice two back.  It exits only when ``down`` reads end of file, so the
+    parent's last acknowledgement never meets a closed pipe.
     """
     pid = os.fork()
     if pid:
@@ -398,12 +434,12 @@ def _fork_producer(blocks, shared, down, up) -> int:
     try:
         os.close(down[1])
         os.close(up[0])
-        for j, (_, prev, curr) in enumerate(blocks, start=1):
-            if j > 2 and not os.read(down[0], 1):
+        for j, (_, finite, energy, curr) in enumerate(blocks):
+            if j >= 2 and not os.read(down[0], 1):
                 break  # the parent has stopped
-            level = shared[j % 2]
-            level[0], level[1] = prev, curr
-            os.write(up[1], b"\0")
+            shared[j % 2] = curr
+            energies[j] = energy
+            os.write(up[1], b"\1" if finite else b"\0")
         while os.read(down[0], 1):
             pass
         status = 0
@@ -412,15 +448,15 @@ def _fork_producer(blocks, shared, down, up) -> int:
         os._exit(status)
 
 
-def _received(stops, shared, down, up):
-    """The parent's side of ``_fork_producer``: yield ``(m, u_prev, u_curr)``
-    from the shared set of each block once the child reports it, and
-    acknowledge the block when the consumer asks for the next one."""
-    for j, m in enumerate(stops, start=1):
-        if not os.read(up[0], 1):
+def _received(stops, shared, energies, down, up):
+    """The parent's side of ``_fork_producer``: yield ``(m, finite, energy,
+    u_curr)`` of each stored step ``m`` of ``stops`` once the child reports
+    it, and acknowledge the slice when the consumer asks for the next one."""
+    for j, m in enumerate(stops):
+        finite = os.read(up[0], 1)
+        if not finite:
             raise RuntimeError("the solver's child process ended early")
-        prev, curr = shared[j % 2]
-        yield m, prev, curr
+        yield m, finite == b"\1", energies[j], shared[j % 2]
         try:
             os.write(down[1], b"\0")
         except BrokenPipeError:
@@ -435,10 +471,13 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     copy it.  No slice stack is held, so the memory is a few grid arrays
     whatever the duration.
 
-    When ``_two_cpus`` allows, a forked child runs the kernel and this
-    process consumes its slices: the finiteness check, the observers and
-    the energy; the record's ``processes`` says which path ran.  Raises
-    ``KernelBuildError`` before any step when the kernel cannot be built.
+    Each stored slice is checked by ``_checked``: its finiteness, on which
+    a non-finite slice raises ``FieldBlowup`` before any observer sees it,
+    and its energy.  When ``_two_cpus`` allows, a forked child runs the
+    kernel and the checks, and this process runs the observers on the
+    slices it hands over; the record's ``processes`` says which path ran.
+    Raises ``KernelBuildError`` before any step when the kernel cannot be
+    built.
     """
     xs, c_nodes, c_half = _speeds(scenario)
     n = xs.size
@@ -462,35 +501,32 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     ramps = (damp[: sp.cells], damp[max(sp.cells, n - sp.cells) :])
 
     c2h = c_half**2
-    # the staggered energy's scratch
-    flux, work = np.empty(n - 1), np.empty(n)
     ts = np.empty(n_store)
     energy = np.empty(n_store)
-    for obs in observers:
-        obs(0.0, u_curr)
-    ts[0] = 0.0
-    energy[0] = staggered_energy(u_curr, u_prev, c2h, dt, dx, work, flux)
 
     stride = scenario.store_stride
-    # the stored steps: every stride-th and the last
-    stops = [*range(stride, n_steps, stride), n_steps]
-    blocks = _leapfrog(lib, (dt / dx) ** 2, stops, c2h, ramps, levels)
+    # the stored steps: the initial one, every stride-th and the last
+    stops = [0, *range(stride, n_steps, stride), n_steps]
+    slices = itertools.chain([(0, u_prev, u_curr)],
+                             _leapfrog(lib, (dt / dx) ** 2, stops[1:], c2h, ramps, levels))
+    blocks = _checked(lib, slices, c2h, dt, dx)
     pid = None
     if _two_cpus():
-        # both levels of two sets, so one set is read while the next is written
-        shared = np.frombuffer(mmap.mmap(-1, 4 * n * 8), float).reshape(2, 2, n)
+        # two rows, so one is read while the next is written
+        shared = np.frombuffer(mmap.mmap(-1, 2 * n * 8), float).reshape(2, n)
+        energies = np.frombuffer(mmap.mmap(-1, n_store * 8), float)
         down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
-        pid = _fork_producer(blocks, shared, down, up)
-        blocks = _received(stops, shared, down, up)
+        pid = _fork_producer(blocks, shared, energies, down, up)
+        blocks = _received(stops, shared, energies, down, up)
     try:
-        for j, (m, prev, curr) in enumerate(blocks, start=1):
+        for j, (m, finite, e, curr) in enumerate(blocks):
             t = m * dt
-            if not np.all(np.isfinite(curr)):
+            if not finite:
                 raise FieldBlowup("non-finite field at t=%g" % t)
             for obs in observers:
                 obs(t, curr)
             ts[j] = t
-            energy[j] = staggered_energy(curr, prev, c2h, dt, dx, work, flux)
+            energy[j] = e
     finally:
         if pid is not None:
             os.close(down[1])

@@ -383,6 +383,8 @@ class TestPipeline:
             ("duration = 6.6", "duration = -1", "[wave] duration must be positive"),
             ("sponge_cells = 300", "sponge_cells = 300\nsponge_strength = -60",
              "[wave] sponge strength must not be negative"),
+            ("sponge_cells = 300", "sponge_cells = 300\nsponge_strength = inf",
+             "[wave] sponge strength must not be negative or infinite, got inf"),
             # values with no end to trace or no finite grid to solve on
             ("duration = 6.6", "duration = inf", "[wave] duration must be positive and finite"),
             ("nx = 8192", "nx = 8192\nx_hi = inf", "[wave] x_hi must be finite"),
@@ -399,6 +401,7 @@ class TestPipeline:
             ("amp = 0.4", "amp = 0.4\nc_bg = -1", "[metric] c_bg must be positive and finite"),
             ("amp = 0.4", "amp = 0.4\nc_bg = inf", "[metric] c_bg must be positive and finite"),
             ("amp = 0.4", "amp = nan", "[metric] amp must be finite"),
+            ("amp = 0.4", "amp = -5", "[metric] amp -5 may drive the speed non-positive"),
             # the background speed is a constant and the verdict is not configurable
             ("core_radius = 1.0", "core_radius = 1.0\nc_smooth = 1.0",
              "unknown key 'c_smooth' in section [metric]"),
@@ -407,9 +410,11 @@ class TestPipeline:
         ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy",
              "store-stride", "seed", "pulse-seed", "nx-0", "nx-negative", "pulse-width",
              "sponge-wider-than-grid", "x-range", "cfl-0", "cfl-negative", "cfl-nan",
-             "duration-negative", "sponge-strength-negative", "duration-inf", "x-hi-inf",
+             "duration-negative", "sponge-strength-negative", "sponge-strength-inf",
+             "duration-inf", "x-hi-inf",
              "x-lo-nan", "pulse-center-nan", "pulse-width-inf", "core-radius-0",
              "core-radius-negative", "c-bg-0", "c-bg-negative", "c-bg-inf", "amp-nan",
+             "amp-negative-speed",
              "c-smooth", "probe-section"],
     )
     def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new, named):

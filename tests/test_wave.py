@@ -22,6 +22,7 @@ from wavediff.wave import (
     make_pulse,
     run,
     smooth_envelope,
+    staggered_energy,
     stored_slices,
     stream,
 )
@@ -143,6 +144,17 @@ def reference_energy(u_new, u_old, c_half, dt, dx):
     return 0.5 * dx * (np.sum(ut * ut) + np.sum(c_half**2 * gx_new * gx_old))
 
 
+def reference_step(u_prev, u_curr, c2h, lam2, damp):
+    """One step of the allocating leapfrog: the new previous and current
+    levels."""
+    flux = c2h * np.diff(u_curr)
+    u_next = 2.0 * u_curr - u_prev
+    u_next[1:-1] += lam2 * (flux[1:] - flux[:-1])
+    u_next[0] = u_next[-1] = 0.0
+    u_next *= damp
+    return u_curr * damp, u_next
+
+
 def reference_leapfrog(sc, dt):
     """The allocating leapfrog: a new array per term, full-grid damping."""
     xs, dx = sc.grid(), sc.dx
@@ -157,12 +169,7 @@ def reference_leapfrog(sc, dt):
     n_steps = int(np.ceil(sc.duration / dt))
     us, ts, es = [u_curr.copy()], [0.0], [reference_energy(u_curr, u_prev, c_half, dt, dx)]
     for m in range(1, n_steps + 1):
-        flux = c2h * np.diff(u_curr)
-        u_next = 2.0 * u_curr - u_prev
-        u_next[1:-1] += lam2 * (flux[1:] - flux[:-1])
-        u_next[0] = u_next[-1] = 0.0
-        u_next *= damp
-        u_prev, u_curr = u_curr * damp, u_next
+        u_prev, u_curr = reference_step(u_prev, u_curr, c2h, lam2, damp)
         if m % sc.store_stride == 0 or m == n_steps:
             us.append(u_curr.copy())
             ts.append(m * dt)
@@ -320,13 +327,21 @@ class TestFieldArchive:
         assert streamed == (tmp_path / "stacked.npz").read_bytes()
 
     def test_failed_solve_leaves_no_archive(self, tmp_path, monkeypatch):
+        # one process or two, the solve stops on the first non-finite slice
+        # with the same message, before any observer sees it
+        sc = flat_scenario(duration=0.2)
+        dt = stream(sc).dt
+        seen = []
+
         def nan_on_block_3(j, curr):
             if j == 3:
                 curr[:] = np.nan
 
         wrap_leapfrog(monkeypatch, nan_on_block_3)
-        with pytest.raises(FieldBlowup):
-            stage_wave(flat_scenario(duration=0.2), [], tmp_path / "f.npz")
+        with pytest.raises(FieldBlowup) as info:
+            stage_wave(sc, [lambda t, u: seen.append(t)], tmp_path / "f.npz")
+        assert str(info.value) == "non-finite field at t=%g" % (3 * sc.store_stride * dt)
+        assert len(seen) == 3  # the initial slice and blocks 1 and 2
         assert not (tmp_path / "f.npz").exists()
         assert_no_child()
 
@@ -483,6 +498,13 @@ class TestKernel:
                                    (good, c2h, (np.ones(60), np.ones(60)))]:
             with pytest.raises(ValueError, match="do not fit"):
                 next(wave._leapfrog(lib, 0.81, [1], half, damp, levels))
+        # the energy's densities take the same grids
+        for u, half in [(np.zeros(n, np.float32), c2h), (np.zeros(2 * n)[::2], c2h),
+                        (np.zeros(n), c2h.astype(np.float32))]:
+            with pytest.raises(TypeError, match="contiguous float64"):
+                next(wave._checked(lib, [(0, np.zeros(n), u)], half, 0.1, 0.1))
+        with pytest.raises(ValueError, match="do not fit"):
+            next(wave._checked(lib, [(0, np.zeros(n), np.zeros(n + 1))], c2h, 0.1, 0.1))
 
     def test_one_kernel_call_per_stored_block(self, monkeypatch):
         # a ragged stride: every block but the last is 7 steps, and each is
@@ -491,10 +513,16 @@ class TestKernel:
         lib, _ = wave._kernel()
         steps = []
 
+        checks = []
+
         class Counting:
             def leapfrog(self, *args):
                 steps.append(args[-1])
                 lib.leapfrog(*args)
+
+            def densities(self, *args):
+                checks.append(args[0])
+                return lib.densities(*args)
 
         monkeypatch.setattr(wave, "_kernel", lambda: (Counting(), 0.0))
         sc = inplace_scenario(store_stride=7)
@@ -502,7 +530,78 @@ class TestKernel:
         u, ts, energy, n_steps = reference_leapfrog(sc, fld.dt)
         assert n_steps % 7 and steps == [7] * (n_steps // 7) + [n_steps % 7]
         assert len(steps) == fld.ts.size - 1
+        assert len(checks) == fld.ts.size  # one energy per stored slice
         assert np.array_equal(fld.u, u) and np.array_equal(fld.energy, energy)
+
+
+GUARD = 4  # values on each side of a grid that the kernel must not touch
+
+
+def guarded(rng, n):
+    """A grid of n random values inside sentinels: the view and its buffer."""
+    buf = np.full(n + 2 * GUARD, -7.25)
+    buf[GUARD:-GUARD] = rng.standard_normal(n)
+    return buf[GUARD:-GUARD], buf
+
+
+def untouched(buf):
+    return np.all(buf[:GUARD] == -7.25) and np.all(buf[-GUARD:] == -7.25)
+
+
+class TestKernelSmallGrids:
+    """The compiled loops against numpy on grids of 2 to 40 nodes, so every
+    remainder of a vector loop's tail runs on its own, with sponge ramps
+    that are empty, apart and meeting (n_lo + n_hi == n)."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_step_matches_reference_step(self, n):
+        lib, _ = wave._kernel()
+        rng = np.random.default_rng(n)
+        c2h, lam2 = rng.uniform(0.5, 2.0, n - 1), 0.7
+        for n_lo, n_hi in [(0, 0), (n // 3, n // 3), (n // 2, n - n // 2)]:
+            damp_lo, damp_hi = rng.uniform(0.9, 1.0, n_lo), rng.uniform(0.9, 1.0, n_hi)
+            damp = np.ones(n)
+            damp[:n_lo], damp[n - n_hi :] = damp_lo, damp_hi
+            (prev, prev_buf), (curr, curr_buf) = guarded(rng, n), guarded(rng, n)
+            nxt, next_buf = guarded(rng, n)
+            nxt[:] = np.nan  # every node is written
+            want_prev, want_curr = reference_step(prev.copy(), curr.copy(), c2h, lam2, damp)
+            lib.leapfrog(prev.ctypes.data, curr.ctypes.data, nxt.ctypes.data, n,
+                         c2h.ctypes.data, lam2, damp_lo.ctypes.data, n_lo,
+                         damp_hi.ctypes.data, n_hi, 1)
+            assert np.array_equal(curr, want_prev) and np.array_equal(nxt, want_curr), (n_lo, n_hi)
+            assert untouched(prev_buf) and untouched(curr_buf) and untouched(next_buf)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_densities_match_staggered_energy(self, n):
+        lib, _ = wave._kernel()
+        rng = np.random.default_rng(100 + n)
+        c2h, dt, dx = rng.uniform(0.5, 2.0, n - 1), 0.013, 0.021
+        (u_new, new_buf), (u_old, old_buf) = guarded(rng, n), guarded(rng, n)
+        (kinetic, kin_buf), (potential, pot_buf) = guarded(rng, n), guarded(rng, n - 1)
+        finite = lib.densities(u_new.ctypes.data, u_old.ctypes.data, n, c2h.ctypes.data,
+                               dt, dx, kinetic.ctypes.data, potential.ctypes.data)
+        ut = (u_new - u_old) / dt
+        assert finite == 1 and np.array_equal(kinetic, ut * ut)
+        assert np.array_equal(potential, (c2h * (np.diff(u_new) / dx)) * (np.diff(u_old) / dx))
+        assert all(untouched(buf) for buf in (new_buf, old_buf, kin_buf, pot_buf))
+        _, finite, energy, _ = next(wave._checked(lib, [(0, u_old, u_new)], c2h, dt, dx))
+        assert finite
+        assert energy == staggered_energy(u_new, u_old, c2h, dt, dx, np.empty(n), np.empty(n - 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])
+    def test_densities_flag_a_non_finite_current_level(self, n):
+        lib, _ = wave._kernel()
+        rng = np.random.default_rng(n)
+        c2h, u_new, u_old = np.ones(n - 1), rng.standard_normal(n), rng.standard_normal(n)
+        for j in range(n):
+            for bad in (np.inf, -np.inf, np.nan):
+                new, old = u_new.copy(), u_old.copy()
+                new[j] = bad
+                assert not next(wave._checked(lib, [(0, old, new)], c2h, 0.1, 0.1))[1]
+                old[j], new[j] = bad, u_new[j]  # the previous level is not checked
+                with np.errstate(invalid="ignore"):  # its energy is not finite
+                    assert next(wave._checked(lib, [(0, old, new)], c2h, 0.1, 0.1))[1]
 
 
 def discrete_energy(fld: WaveField, t_index: int) -> float:
