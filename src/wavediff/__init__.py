@@ -28,6 +28,5 @@ from .orders import (  # noqa: F401
 from .metric import ConormalMetric, PhasePoint, PiecewiseSpeed  # noqa: F401
 from .tracer import dyadic_construct, gbb_trace, transversal_integrate  # noqa: F401
 from .wave import PulseSpec, SpongeSpec, WaveScenario, make_pulse  # noqa: F401
-from .wave import run as wave_run  # noqa: F401
 from .probe import decay_fit, gain_report, window_plan  # noqa: F401
 from .helmholtz import reflection_scan  # noqa: F401

@@ -1,22 +1,22 @@
 /* The leapfrog of wavediff.wave: u_tt = (c^2 u_x)_x on n nodes, and the
- * per-node densities of its staggered energy.
+ * per-node densities of its staggered energy at each stored slice.
  *
  * Built by wave._kernel with -O3 -ffp-contract=off and without -ffast-math,
- * so each node sees the IEEE operations of the tests' numpy reference loop
- * (reference_leapfrog) and of wave.staggered_energy in the same order, and
- * the fields and energies are bit-identical to them.
+ * so each node sees the IEEE operations of the tests' numpy reference step
+ * and energy (reference_step, reference_energy) in the same order, and the
+ * fields and energies are bit-identical to them.
  *
  * The interior loop carries nothing from one node to the next: it computes
  * the left flux c2h[j-1] (u_j - u_{j-1}) again at each node instead of
  * keeping the previous node's right flux.  That is the same product of the
  * same operands, so it has the same bits, and it lets the compiler run the
  * loop on vector registers.  On x86-64 ELF targets with glibc, GCC and
- * Clang also build an AVX2 clone of each function, chosen when the library
- * is loaded on a CPU that has AVX2.  Each vector lane performs the scalar
- * loop's IEEE operations on its own node, in their order, and
- * -ffp-contract=off keeps the compiler from fusing a multiply and an add,
- * so both clones give the same bits.  Every other target builds the
- * portable loop alone.
+ * Clang also build an AVX2 clone of the one exported function, chosen when
+ * the library is loaded on a CPU that has AVX2; the static helpers inline
+ * into both clones.  Each vector lane performs the scalar loop's IEEE
+ * operations on its own node, in their order, and -ffp-contract=off keeps
+ * the compiler from fusing a multiply and an add, so both clones give the
+ * same bits.  Every other target builds the portable loop alone.
  */
 
 #include <float.h>
@@ -57,38 +57,14 @@ static inline void damp_both(double *restrict next, double *restrict curr,
     }
 }
 
-/* Advance ``steps`` steps in place in the three rotating levels: after step
- * m the level that was ``next`` holds the newest field, the one that was
- * ``curr`` the previous one.  Each step is ``step`` and then the sponge
- * ramps: ``damp_lo`` on the first ``n_lo`` nodes and ``damp_hi`` on the
- * last ``n_hi``, applied to both ``next`` and ``curr``.  There is no source
- * term: the wave is launched by its two initial levels. */
-VECTOR_CLONES
-void leapfrog(double *prev, double *curr, double *next, long n,
-              const double *c2h, double lam2,
-              const double *damp_lo, long n_lo,
-              const double *damp_hi, long n_hi, long steps)
-{
-    for (long m = 0; m < steps; m++) {
-        step(next, curr, prev, n, c2h, lam2);
-        damp_both(next, curr, damp_lo, n_lo);
-        damp_both(next + (n - n_hi), curr + (n - n_hi), damp_hi, n_hi);
-        double *free_level = prev;
-        prev = curr;
-        curr = next;
-        next = free_level;
-    }
-}
-
 /* The staggered energy's densities of the levels u_new and u_old on n
  * nodes: kinetic_j = ((u_new_j - u_old_j) / dt)^2 on the n nodes and
  * potential_j = (c2h[j] ((u_new_{j+1} - u_new_j) / dx))
  * ((u_old_{j+1} - u_old_j) / dx) on the n - 1 half cells.  Returns 1 when
  * every value of u_new is finite and 0 otherwise. */
-VECTOR_CLONES
-int densities(const double *restrict u_new, const double *restrict u_old, long n,
-              const double *restrict c2h, double dt, double dx,
-              double *restrict kinetic, double *restrict potential)
+static inline int densities(const double *restrict u_new, const double *restrict u_old,
+                            long n, const double *restrict c2h, double dt, double dx,
+                            double *restrict kinetic, double *restrict potential)
 {
     int finite = 1;
     for (long j = 0; j < n; j++) {
@@ -102,4 +78,33 @@ int densities(const double *restrict u_new, const double *restrict u_old, long n
         potential[j] = (c2h[j] * g_new) * g_old;
     }
     return finite;
+}
+
+/* Advance ``steps`` steps in place in the three rotating levels: after step
+ * m the level that was ``next`` holds the newest field, the one that was
+ * ``curr`` the previous one.  Each step is ``step`` and then the sponge
+ * ramps: ``damp_lo`` on the first ``n_lo`` nodes and ``damp_hi`` on the
+ * last ``n_hi``, applied to both ``next`` and ``curr``, with
+ * lam2 = (dt / dx)^2.  There is no source term: the wave is launched by its
+ * two initial levels.  Then write the energy densities of the two newest
+ * levels into ``kinetic`` (n values) and ``potential`` (n - 1) and return
+ * whether the newest level is finite; with ``steps`` 0 these are the levels
+ * ``curr`` and ``prev`` as given. */
+VECTOR_CLONES
+int leapfrog(double *prev, double *curr, double *next, long n,
+             const double *c2h, double lam2,
+             const double *damp_lo, long n_lo,
+             const double *damp_hi, long n_hi,
+             double dt, double dx, double *kinetic, double *potential, long steps)
+{
+    for (long m = 0; m < steps; m++) {
+        step(next, curr, prev, n, c2h, lam2);
+        damp_both(next, curr, damp_lo, n_lo);
+        damp_both(next + (n - n_hi), curr + (n - n_hi), damp_hi, n_hi);
+        double *free_level = prev;
+        prev = curr;
+        curr = next;
+        next = free_level;
+    }
+    return densities(curr, prev, n, c2h, dt, dx, kinetic, potential);
 }

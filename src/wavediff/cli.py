@@ -491,6 +491,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "calc":
             if args.batch:
+                if not args.batch.is_file():
+                    raise ConfigError("no query file at %s" % args.batch)
                 n = calc_batch(args.batch, args.out)
                 print("evaluated %d queries -> %s" % (n, args.out))
                 return 0

@@ -3,7 +3,9 @@
 The admissibility parameters (s0, eps0, s, k) appear exactly once, in the
 [metric] and [calc] sections, so the exact-arithmetic gate and the physical
 scenario cannot drift apart.  Unknown sections and keys are rejected, as are
-negative seeds.  There is no [trace] section (the trace always branches both
+negative seeds, duplicate sections and keys, a key before any section, and
+an order request the ``orders`` rules refuse (``k``, ``n`` or ``eps0`` out of
+range).  There is no [trace] section (the trace always branches both
 ways at the interface) and no [probe] section: the background speed is the
 constant ``c_bg``, and the verdict's tolerances are ``probe`` constants.
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 
 from .escape import commutant_setup
 from .metric import ConormalMetric
+from .orders import OrderError, hyperbolic_window, verify_constraint_chain
 from .wave import PulseSpec, SpongeSpec, WaveScenario
 
 
@@ -39,7 +42,10 @@ _SCHEMA = {
 
 
 def _rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("%r divides by zero" % text.strip()) from None
 
 
 @dataclass
@@ -110,7 +116,10 @@ def load_config(path) -> ExperimentConfig:
     text = path.read_text()
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keep key case: C0 and c0 are different constants
-    cp.read_string(text)
+    try:
+        cp.read_string(text, source=str(path))
+    except configparser.Error as err:  # a duplicate section or key, a key before any section
+        raise ConfigError(" ".join(str(err).split())) from err
 
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -123,7 +132,7 @@ def load_config(path) -> ExperimentConfig:
         if section in cp and key in cp[section]:
             try:
                 return cast(cp[section][key])
-            except ValueError as err:
+            except (ValueError, configparser.Error) as err:  # or a % it cannot interpolate
                 raise ConfigError("[%s] %s: %s" % (section, key, err)) from err
         return default
 
@@ -164,6 +173,15 @@ def load_config(path) -> ExperimentConfig:
                                 ("wave", "pulse_seed", wave["pulse_seed"])):
         if value < 0:
             raise ConfigError("[%s] %s must be non-negative, got %d" % (section, key, value))
+    k, n = get("metric", "k", 1, int), get("metric", "n", 2, int)
+    s0 = get("metric", "s0", Fraction(5, 2), _rational)
+    eps0 = get("calc", "eps0", Fraction(1, 20), _rational)
+    s = get("calc", "s", Fraction(1, 2), _rational)
+    try:  # the order rules own the legal ranges: eps0 > 0 and integers n > k >= 1
+        hyperbolic_window(s0, eps0, k)
+        verify_constraint_chain(s0, eps0, s, k, n)
+    except OrderError as err:  # hyperbolic_window checks eps0 before k
+        raise ConfigError("[%s] %s" % ("calc" if eps0 <= 0 else "metric", err)) from err
     out_dir = Path(get("experiment", "out_dir", "out"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
@@ -171,14 +189,14 @@ def load_config(path) -> ExperimentConfig:
         name=get("experiment", "name", path.stem),
         out_dir=out_dir,
         seed=seed,
-        k=get("metric", "k", 1, int),
-        n=get("metric", "n", 2, int),
-        s0=get("metric", "s0", Fraction(5, 2), _rational),
+        k=k,
+        n=n,
+        s0=s0,
         amp=get("metric", "amp", 0.4, float),
         c_bg=get("metric", "c_bg", 1.0, float),
         core_radius=get("metric", "core_radius", 1.0, float),
-        eps0=get("calc", "eps0", Fraction(1, 20), _rational),
-        s=get("calc", "s", Fraction(1, 2), _rational),
+        eps0=eps0,
+        s=s,
         wave=wave,
         commutant=commutant,
         raw_text=text,

@@ -15,35 +15,34 @@ the ``field.npz`` writer) and keeps only the times, energies and grid.
 ``run`` streams into a stack of every slice for the tests that read the
 whole history; the pipeline never calls it.
 
-The steps from one stored slice to the next are one call of a C function
-over the whole grid (``_leapfrog.c``, loaded through ``ctypes``).  A second
-C function checks each stored slice: it flags a non-finite field and writes
-the staggered energy's per-node terms, which ``np.sum`` adds.  The library
-is compiled with ``cc`` on the first solve of a process, never at import,
-and cached under the package's ``__pycache__``.  Per node it performs the
-IEEE operations of the tests' allocating numpy reference loop and of
-``staggered_energy`` in their order, so the fields and the energies are
+Each stored slice is one call of one C function over the whole grid
+(``_leapfrog.c``, loaded through ``ctypes``): it takes the steps from the
+previous stored slice (none for the initial one), flags a non-finite field
+and writes the staggered energy's per-node terms, which ``np.sum`` adds.
+The library is compiled with ``cc`` on the first solve of a process, never
+at import, and cached under the package's ``__pycache__``.  Per node it
+performs the IEEE operations of the tests' allocating numpy reference step
+and energy in their order, so the fields and the energies are
 bit-identical to them.  Without a compiler ``stream`` raises
 ``KernelBuildError``.
 
 When ``os.fork`` exists and the process may run on two CPUs, ``stream``
 forks one child after building the launch levels.  The child runs the
-kernel over the whole grid and checks each stored slice.  It writes the
-field into one of two rows of a shared map and the energy into a small
-shared array, and sends the finiteness flag up a pipe.  The parent raises
-``FieldBlowup`` on a non-finite slice, runs the observers on the others and
-acknowledges each slice down a pipe, so the child never overwrites a row
-the parent still reads.
+kernel over the whole grid, writes each stored field into one of two rows
+of a shared map and sends the slice's finiteness flag and energy up a pipe
+in one 9-byte message.  The parent raises ``FieldBlowup`` on a non-finite
+slice, runs the observers on the others and acknowledges each slice down a
+pipe, so the child never overwrites a row the parent still reads.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import itertools
 import math
 import mmap
 import os
+import struct
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -207,24 +206,6 @@ def _one_way_previous(u0, scenario: WaveScenario, dt: float) -> np.ndarray:
     return np.fft.irfft(spec * np.exp(1j * omega * dt), n=n)
 
 
-def staggered_energy(u_new, u_old, c2h, dt, dx, work, grad):
-    """Discrete energy conserved by the interior scheme.
-
-    ``c2h`` is the squared half-cell speed; ``work`` (n values) and ``grad``
-    (n - 1) are scratch arrays that are overwritten.  ``stream`` computes
-    the same energy, to the bit, from the kernel's densities (``_checked``).
-    """
-    ut = np.subtract(u_new, u_old, out=work)
-    np.divide(ut, dt, out=ut)
-    kinetic = np.sum(np.multiply(ut, ut, out=ut))
-    flux = np.subtract(u_new[1:], u_new[:-1], out=grad)
-    np.divide(flux, dx, out=flux)
-    np.multiply(c2h, flux, out=flux)
-    gx_old = np.subtract(u_old[1:], u_old[:-1], out=work[:-1])
-    np.divide(gx_old, dx, out=gx_old)
-    return 0.5 * dx * (kinetic + np.sum(np.multiply(flux, gx_old, out=flux)))
-
-
 def _speeds(scenario: WaveScenario):
     """The grid, the speed at its nodes and at its half cells."""
     xs = scenario.grid()
@@ -234,8 +215,10 @@ def _speeds(scenario: WaveScenario):
 
 
 def _clock(scenario: WaveScenario, c_nodes, c_half):
-    """Time step, step count and stored-slice count: the CFL factor times dx
-    over the largest speed at the nodes and half cells."""
+    """Time step and stored steps.  The step is the CFL factor times dx over
+    the largest speed at the nodes and half cells; the stored steps are the
+    initial one, every ``store_stride``-th and the last, which is the step
+    count."""
     dx = scenario.dx
     c_max = float(max(c_nodes.max(), c_half.max()))
     dt = scenario.cfl * dx / c_max
@@ -243,14 +226,13 @@ def _clock(scenario: WaveScenario, c_nodes, c_half):
     if c_max * dt / dx > 0.9 + 1e-12:
         raise CFLViolation("effective CFL number exceeds 0.9")
     stride = scenario.store_stride
-    return dt, n_steps, 1 + n_steps // stride + (n_steps % stride != 0)
+    return dt, [0, *range(stride, n_steps, stride), n_steps]
 
 
 def stored_slices(scenario: WaveScenario) -> int:
-    """Number of slices ``stream`` hands to its observers: the initial one,
-    every ``store_stride``-th step and the last step."""
+    """Number of slices ``stream`` hands to its observers."""
     _, c_nodes, c_half = _speeds(scenario)
-    return _clock(scenario, c_nodes, c_half)[2]
+    return len(_clock(scenario, c_nodes, c_half)[1])
 
 
 @dataclass
@@ -339,71 +321,45 @@ def _kernel():
         _build(path)
         build_s = time.perf_counter() - t0
     lib = ctypes.CDLL(str(path))
-    ptr, size = ctypes.c_void_p, ctypes.c_long
-    lib.leapfrog.argtypes = [ptr, ptr, ptr, size, ptr, ctypes.c_double,
-                             ptr, size, ptr, size, size]
-    lib.leapfrog.restype = None
-    lib.densities.argtypes = [ptr, ptr, size, ptr, ctypes.c_double, ctypes.c_double, ptr, ptr]
-    lib.densities.restype = ctypes.c_int
+    ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.leapfrog.argtypes = [ptr, ptr, ptr, size, ptr, real, ptr, size, ptr, size,
+                             real, real, ptr, ptr, size]
+    lib.leapfrog.restype = ctypes.c_int
     _kernel_lib = lib
     return lib, build_s
 
 
-def _contiguous(*arrays):
-    for a in arrays:
-        if not (a.dtype == np.float64 and a.ndim == 1 and a.flags.c_contiguous):
-            raise TypeError("the leapfrog kernel takes 1-d contiguous float64 arrays")
-
-
-def _leapfrog(lib, lam2, stops, c2h, ramps, levels):
+def _leapfrog(lib, dt, dx, stops, c2h, ramps, levels):
     """Advance the three ``levels`` (previous, current, next) in place with
-    the compiled kernel and yield ``(m, u_prev, u_curr)`` at each stored
-    step ``m`` of ``stops``, an increasing list: one kernel call per block
-    of steps up to the next stop.
-
-    ``lam2`` is ``(dt / dx) ** 2`` and ``ramps`` are the sponge's damping
-    factors on the first and on the last nodes of the grid.  Every length
-    the kernel sees is taken from the arrays handed to it, after they are
-    checked to be contiguous ``float64``.
+    the compiled kernel: one call per stored step ``m`` of ``stops``, an
+    increasing sequence, that takes the steps up to it (none for step 0).
+    Yield ``(m, finite, energy, u_curr)``: whether the newest level
+    ``u_curr`` is finite, and the staggered energy of the two newest levels
+    (nan when not), whose per-node terms the kernel writes and ``np.sum``
+    adds.  ``ramps`` are the sponge's damping factors on the first and on
+    the last nodes.  Every length the kernel sees is taken from the arrays
+    handed to it, after they are checked to be contiguous ``float64``.
     """
     damp_lo, damp_hi = ramps
-    _contiguous(*levels, c2h, damp_lo, damp_hi)
+    for a in (*levels, c2h, damp_lo, damp_hi):
+        if not (a.dtype == np.float64 and a.ndim == 1 and a.flags.c_contiguous):
+            raise TypeError("the leapfrog kernel takes 1-d contiguous float64 arrays")
     n = levels[0].size
     if not (n >= 2 and all(u.size == n for u in levels) and c2h.size == n - 1
             and damp_lo.size + damp_hi.size <= n):
         raise ValueError("the leapfrog's arrays do not fit one grid of %d nodes" % n)
-    fixed = (n, c2h.ctypes.data, lam2, damp_lo.ctypes.data, damp_lo.size,
-             damp_hi.ctypes.data, damp_hi.size)
+    kinetic, potential = np.empty(n), np.empty(n - 1)
+    fixed = (n, c2h.ctypes.data, (dt / dx) ** 2, damp_lo.ctypes.data, damp_lo.size,
+             damp_hi.ctypes.data, damp_hi.size, dt, dx, kinetic.ctypes.data,
+             potential.ctypes.data)
     rows = list(levels)
     m = 0
     for stop in stops:
         k, m = stop - m, stop
-        lib.leapfrog(*(u.ctypes.data for u in rows), *fixed, k)
+        finite = lib.leapfrog(*(u.ctypes.data for u in rows), *fixed, k)
         rows = rows[k % 3 :] + rows[: k % 3]  # the kernel rotated the levels k times
-        yield m, rows[0], rows[1]
-
-
-def _checked(lib, slices, c2h, dt, dx):
-    """Yield ``(m, finite, energy, u_curr)`` for each ``(m, u_prev, u_curr)``
-    of ``slices``: whether every value of ``u_curr`` is finite, and the
-    staggered energy of the two levels (nan when ``u_curr`` is not finite).
-
-    The kernel's ``densities`` writes the energy's per-node terms in
-    ``staggered_energy``'s order of operations and ``np.sum`` adds them, so
-    the energy carries ``staggered_energy``'s bits.
-    """
-    _contiguous(c2h)
-    n = c2h.size + 1
-    kinetic, potential = np.empty(n), np.empty(n - 1)
-    args = (n, c2h.ctypes.data, dt, dx, kinetic.ctypes.data, potential.ctypes.data)
-    for m, prev, curr in slices:
-        _contiguous(prev, curr)
-        if not prev.size == curr.size == n:
-            raise ValueError("the slice's levels do not fit the grid of %d nodes" % n)
-        if lib.densities(curr.ctypes.data, prev.ctypes.data, *args):
-            yield m, True, 0.5 * dx * (np.sum(kinetic) + np.sum(potential)), curr
-        else:
-            yield m, False, math.nan, curr
+        energy = 0.5 * dx * (np.sum(kinetic) + np.sum(potential)) if finite else math.nan
+        yield m, bool(finite), energy, rows[1]
 
 
 def _two_cpus() -> bool:
@@ -414,16 +370,21 @@ def _two_cpus() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
-def _fork_producer(blocks, shared, energies, down, up) -> int:
-    """Fork a child that runs ``blocks``, the checked slices of the whole
-    grid's leapfrog, and return its pid; the child never returns.
+# the child's report of one slice: its finiteness flag and its energy, in
+# one write under PIPE_BUF, so the parent reads the whole message or none
+REPORT = struct.Struct("=?d")
+
+
+def _fork_producer(blocks, shared, down, up) -> int:
+    """Fork a child that runs ``blocks``, the whole grid's leapfrog slices,
+    and return its pid; the child never returns.
 
     The child writes the field of slice ``j`` into row ``j % 2`` of
-    ``shared`` and its energy into ``energies[j]``, and sends one byte up:
-    1 when the field is finite, 0 when it is not.  Before it overwrites a
-    row it waits for the parent's byte on ``down`` that acknowledges the
-    slice two back.  It exits only when ``down`` reads end of file, so the
-    parent's last acknowledgement never meets a closed pipe.
+    ``shared`` and sends its finiteness flag and energy up as one
+    ``REPORT``.  Before it overwrites a row it waits for the parent's byte
+    on ``down`` that acknowledges the slice two back.  It exits only when
+    ``down`` reads end of file, so the parent's last acknowledgement never
+    meets a closed pipe.
     """
     pid = os.fork()
     if pid:
@@ -438,8 +399,7 @@ def _fork_producer(blocks, shared, energies, down, up) -> int:
             if j >= 2 and not os.read(down[0], 1):
                 break  # the parent has stopped
             shared[j % 2] = curr
-            energies[j] = energy
-            os.write(up[1], b"\1" if finite else b"\0")
+            os.write(up[1], REPORT.pack(finite, energy))
         while os.read(down[0], 1):
             pass
         status = 0
@@ -448,15 +408,15 @@ def _fork_producer(blocks, shared, energies, down, up) -> int:
         os._exit(status)
 
 
-def _received(stops, shared, energies, down, up):
+def _received(stops, shared, down, up):
     """The parent's side of ``_fork_producer``: yield ``(m, finite, energy,
     u_curr)`` of each stored step ``m`` of ``stops`` once the child reports
     it, and acknowledge the slice when the consumer asks for the next one."""
     for j, m in enumerate(stops):
-        finite = os.read(up[0], 1)
-        if not finite:
+        report = os.read(up[0], REPORT.size)
+        if len(report) != REPORT.size:
             raise RuntimeError("the solver's child process ended early")
-        yield m, finite == b"\1", energies[j], shared[j % 2]
+        yield (m, *REPORT.unpack(report), shared[j % 2])
         try:
             os.write(down[1], b"\0")
         except BrokenPipeError:
@@ -471,18 +431,19 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     copy it.  No slice stack is held, so the memory is a few grid arrays
     whatever the duration.
 
-    Each stored slice is checked by ``_checked``: its finiteness, on which
-    a non-finite slice raises ``FieldBlowup`` before any observer sees it,
-    and its energy.  When ``_two_cpus`` allows, a forked child runs the
-    kernel and the checks, and this process runs the observers on the
-    slices it hands over; the record's ``processes`` says which path ran.
+    The kernel checks each stored slice as it computes it: a non-finite
+    slice raises ``FieldBlowup`` before any observer sees it, and the
+    others add their energy to the record.  When ``_two_cpus`` allows, a
+    forked child runs the kernel, and this process runs the observers on
+    the slices it hands over; the record's ``processes`` says which path
+    ran.
     Raises ``KernelBuildError`` before any step when the kernel cannot be
     built.
     """
     xs, c_nodes, c_half = _speeds(scenario)
     n = xs.size
     dx = scenario.dx
-    dt, n_steps, n_store = _clock(scenario, c_nodes, c_half)
+    dt, stops = _clock(scenario, c_nodes, c_half)
     lib, build_s = _kernel()  # before any fork, so the child never compiles
 
     # three rotating time levels, updated in place
@@ -500,24 +461,16 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     damp[-sp.cells :] = np.exp(-sp.strength * dt * np.linspace(0.0, 1.0, sp.cells) ** 2)
     ramps = (damp[: sp.cells], damp[max(sp.cells, n - sp.cells) :])
 
-    c2h = c_half**2
-    ts = np.empty(n_store)
-    energy = np.empty(n_store)
-
-    stride = scenario.store_stride
-    # the stored steps: the initial one, every stride-th and the last
-    stops = [0, *range(stride, n_steps, stride), n_steps]
-    slices = itertools.chain([(0, u_prev, u_curr)],
-                             _leapfrog(lib, (dt / dx) ** 2, stops[1:], c2h, ramps, levels))
-    blocks = _checked(lib, slices, c2h, dt, dx)
+    ts = np.empty(len(stops))
+    energy = np.empty(len(stops))
+    blocks = _leapfrog(lib, dt, dx, stops, c_half**2, ramps, levels)
     pid = None
     if _two_cpus():
         # two rows, so one is read while the next is written
         shared = np.frombuffer(mmap.mmap(-1, 2 * n * 8), float).reshape(2, n)
-        energies = np.frombuffer(mmap.mmap(-1, n_store * 8), float)
         down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
-        pid = _fork_producer(blocks, shared, energies, down, up)
-        blocks = _received(stops, shared, energies, down, up)
+        pid = _fork_producer(blocks, shared, down, up)
+        blocks = _received(stops, shared, down, up)
     try:
         for j, (m, finite, e, curr) in enumerate(blocks):
             t = m * dt
@@ -549,7 +502,7 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
         dt=dt,
         energy=energy,
         max_trust_freq=max_trust,
-        steps=n_steps,
+        steps=stops[-1],
         processes=1 if pid is None else 2,
         kernel_build_s=build_s,
     )

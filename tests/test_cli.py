@@ -168,7 +168,10 @@ class TestConfig:
         default = loaded("")
         for section, keys in NON_DEFAULTS.items():
             for key, value in keys.items():
-                assert loaded("[%s]\n%s = %s\n" % (section, key, value)) != default, key
+                # k = 2 needs n > 2: it is loaded next to n = 3 and compared with n = 3 alone
+                other = "n = 3\n" if key == "k" else ""
+                base = loaded("[metric]\n" + other) if other else default
+                assert loaded("[%s]\n%s%s = %s\n" % (section, other, key, value)) != base, key
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -180,6 +183,27 @@ class TestConfig:
         cfgf.write_text("[metric]\ny_dependence = none\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(cfgf)
+
+
+# faults of the config file itself: load_config refuses them, so calc
+# --config exits 2 on them as pipeline does; id: (old text, new text, named)
+LOAD_FAULTS = {
+    "s0-over-0": ("s0 = 5/2", "s0 = 1/0", "[metric] s0: '1/0' divides by zero"),
+    "s-over-0": ("\ns = 1/2", "\ns = 1/0", "[calc] s: '1/0' divides by zero"),
+    "eps0-over-0": ("eps0 = 1/20", "eps0 = 1/0", "[calc] eps0: '1/0' divides by zero"),
+    "duplicate-key": ("k = 1\n", "k = 1\nk = 1\n",
+                      "[line 9]: option 'k' in section 'metric' already exists"),
+    "duplicate-section": ("[commutant]", "[calc]\neps0 = 1/10\n\n[commutant]",
+                          "[line 27]: section 'calc' already exists"),
+    "key-before-section": ("[experiment]\n", "k = 1\n[experiment]\n",
+                           "File contains no section headers"),
+    "stray-line": ("[calc]\n", "[calc]\njunk\n", "Source contains parsing errors"),
+    "stray-percent": ("name = smoke", "name = 100%", "[experiment] name: '%' must be"),
+    # the order rules' own domain: integers n > k >= 1 and eps0 > 0
+    "k-0": ("k = 1\n", "k = 0\n", "[metric] codimension k must be a positive integer"),
+    "n-1": ("n = 2\n", "n = 1\n", "[metric] need integers n > k >= 1"),
+    "eps0-0": ("eps0 = 1/20", "eps0 = 0", "[calc] eps0 must be positive"),
+}
 
 
 class TestPipeline:
@@ -330,6 +354,11 @@ class TestPipeline:
         code = main(["calc", "--config", str(cfgf)])
         assert code == 0
         assert "gate_ok" in capsys.readouterr().out
+        # the gate takes any k and n > k; only the physical stages need k = 1, n = 2
+        cfgf.write_text(small_config_text(tmp_path / "out", s0="7/2")
+                        .replace("k = 1\nn = 2", "k = 2\nn = 3"))
+        assert main(["calc", "--config", str(cfgf)]) == 0
+        assert json.loads((tmp_path / "out" / "calc.json").read_text())["gate_ok"]
 
     def test_window_plan_refusal_exit_2(self, tmp_path, capsys):
         cases = [
@@ -406,6 +435,7 @@ class TestPipeline:
             ("core_radius = 1.0", "core_radius = 1.0\nc_smooth = 1.0",
              "unknown key 'c_smooth' in section [metric]"),
             ("[commutant]", "[probe]\noracle = on\n\n[commutant]", "unknown section [probe]"),
+            *LOAD_FAULTS.values(),
         ],
         ids=["k2-n3", "n3", "cfl", "sponge", "frame", "alpha", "delta", "policy",
              "store-stride", "seed", "pulse-seed", "nx-0", "nx-negative", "pulse-width",
@@ -415,7 +445,7 @@ class TestPipeline:
              "x-lo-nan", "pulse-center-nan", "pulse-width-inf", "core-radius-0",
              "core-radius-negative", "c-bg-0", "c-bg-negative", "c-bg-inf", "amp-nan",
              "amp-negative-speed",
-             "c-smooth", "probe-section"],
+             "c-smooth", "probe-section", *LOAD_FAULTS],
     )
     def test_config_fault_exit_2_before_trace(self, tmp_path, capsys, old, new, named):
         cfgf = tmp_path / "fault.ini"
@@ -426,6 +456,25 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("old, new, named", LOAD_FAULTS.values(), ids=LOAD_FAULTS)
+    def test_load_fault_exit_2_on_calc_config(self, tmp_path, capsys, old, new, named):
+        cfgf = tmp_path / "fault.ini"
+        text = small_config_text(tmp_path / "out")
+        assert text.count(old) == 1
+        cfgf.write_text(text.replace(old, new))
+        assert main(["calc", "--config", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_calc_batch_missing_query_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert main(["calc", "--batch", str(tmp_path / "nope.txt"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: no query file at %s\n" % (tmp_path / "nope.txt")
+        assert not out.exists()
 
     def test_cli_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"

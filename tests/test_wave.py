@@ -1,3 +1,5 @@
+import ctypes
+import itertools
 import os
 import subprocess
 import time
@@ -22,7 +24,6 @@ from wavediff.wave import (
     make_pulse,
     run,
     smooth_envelope,
-    staggered_energy,
     stored_slices,
     stream,
 )
@@ -136,12 +137,13 @@ class TestSolverBasics:
         assert rate > 0.5
 
 
-def reference_energy(u_new, u_old, c_half, dt, dx):
-    """The allocating staggered energy: a new array per term."""
+def reference_energy(u_new, u_old, c2h, dt, dx):
+    """The allocating staggered energy: a new array per term; ``c2h`` is
+    the squared half-cell speed."""
     ut = (u_new - u_old) / dt
     gx_new = np.diff(u_new) / dx
     gx_old = np.diff(u_old) / dx
-    return 0.5 * dx * (np.sum(ut * ut) + np.sum(c_half**2 * gx_new * gx_old))
+    return 0.5 * dx * (np.sum(ut * ut) + np.sum(c2h * gx_new * gx_old))
 
 
 def reference_step(u_prev, u_curr, c2h, lam2, damp):
@@ -167,13 +169,13 @@ def reference_leapfrog(sc, dt):
     damp[-cells:] = np.exp(-strength * dt * np.linspace(0.0, 1.0, cells) ** 2)
     lam2, c2h = (dt / dx) ** 2, c_half**2
     n_steps = int(np.ceil(sc.duration / dt))
-    us, ts, es = [u_curr.copy()], [0.0], [reference_energy(u_curr, u_prev, c_half, dt, dx)]
+    us, ts, es = [u_curr.copy()], [0.0], [reference_energy(u_curr, u_prev, c2h, dt, dx)]
     for m in range(1, n_steps + 1):
         u_prev, u_curr = reference_step(u_prev, u_curr, c2h, lam2, damp)
         if m % sc.store_stride == 0 or m == n_steps:
             us.append(u_curr.copy())
             ts.append(m * dt)
-            es.append(reference_energy(u_curr, u_prev, c_half, dt, dx))
+            es.append(reference_energy(u_curr, u_prev, c2h, dt, dx))
     return np.asarray(us), np.asarray(ts), np.asarray(es), n_steps
 
 
@@ -207,18 +209,22 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def wrap_leapfrog(monkeypatch, fault):
-    """Make ``stream`` run the real ``wave._leapfrog`` with ``fault(j, curr)``
-    called on the current level of block ``j`` (from 1) before it is
-    handed on: in the forked child when there is one."""
-    real = wave._leapfrog
+def wrap_kernel(monkeypatch, fault):
+    """Make ``stream`` call the real kernel through a proxy that first runs
+    ``fault(j, curr)`` on call ``j`` (0 checks the launch levels, ``j >= 1``
+    steps to stored block ``j``), where ``curr`` is the current level the
+    call starts from; in the forked child when there is one.  A nan written
+    there reaches block ``j``'s newest level, so the kernel's own flag
+    reports it."""
+    lib, _ = wave._kernel()
+    calls = itertools.count()
 
-    def leapfrog(*args):
-        for j, (m, prev, curr) in enumerate(real(*args), start=1):
-            fault(j, curr)
-            yield m, prev, curr
+    class Faulty:
+        def leapfrog(self, prev, curr, nxt, n, *rest):
+            fault(next(calls), np.ctypeslib.as_array((ctypes.c_double * n).from_address(curr)))
+            return lib.leapfrog(prev, curr, nxt, n, *rest)
 
-    monkeypatch.setattr(wave, "_leapfrog", leapfrog)
+    monkeypatch.setattr(wave, "_kernel", lambda: (Faulty(), 0.0))
 
 
 def inplace_scenario(**kw):
@@ -234,9 +240,9 @@ def inplace_scenario(**kw):
 
 
 class TestInPlaceLeapfrog:
-    """``run`` updates three levels in place, damps only the sponge cells and
-    computes the staggered energy in its scratch arrays; its stored slices,
-    times and energies carry the allocating loop's bits."""
+    """``run`` updates three levels in place and damps only the sponge
+    cells, and the kernel writes the staggered energy's densities; its
+    stored slices, times and energies carry the allocating loop's bits."""
 
     @pytest.fixture(autouse=True)
     def parts(self, monkeypatch):
@@ -337,7 +343,7 @@ class TestFieldArchive:
             if j == 3:
                 curr[:] = np.nan
 
-        wrap_leapfrog(monkeypatch, nan_on_block_3)
+        wrap_kernel(monkeypatch, nan_on_block_3)
         with pytest.raises(FieldBlowup) as info:
             stage_wave(sc, [lambda t, u: seen.append(t)], tmp_path / "f.npz")
         assert str(info.value) == "non-finite field at t=%g" % (3 * sc.store_stride * dt)
@@ -381,7 +387,7 @@ class TestSolverChild:
             if os.getpid() != parent and j == 3:
                 raise RuntimeError("kernel failed")
 
-        wrap_leapfrog(monkeypatch, fails_in_child)
+        wrap_kernel(monkeypatch, fails_in_child)
         with pytest.raises(RuntimeError, match="child process ended early"):
             stage_wave(flat_scenario(duration=0.2), [], tmp_path / "f.npz")
         assert not (tmp_path / "f.npz").exists()
@@ -492,45 +498,32 @@ class TestKernel:
                              (np.zeros((3, 2 * n))[:, ::2], c2h),
                              (good, c2h.astype(np.float32))]:
             with pytest.raises(TypeError, match="contiguous float64"):
-                next(wave._leapfrog(lib, 0.81, [1], half, ramps, levels))
+                next(wave._leapfrog(lib, 0.09, 0.1, [1], half, ramps, levels))
         for levels, half, damp in [(good, np.ones(n), ramps),
                                    (np.zeros((3, n - 1)), c2h, ramps),
                                    (good, c2h, (np.ones(60), np.ones(60)))]:
             with pytest.raises(ValueError, match="do not fit"):
-                next(wave._leapfrog(lib, 0.81, [1], half, damp, levels))
-        # the energy's densities take the same grids
-        for u, half in [(np.zeros(n, np.float32), c2h), (np.zeros(2 * n)[::2], c2h),
-                        (np.zeros(n), c2h.astype(np.float32))]:
-            with pytest.raises(TypeError, match="contiguous float64"):
-                next(wave._checked(lib, [(0, np.zeros(n), u)], half, 0.1, 0.1))
-        with pytest.raises(ValueError, match="do not fit"):
-            next(wave._checked(lib, [(0, np.zeros(n), np.zeros(n + 1))], c2h, 0.1, 0.1))
+                next(wave._leapfrog(lib, 0.09, 0.1, [1], half, damp, levels))
 
     def test_one_kernel_call_per_stored_block(self, monkeypatch):
-        # a ragged stride: every block but the last is 7 steps, and each is
-        # one call, however many steps it holds
+        # a ragged stride: one call checks the launch levels, every later
+        # block but the last is 7 steps, and each is one call, however many
+        # steps it holds, that also returns the slice's energy
         use_parts(monkeypatch, 1)
         lib, _ = wave._kernel()
         steps = []
 
-        checks = []
-
         class Counting:
             def leapfrog(self, *args):
                 steps.append(args[-1])
-                lib.leapfrog(*args)
-
-            def densities(self, *args):
-                checks.append(args[0])
-                return lib.densities(*args)
+                return lib.leapfrog(*args)
 
         monkeypatch.setattr(wave, "_kernel", lambda: (Counting(), 0.0))
         sc = inplace_scenario(store_stride=7)
         fld = run(sc)
         u, ts, energy, n_steps = reference_leapfrog(sc, fld.dt)
-        assert n_steps % 7 and steps == [7] * (n_steps // 7) + [n_steps % 7]
-        assert len(steps) == fld.ts.size - 1
-        assert len(checks) == fld.ts.size  # one energy per stored slice
+        assert n_steps % 7 and steps == [0] + [7] * (n_steps // 7) + [n_steps % 7]
+        assert len(steps) == fld.ts.size
         assert np.array_equal(fld.u, u) and np.array_equal(fld.energy, energy)
 
 
@@ -551,57 +544,85 @@ def untouched(buf):
 class TestKernelSmallGrids:
     """The compiled loops against numpy on grids of 2 to 40 nodes, so every
     remainder of a vector loop's tail runs on its own, with sponge ramps
-    that are empty, apart and meeting (n_lo + n_hi == n)."""
+    that are empty, apart and meeting (n_lo + n_hi == n), and with 0, 1 and
+    2 steps per call, so the energy densities are those of the two newest
+    levels after the last rotation."""
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_step_matches_reference_step(self, n):
         lib, _ = wave._kernel()
         rng = np.random.default_rng(n)
-        c2h, lam2 = rng.uniform(0.5, 2.0, n - 1), 0.7
-        for n_lo, n_hi in [(0, 0), (n // 3, n // 3), (n // 2, n - n // 2)]:
+        c2h, dt, dx = rng.uniform(0.5, 2.0, n - 1), 0.013, 0.021
+        lam2 = (dt / dx) ** 2
+        for (n_lo, n_hi), steps in itertools.product(
+                [(0, 0), (n // 3, n // 3), (n // 2, n - n // 2)], [0, 1, 2]):
             damp_lo, damp_hi = rng.uniform(0.9, 1.0, n_lo), rng.uniform(0.9, 1.0, n_hi)
             damp = np.ones(n)
             damp[:n_lo], damp[n - n_hi :] = damp_lo, damp_hi
-            (prev, prev_buf), (curr, curr_buf) = guarded(rng, n), guarded(rng, n)
-            nxt, next_buf = guarded(rng, n)
-            nxt[:] = np.nan  # every node is written
-            want_prev, want_curr = reference_step(prev.copy(), curr.copy(), c2h, lam2, damp)
-            lib.leapfrog(prev.ctypes.data, curr.ctypes.data, nxt.ctypes.data, n,
-                         c2h.ctypes.data, lam2, damp_lo.ctypes.data, n_lo,
-                         damp_hi.ctypes.data, n_hi, 1)
-            assert np.array_equal(curr, want_prev) and np.array_equal(nxt, want_curr), (n_lo, n_hi)
-            assert untouched(prev_buf) and untouched(curr_buf) and untouched(next_buf)
+            levels = [guarded(rng, n) for _ in range(3)]
+            levels[2][0][:] = np.nan  # every node is written
+            (kinetic, kin_buf), (potential, pot_buf) = guarded(rng, n), guarded(rng, n - 1)
+            want_old, want_new = levels[0][0].copy(), levels[1][0].copy()
+            for _ in range(steps):
+                want_old, want_new = reference_step(want_old, want_new, c2h, lam2, damp)
+            finite = lib.leapfrog(*(u.ctypes.data for u, _ in levels), n, c2h.ctypes.data,
+                                  lam2, damp_lo.ctypes.data, n_lo, damp_hi.ctypes.data, n_hi,
+                                  dt, dx, kinetic.ctypes.data, potential.ctypes.data, steps)
+            new, old = levels[(1 + steps) % 3][0], levels[steps % 3][0]
+            where = (n_lo, n_hi, steps)
+            assert finite == 1, where
+            assert np.array_equal(old, want_old) and np.array_equal(new, want_new), where
+            ut = (want_new - want_old) / dt
+            assert np.array_equal(kinetic, ut * ut), where
+            assert np.array_equal(potential, (c2h * (np.diff(want_new) / dx))
+                                  * (np.diff(want_old) / dx)), where
+            assert (0.5 * dx * (np.sum(kinetic) + np.sum(potential))
+                    == reference_energy(want_new, want_old, c2h, dt, dx)), where
+            assert all(untouched(buf) for _, buf in levels), where
+            assert untouched(kin_buf) and untouched(pot_buf), where
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_densities_match_staggered_energy(self, n):
+        # through wave._leapfrog: its energy at stops 0, 1 and 3 (blocks of
+        # 0, 1 and 2 steps) is the reference energy of the reference levels
         lib, _ = wave._kernel()
         rng = np.random.default_rng(100 + n)
         c2h, dt, dx = rng.uniform(0.5, 2.0, n - 1), 0.013, 0.021
-        (u_new, new_buf), (u_old, old_buf) = guarded(rng, n), guarded(rng, n)
-        (kinetic, kin_buf), (potential, pot_buf) = guarded(rng, n), guarded(rng, n - 1)
-        finite = lib.densities(u_new.ctypes.data, u_old.ctypes.data, n, c2h.ctypes.data,
-                               dt, dx, kinetic.ctypes.data, potential.ctypes.data)
-        ut = (u_new - u_old) / dt
-        assert finite == 1 and np.array_equal(kinetic, ut * ut)
-        assert np.array_equal(potential, (c2h * (np.diff(u_new) / dx)) * (np.diff(u_old) / dx))
-        assert all(untouched(buf) for buf in (new_buf, old_buf, kin_buf, pot_buf))
-        _, finite, energy, _ = next(wave._checked(lib, [(0, u_old, u_new)], c2h, dt, dx))
-        assert finite
-        assert energy == staggered_energy(u_new, u_old, c2h, dt, dx, np.empty(n), np.empty(n - 1))
+        ramps = (rng.uniform(0.9, 1.0, n // 3), rng.uniform(0.9, 1.0, n // 3))
+        damp = np.ones(n)
+        damp[: n // 3], damp[n - n // 3 :] = ramps
+        levels = rng.standard_normal((3, n))
+        want_old, want_new = levels[0].copy(), levels[1].copy()
+        done = 0
+        for m, finite, energy, curr in wave._leapfrog(lib, dt, dx, [0, 1, 3], c2h, ramps, levels):
+            for _ in range(m - done):
+                want_old, want_new = reference_step(want_old, want_new, c2h, (dt / dx) ** 2, damp)
+            done = m
+            assert finite and np.array_equal(curr, want_new), m
+            assert energy == reference_energy(want_new, want_old, c2h, dt, dx), m
+        assert done == 3
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])
     def test_densities_flag_a_non_finite_current_level(self, n):
         lib, _ = wave._kernel()
         rng = np.random.default_rng(n)
         c2h, u_new, u_old = np.ones(n - 1), rng.standard_normal(n), rng.standard_normal(n)
+        no_ramps = (np.empty(0), np.empty(0))
+
+        def checked(old, new):
+            # the launch check: no steps, so ``new`` is the newest level
+            return next(wave._leapfrog(lib, 0.1, 0.1, [0], c2h, no_ramps,
+                                       (old, new, np.empty(n))))
+
         for j in range(n):
             for bad in (np.inf, -np.inf, np.nan):
                 new, old = u_new.copy(), u_old.copy()
                 new[j] = bad
-                assert not next(wave._checked(lib, [(0, old, new)], c2h, 0.1, 0.1))[1]
+                _, finite, energy, _ = checked(old, new)
+                assert not finite and np.isnan(energy)
                 old[j], new[j] = bad, u_new[j]  # the previous level is not checked
                 with np.errstate(invalid="ignore"):  # its energy is not finite
-                    assert next(wave._checked(lib, [(0, old, new)], c2h, 0.1, 0.1))[1]
+                    assert checked(old, new)[1]
 
 
 def discrete_energy(fld: WaveField, t_index: int) -> float:
@@ -701,7 +722,7 @@ class TestStructure:
             sponge=SpongeSpec(cells=150), store_stride=2,
         )
         xs, c_nodes, c_half = wave._speeds(sc)
-        dt, n_steps, _ = wave._clock(sc, c_nodes, c_half)
+        dt, stops = wave._clock(sc, c_nodes, c_half)
         cells, strength = sc.sponge.cells, sc.sponge.strength
         ramps = (np.exp(-strength * dt * np.linspace(1.0, 0.0, cells) ** 2),
                  np.exp(-strength * dt * np.linspace(0.0, 1.0, cells) ** 2))
@@ -712,9 +733,9 @@ class TestStructure:
             levels = np.zeros((3, xs.size))
             levels[0] = levels[1] = np.exp(-0.5 * ((xs - src) / 0.05) ** 2)
             idx = int(np.argmin(np.abs(xs - rec)))
-            blocks = wave._leapfrog(lib, (dt / sc.dx) ** 2, range(2, n_steps + 1, 2),
+            blocks = wave._leapfrog(lib, dt, sc.dx, range(2, stops[-1] + 1, 2),
                                     c_half**2, ramps, levels)
-            traces[(src, rec)] = np.array([curr[idx] for _, _, curr in blocks])
+            traces[(src, rec)] = np.array([curr[idx] for *_, curr in blocks])
         a = traces[(x_a, x_b)]
         b = traces[(x_b, x_a)]
         assert np.max(np.abs(a - b)) <= 1e-6 * max(np.max(np.abs(a)), 1e-30)
