@@ -391,7 +391,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     wave_npz = out / "field.npz"
     rec = stage_wave(scenario, spectra, wave_npz)
     record("wave", [wave_npz], clock, steps=rec.steps, slices=int(rec.ts.size),
-           solver_processes=rec.processes, kernel_build_s=round(rec.kernel_build_s, 3))
+           solver_processes=rec.processes, solver_cpus=rec.cpus,
+           kernel_build_s=round(rec.kernel_build_s, 3))
 
     clock = start()
     probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
@@ -425,10 +426,12 @@ def cmd_report(out_dir: Path) -> int:
             stage, entry["seconds"], entry["cpu_s"], entry["peak_rss_mb"],
             " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
         if "steps" in entry:
-            print("  %-18s leapfrog steps %d, stored slices %d, solver processes %d,"
-                  " kernel build %.3fs" % ("", entry["steps"], entry["slices"],
-                                           entry.get("solver_processes", 1),
-                                           entry.get("kernel_build_s", 0.0)))
+            cpus = entry.get("solver_cpus")
+            print("  %-18s leapfrog steps %d, stored slices %d, solver processes %d%s,"
+                  " kernel build %.3fs" % (
+                      "", entry["steps"], entry["slices"], entry.get("solver_processes", 1),
+                      "" if cpus is None else " on cpus %s and %s" % tuple(cpus),
+                      entry.get("kernel_build_s", 0.0)))
         if "rk4_steps" in entry:
             print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
                 "", entry["rk4_steps"], entry["p_residual_max"]))
@@ -493,6 +496,8 @@ def main(argv=None) -> int:
             if args.batch:
                 if not args.batch.is_file():
                     raise ConfigError("no query file at %s" % args.batch)
+                if not args.out.parent.is_dir():
+                    raise ConfigError("no directory for the results at %s" % args.out)
                 n = calc_batch(args.batch, args.out)
                 print("evaluated %d queries -> %s" % (n, args.out))
                 return 0

@@ -116,8 +116,11 @@ class ConormalMetric:
         fp, gp = _over_square(f, t), _over_square(g, s)
         dbump = -((fp * g + f * gp) / (f + g) ** 2) / (1.0 - _PLATEAU)
         dc = self.amp * (e * r ** (e - 1.0) * bump + r**e * dbump / self.core_radius)
-        dc = dc * np.sign(x)
-        return (float(c), float(dc)) if scalar else (c, dc)
+        if not scalar:
+            return c, dc * np.sign(x)
+        # np.sign(x) * dc on a float: the sign flips exactly, and 0 or nan
+        # multiply as they would
+        return c, (dc if x > 0 else -dc if x < 0 else dc * 0.0)
 
     def speed(self, x):
         """Speed at the normal coordinate x: float in, float out; array in,
@@ -140,12 +143,12 @@ class ConormalMetric:
             raise ValueError("covector must be nonzero")
         return abs(self.dual_hamiltonian(q)) <= tol * scale
 
-    def hamilton_field(self, state) -> np.ndarray:
-        """Hamilton vector field on states (x, t, xi, tau), computed on
+    def hamilton_field(self, state) -> tuple:
+        """Hamilton vector field on states (x, t, xi, tau) as a tuple of four
         Python floats: (-2 c^2 xi, 2 tau, 2 c c' xi^2, 0)."""
         x, _t, xi, tau = state.tolist() if isinstance(state, np.ndarray) else state
         c, dc = self._profile(x, slope=True)
-        return np.array([(-2.0 * c**2) * xi, 2.0 * tau, ((2.0 * c) * dc) * (xi * xi), 0.0])
+        return (-2.0 * c**2) * xi, 2.0 * tau, ((2.0 * c) * dc) * (xi * xi), 0.0
 
 
 class PiecewiseSpeed:

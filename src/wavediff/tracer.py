@@ -107,15 +107,18 @@ def _reparam_leg(
     loss of transversality raises GlancingHalt with the samples so far.
 
     The state is a list of Python floats, the accumulated curve parameter
-    last; ``V`` is called on the first ``d`` entries, and each RK4 stage is
-    formed elementwise in the order of the vector form
+    last; ``V`` is called on the first ``d`` entries and returns a tuple of
+    floats (taken as it is) or anything else ``np.asarray`` makes floats of.
+    Each RK4 stage is formed elementwise in the order of the vector form
     z + (step / 6) ((k1 + 2 k2) + 2 k3 + k4).
     """
     x0 = np.asarray(x0, float)
     d = x0.size
 
     def rhs(x):
-        v = np.asarray(V(x), float).tolist()
+        v = V(x)
+        if type(v) is not tuple:
+            v = np.asarray(v, float).tolist()
         if _glancing(v, j, v_floor):
             raise _FloorHit()
         vj = v[j]

@@ -33,6 +33,13 @@ of a shared map and sends the slice's finiteness flag and energy up a pipe
 in one 9-byte message.  The parent raises ``FieldBlowup`` on a non-finite
 slice, runs the observers on the others and acknowledges each slice down a
 pipe, so the child never overwrites a row the parent still reads.
+
+The two processes run on disjoint CPU sets (``_cpu_split``): the child on
+the highest CPU of the caller's mask, the parent on the rest, until the
+parent has reaped the child and restored its own mask.  Left to the
+scheduler, the two sides were found time-sliced on one CPU on every
+slice, most likely because each pipe write wakes the reader on the
+writer's CPU.
 """
 
 from __future__ import annotations
@@ -246,8 +253,14 @@ class WaveRecord:
     energy: np.ndarray      # staggered discrete energy per stored slice
     max_trust_freq: float   # dispersion-limited wavenumber for probing
     steps: int              # leapfrog steps taken
-    processes: int          # 2 when a forked child ran the kernel
+    cpus: tuple | None      # the CPUs of this process and of the forked child
+                            # that ran the kernel; None when no child ran
     kernel_build_s: float   # compiling the kernel; 0 when it was loaded or cached
+
+    @property
+    def processes(self) -> int:
+        """2 when a forked child ran the kernel, else 1."""
+        return 1 if self.cpus is None else 2
 
 
 class KernelBuildError(RuntimeError):
@@ -362,12 +375,17 @@ def _leapfrog(lib, dt, dx, stops, c2h, ramps, levels):
         yield m, bool(finite), energy, rows[1]
 
 
-def _two_cpus() -> bool:
-    """Whether ``stream`` forks a producer: ``os.fork`` exists and this
-    process may run on two CPUs."""
+def _cpu_split():
+    """The CPU sets of ``stream``'s two processes, this one's and its forked
+    child's: the child takes the highest CPU of this process's mask and this
+    process keeps the rest.  None, and no child, when ``os.fork`` is missing
+    or fewer than two CPUs are usable."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return False
-    return len(os.sched_getaffinity(0)) >= 2
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return None
+    return cpus[:-1], cpus[-1:]
 
 
 # the child's report of one slice: its finiteness flag and its energy, in
@@ -375,9 +393,9 @@ def _two_cpus() -> bool:
 REPORT = struct.Struct("=?d")
 
 
-def _fork_producer(blocks, shared, down, up) -> int:
+def _fork_producer(blocks, shared, down, up, cpus) -> int:
     """Fork a child that runs ``blocks``, the whole grid's leapfrog slices,
-    and return its pid; the child never returns.
+    on the CPU set ``cpus`` and return its pid; the child never returns.
 
     The child writes the field of slice ``j`` into row ``j % 2`` of
     ``shared`` and sends its finiteness flag and energy up as one
@@ -393,6 +411,7 @@ def _fork_producer(blocks, shared, down, up) -> int:
         return pid
     status = 1
     try:
+        os.sched_setaffinity(0, cpus)
         os.close(down[1])
         os.close(up[0])
         for j, (_, finite, energy, curr) in enumerate(blocks):
@@ -433,10 +452,11 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
 
     The kernel checks each stored slice as it computes it: a non-finite
     slice raises ``FieldBlowup`` before any observer sees it, and the
-    others add their energy to the record.  When ``_two_cpus`` allows, a
-    forked child runs the kernel, and this process runs the observers on
-    the slices it hands over; the record's ``processes`` says which path
-    ran.
+    others add their energy to the record.  When ``_cpu_split`` allows, a
+    forked child runs the kernel on one CPU, and this process runs the
+    observers on the slices it hands over, on the others; its own CPU mask
+    is restored however the solve ends.  The record's ``cpus`` says which
+    path ran.
     Raises ``KernelBuildError`` before any step when the kernel cannot be
     built.
     """
@@ -464,14 +484,18 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
     ts = np.empty(len(stops))
     energy = np.empty(len(stops))
     blocks = _leapfrog(lib, dt, dx, stops, c_half**2, ramps, levels)
+    cpus = _cpu_split()
     pid = None
-    if _two_cpus():
-        # two rows, so one is read while the next is written
-        shared = np.frombuffer(mmap.mmap(-1, 2 * n * 8), float).reshape(2, n)
-        down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
-        pid = _fork_producer(blocks, shared, down, up)
-        blocks = _received(stops, shared, down, up)
+    if cpus is not None:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus[0])
     try:
+        if cpus is not None:
+            # two rows, so one is read while the next is written
+            shared = np.frombuffer(mmap.mmap(-1, 2 * n * 8), float).reshape(2, n)
+            down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
+            pid = _fork_producer(blocks, shared, down, up, cpus[1])
+            blocks = _received(stops, shared, down, up)
         for j, (m, finite, e, curr) in enumerate(blocks):
             t = m * dt
             if not finite:
@@ -485,6 +509,8 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
             os.close(down[1])
             os.close(up[0])
             os.waitpid(pid, 0)
+        if cpus is not None:
+            os.sched_setaffinity(0, mask)
 
     # trustworthy wavenumber: group-velocity error under 2 percent
     k_probe = np.linspace(1e-3, np.pi / dx * 0.5, 2048)
@@ -503,7 +529,7 @@ def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
         energy=energy,
         max_trust_freq=max_trust,
         steps=stops[-1],
-        processes=1 if pid is None else 2,
+        cpus=cpus,
         kernel_build_s=build_s,
     )
 

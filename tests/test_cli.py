@@ -206,6 +206,13 @@ LOAD_FAULTS = {
 }
 
 
+def usable_split():
+    """A CPU split of CPUs this process may run on: the real one, or one CPU
+    for both sides where there is only one."""
+    cpu = [min(os.sched_getaffinity(0))]
+    return wave._cpu_split() or (cpu, cpu)
+
+
 class TestPipeline:
     def test_inadmissible_refused(self, tmp_path):
         cfgf = tmp_path / "bad_s0.ini"
@@ -238,7 +245,8 @@ class TestPipeline:
         cfg = load_config(cfgf)
         # the first run solves in one part, the rerun in two (this process and
         # a forked child), so the rerun's checksums also pin the split
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        split = usable_split()
+        monkeypatch.setattr(wave, "_cpu_split", lambda: None)
         code, manifest = run_pipeline(cfg)
         assert code == 0, manifest
         assert manifest["verdict"] == "pass"
@@ -261,11 +269,12 @@ class TestPipeline:
         assert wave_entry["slices"] == 1 + math.ceil(wave_entry["steps"] / 8)
         assert wave_entry["kernel_build_s"] >= 0
         # identical rerun reproduces identical checksums for every stage
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(wave, "_cpu_split", lambda: split)
         code2, manifest2 = run_pipeline(cfg)
         assert len(builds) == 2
-        assert (wave_entry["solver_processes"], manifest2["stages"]["wave"]["solver_processes"]) \
-            == (1, 2)
+        wave_entry2 = manifest2["stages"]["wave"]
+        assert (wave_entry["solver_processes"], wave_entry2["solver_processes"]) == (1, 2)
+        assert (wave_entry["solver_cpus"], wave_entry2["solver_cpus"]) == (None, split)
         stages = ("calc", "trace", "wave", "probe", "verify-commutant")
         assert list(manifest["stages"]) == list(stages)
         for stage in stages:
@@ -290,10 +299,12 @@ class TestPipeline:
         assert {name: _sha256_file(out / name) for name in ("trace.csv", "events.json")} \
             == manifest["stages"]["trace"]["outputs"]
 
-    def test_report_command(self, tmp_path, capsys):
+    def test_report_command(self, tmp_path, capsys, monkeypatch):
         cfgf = tmp_path / "smoke.ini"
         cfgf.write_text(small_config_text(tmp_path / "out"))
         cfg = load_config(cfgf)
+        split = usable_split()  # a forked solve
+        monkeypatch.setattr(wave, "_cpu_split", lambda: split)
         run_pipeline(cfg)
         code = main(["report", str(tmp_path / "out")])
         out = capsys.readouterr().out
@@ -307,9 +318,10 @@ class TestPipeline:
             assert "cpu %6.2fs" % entry["cpu_s"] in line
             assert "peak rss %6.1f MB" % entry["peak_rss_mb"] in line
         wave_entry = manifest["stages"]["wave"]
-        assert "leapfrog steps %d, stored slices %d, solver processes %d, kernel build %.3fs" % (
-            wave_entry["steps"], wave_entry["slices"], wave_entry["solver_processes"],
-            wave_entry["kernel_build_s"]) in out
+        assert wave_entry["solver_cpus"] == list(split)
+        assert "leapfrog steps %d, stored slices %d, solver processes 2 on cpus %s and %s," \
+            " kernel build %.3fs" % (wave_entry["steps"], wave_entry["slices"], *split,
+                                     wave_entry["kernel_build_s"]) in out
         # the probe's work: the oracle's frequencies and each window's slices
         probe_entry = manifest["stages"]["probe"]
         assert probe_entry["oracle_freqs"] > 0
@@ -319,6 +331,12 @@ class TestPipeline:
         assert "oracle frequencies %d, window slices %s" % (
             probe_entry["oracle_freqs"],
             " ".join("%s=%d" % kv for kv in slices.items())) in out
+        # a one-process solve names no CPUs
+        wave_entry.update(solver_processes=1, solver_cpus=None)
+        (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", str(tmp_path / "out")]) == 0
+        assert "stored slices %d, solver processes 1, kernel build" % wave_entry["slices"] \
+            in capsys.readouterr().out
 
     def test_missing_compiler_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(wave, "_kernel_lib", None)
@@ -475,6 +493,15 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == "configuration error: no query file at %s\n" % (tmp_path / "nope.txt")
         assert not out.exists()
+
+    def test_calc_batch_missing_out_directory_exit_2(self, tmp_path, capsys):
+        queries = tmp_path / "q.txt"
+        queries.write_text("elliptic_window 5/2 1/4 1\n")
+        out = tmp_path / "missing" / "res.csv"
+        assert main(["calc", "--batch", str(queries), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: no directory for the results at %s\n" % out
+        assert not (tmp_path / "missing").exists()
 
     def test_cli_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -105,7 +105,7 @@ class TestHamiltonField:
         # dp along the field vanishes: grad p . X_p = 0 by antisymmetry
         m = conormal_metric()
         state = np.array([0.17, 0.3, -1.1, m.speed(0.17) * 1.1])
-        v = m.hamilton_field(state)
+        v = np.array(m.hamilton_field(state))
         h = 1e-6
 
         def p_of(s):
@@ -228,9 +228,9 @@ class TestFloatKernel:
         for x in profile_inputs(1.0, rng)[::10]:
             state = np.array([x, rng.uniform(0, 6), rng.uniform(-2, 2), rng.uniform(0.5, 2)])
             got = metric.hamilton_field(state)
-            assert type(got) is np.ndarray
+            assert type(got) is tuple and all(type(v) is float for v in got)
             assert np.array_equal(got, reference_hamilton_field(metric, state)), state
-            assert np.array_equal(metric.hamilton_field(state.tolist()), got)
+            assert metric.hamilton_field(state.tolist()) == got
 
     @KERNEL_METRICS
     def test_dual_hamiltonian_matches_array_code(self, metric):

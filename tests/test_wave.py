@@ -197,11 +197,27 @@ INPLACE_CASES = pytest.mark.parametrize(
 )
 
 
+@pytest.fixture(autouse=True)
+def own_cpu_mask():
+    """Give every test this process's CPU mask, whatever a failed solve
+    before it left pinned."""
+    mask = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, mask)
+
+
+def usable_split():
+    """A CPU split of CPUs this process may run on: the real one, or one CPU
+    for both sides where there is only one."""
+    cpu = [min(os.sched_getaffinity(0))]
+    return wave._cpu_split() or (cpu, cpu)
+
+
 def use_parts(monkeypatch, parts):
     """Make ``stream`` solve in one process, or in a forked producer and
-    this process as its consumer (``parts`` 1 or 2): report that many
-    usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    this process as its consumer (``parts`` 1 or 2)."""
+    split = usable_split() if parts == 2 else None
+    monkeypatch.setattr(wave, "_cpu_split", lambda: split)
 
 
 def assert_no_child():
@@ -396,21 +412,85 @@ class TestSolverChild:
     def test_split_time_sliced_on_one_core(self, monkeypatch):
         # the two processes share one core, so the scheduler interleaves the
         # exchange of every block (one per step here) in ever new orders
-        cpus = os.sched_getaffinity(0)
-        use_parts(monkeypatch, 2)
+        cpu = [min(os.sched_getaffinity(0))]
+        monkeypatch.setattr(wave, "_cpu_split", lambda: (cpu, cpu))
         sc = inplace_scenario(store_stride=1, duration=1.0)
-        os.sched_setaffinity(0, {min(cpus)})
-        try:
-            fld = run(sc)
-        finally:
-            os.sched_setaffinity(0, cpus)
+        fld = run(sc)
+        assert fld.processes == 2 and fld.cpus == (cpu, cpu)
         u, ts, energy, _ = reference_leapfrog(sc, fld.dt)
         assert np.array_equal(fld.u, u) and np.array_equal(fld.energy, energy)
         assert_no_child()
 
     def test_one_usable_cpu_solves_in_one_part(self, monkeypatch):
-        use_parts(monkeypatch, 1)
-        assert stream(flat_scenario(duration=0.2)).processes == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        rec = stream(flat_scenario(duration=0.2))
+        assert rec.processes == 1 and rec.cpus is None
+
+    def test_split_gives_the_child_one_cpu(self, monkeypatch):
+        # asks the kernel for no mask: the split is read off a faked one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 2, 7})
+        assert wave._cpu_split() == ([0, 2, 5], [7])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4})
+        assert wave._cpu_split() == ([1], [4])
+
+    def test_sides_run_on_disjoint_cpus(self, monkeypatch):
+        # read on every slice: the child has pinned itself before it sends
+        # the first one
+        if wave._cpu_split() is None:
+            pytest.skip("this process may run on one CPU only")
+        mask = os.sched_getaffinity(0)
+        parent_cpus, child_cpus = wave._cpu_split()
+        fork, pids, seen = wave._fork_producer, [], []
+
+        def recording_fork(*args):
+            pids.append(fork(*args))
+            return pids[-1]
+
+        def masks(t, u):
+            seen.append((os.sched_getaffinity(0), os.sched_getaffinity(pids[0])))
+
+        monkeypatch.setattr(wave, "_fork_producer", recording_fork)
+        sc = flat_scenario(duration=0.2)
+        rec = stream(sc, [masks])
+        assert rec.cpus == (parent_cpus, child_cpus)
+        assert len(seen) == stored_slices(sc)
+        assert all(mine == set(parent_cpus) and child == set(child_cpus)
+                   for mine, child in seen)
+        assert not set(parent_cpus) & set(child_cpus)
+        assert set(parent_cpus) | set(child_cpus) == mask
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+
+    @pytest.mark.parametrize("ending", ["success", "blowup", "observer", "child"])
+    def test_caller_mask_is_restored(self, monkeypatch, ending):
+        # the parent runs on its side's CPUs during the solve and on its own
+        # mask again after it, however the solve ends
+        use_parts(monkeypatch, 2)
+        parent_cpus = set(wave._cpu_split()[0])
+        mask, parent, during = os.sched_getaffinity(0), os.getpid(), []
+
+        def fault(j, curr):
+            if j == 3 and ending == "blowup":
+                curr[:] = np.nan
+            if j == 3 and ending == "child" and os.getpid() != parent:
+                raise RuntimeError("kernel failed")
+
+        def observer(t, u):
+            during.append(os.sched_getaffinity(0))
+            if len(during) == 3 and ending == "observer":
+                raise RuntimeError("observer failed")
+
+        wrap_kernel(monkeypatch, fault)
+        error = {"success": None, "blowup": FieldBlowup,
+                 "observer": RuntimeError, "child": RuntimeError}[ending]
+        if error is None:
+            assert stream(flat_scenario(duration=0.2), [observer]).processes == 2
+        else:
+            with pytest.raises(error):
+                stream(flat_scenario(duration=0.2), [observer])
+        assert during and all(cpus == parent_cpus for cpus in during)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
 
     def test_slow_consumer_reads_every_set_whole(self, monkeypatch):
         # the observer sleeps before it copies the first slices, so a child
