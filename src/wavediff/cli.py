@@ -6,6 +6,10 @@ no C compiler to build the leapfrog kernel with.
 Every pipeline run writes a manifest with the config hash and, per stage, the
 output checksums, wall-clock and CPU times and the peak RSS; deterministic
 stages reproduce identical checksums on identical configs.
+
+On two CPUs, ``pipeline`` and ``probe`` scan the frequency-domain oracle in a
+forked child (``Oracle``) while this process traces, and join it before the
+wave solve forks the kernel's child.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import pickle
 import resource
+import signal
 import sys
 import time
 import zipfile
@@ -23,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, wave
 from .config import ConfigError, ExperimentConfig, load_config
 from .escape import run_commutant_check
 from .metric import PhasePoint
@@ -53,6 +60,7 @@ from .probe import (
     decay_fit,
     default_oracle_scan,
     gain_report,
+    probe_band,
     window_plan,
 )
 from .tracer import gbb_trace, ray_on_characteristic
@@ -60,8 +68,11 @@ from .wave import KernelBuildError, stored_slices, stream
 
 
 def _sha256_file(path: Path) -> str:
+    """The first 16 hex digits of the file's sha256: a manifest checksum.
+    The pipeline's outputs are all well under 1 MB; ``wavediff wave run``'s
+    ``field.npz`` is tens of MB, so the file is read in chunks."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:  # in chunks: field.npz is tens of MB
+    with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()[:16]
@@ -247,6 +258,8 @@ def stage_trace(scenario, out_csv: Path, out_events: Path):
 def stage_wave(scenario, spectra, out_npz: Path | None):
     """Solve the scenario once, streaming every stored slice into the
     window ``spectra`` and, unless ``out_npz`` is None, into ``field.npz``.
+    ``wavediff wave run`` is the one command that writes the archive: the
+    pipeline and ``wavediff probe`` pass None, since nothing reads it back.
 
     The archive is written slice by slice: the float32 ``u`` member's header
     first (the slice count is known before the solve), then each slice,
@@ -277,16 +290,134 @@ def stage_wave(scenario, spectra, out_npz: Path | None):
     return rec
 
 
-def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_csv: Path):
-    """Fit each window's spectrum, scan the oracle and write the gain report.
+class Oracle:
+    """The frequency-domain oracle's scan of a scenario's probe band.
+
+    ``default_oracle_scan`` runs on ``probe_band`` of the grid step, which
+    depends on the grid alone.  When ``wave._cpu_split`` gives two CPU sets,
+    the scan starts at once in a forked child on the set the solver's child
+    will take, and this process keeps the other set, so it can trace
+    meanwhile; ``join`` reaps the child, which sends the pickled scan and
+    its wall time up a pipe.  Join it before the wave solve forks, so the
+    kernel's child never shares a CPU with it.  Otherwise ``scan`` runs the
+    same call inline.
+
+    Use it as a context manager: leaving the block kills and reaps a child
+    still running and restores this process's CPU mask, however the block
+    ends.  A child that fails raises a ``RuntimeError`` naming the oracle,
+    and the scan is not retried inline.
+    """
+
+    def __init__(self, scenario):
+        xs = scenario.grid()
+        self.metric = scenario.metric
+        self.band = probe_band(float(xs[1] - xs[0]))  # the dx WindowSpectrum takes
+        self.cpus = None  # the child's CPUs; None when the scan runs inline
+        self.seconds = None  # the scan's wall time, measured where it ran
+        self._scan = self._pid = self._fd = self._mask = None
+        split = wave._cpu_split()
+        if split is None:
+            return
+        self._mask = os.sched_getaffinity(0)
+        self._fd, write = os.pipe()
+        try:
+            self._pid = os.fork()
+            if self._pid == 0:
+                self._child(write, split[1])  # never returns
+            os.sched_setaffinity(0, split[0])
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(write)
+        self.cpus = split[1]
+
+    def _child(self, write, cpus):
+        """Scan on ``cpus`` and send the pickled ``(scan, seconds)``, or one
+        line saying why the scan failed, into ``write``; never returns."""
+        status = 1
+        try:
+            os.close(self._fd)
+            os.sched_setaffinity(0, cpus)
+            t0 = time.perf_counter()
+            try:
+                result = (default_oracle_scan(self.metric, self.band),
+                          time.perf_counter() - t0)
+            except Exception as err:
+                result = ("%s: %s" % (type(err).__name__, err)).splitlines()[0]
+            with open(write, "wb") as fh:
+                fh.write(pickle.dumps(result))
+            status = 0 if isinstance(result, tuple) else 1
+        finally:
+            # never unwind into the caller, which may hold open files
+            os._exit(status)
+
+    def join(self):
+        """Wait for the child's scan; nothing to do when the scan runs
+        inline or the child was joined already."""
+        if self._pid is None:
+            return
+        fd, self._fd = self._fd, None
+        try:
+            with open(fd, "rb") as fh:
+                payload = fh.read()
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+        finally:
+            self.close()
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            # a scan that raised sent one line; a child that died sent none
+            why = pickle.loads(payload) if code == 1 and payload else "exit code %d" % code
+            raise RuntimeError("the oracle scan's child process failed: %s" % why)
+        self._scan, self.seconds = pickle.loads(payload)
+
+    def scan(self):
+        """The ``ReflectionScan``: the child's, once joined, or run inline now."""
+        self.join()
+        if self._scan is None:
+            t0 = time.perf_counter()
+            self._scan = default_oracle_scan(self.metric, self.band)
+            self.seconds = time.perf_counter() - t0
+        return self._scan
+
+    def close(self):
+        """Kill and reap a child still running, close the pipe and restore
+        this process's CPU mask; calling it again does nothing."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._mask is not None:
+            os.sched_setaffinity(0, self._mask)
+            self._mask = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def stage_probe(cfg: ExperimentConfig, spectra, oracle: Oracle, out_json: Path, out_csv: Path):
+    """Fit each window's spectrum, take the oracle's scan and write the gain
+    report.  The oracle must have scanned the incident fit's band, bit for
+    bit.
 
     Returns the report and the stage's work counts: ``oracle_freqs``, the
-    frequencies the oracle solved, and ``window_slices``, the stored slices
-    each window's fit saw.
+    frequencies the oracle solved, ``oracle_s``, the scan's wall time where
+    it ran, ``oracle_cpus``, the CPUs of its child (None when it ran inline),
+    and ``window_slices``, the stored slices each window's fit saw.
     """
     fits = {spec.window.label: decay_fit(spec) for spec in spectra}
-    oracle = default_oracle_scan(scenario.metric, fits["incident"].band)
-    rep = gain_report(fits, hyperbolic_window(cfg.s0, cfg.eps0, cfg.k), oracle=oracle)
+    if fits["incident"].band != oracle.band:
+        raise ValueError("the oracle scanned the band %r, not the incident fit's %r"
+                         % (oracle.band, fits["incident"].band))
+    scan = oracle.scan()
+    rep = gain_report(fits, hyperbolic_window(cfg.s0, cfg.eps0, cfg.k), oracle=scan)
     out_json.write_text(json.dumps(rep.asdict(), indent=2))
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -296,7 +427,9 @@ def stage_probe(cfg: ExperimentConfig, spectra, scenario, out_json: Path, out_cs
                 fitted = np.exp(fit.intercept) * c ** -fit.r_hat
                 w.writerow([label, "%.6g" % c, "%.6g" % mval, "%.6g" % fitted])
     health = {
-        "oracle_freqs": int(oracle.omegas.size),
+        "oracle_freqs": int(scan.omegas.size),
+        "oracle_s": round(oracle.seconds, 3),
+        "oracle_cpus": oracle.cpus,
         "window_slices": {label: fit.n_slices for label, fit in fits.items()},
     }
     return rep, health
@@ -378,26 +511,35 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     # config faults raise ConfigError here, before any physical work
     scenario = cfg.build_scenario()
 
+    # a forked oracle runs within the trace stage's clock, so the trace's
+    # cpu_s counts it once it is joined; an inline one runs in the probe stage
     clock = start()
-    trace_csv, events_json = out / "trace.csv", out / "events.json"
-    paths, health = stage_trace(scenario, trace_csv, events_json)
-    record("trace", [trace_csv, events_json], clock, **health)
-    try:
-        spectra = plan_spectra(scenario, paths)
-    except WindowPlanError as err:
-        return refuse(str(err), "window plan failed: %s" % err)
+    with Oracle(scenario) as oracle:
+        trace_csv, events_json = out / "trace.csv", out / "events.json"
+        paths, health = stage_trace(scenario, trace_csv, events_json)
+        oracle.join()
+        record("trace", [trace_csv, events_json], clock, **health)
+        try:
+            spectra = plan_spectra(scenario, paths)
+        except WindowPlanError as err:
+            return refuse(str(err), "window plan failed: %s" % err)
 
-    clock = start()
-    wave_npz = out / "field.npz"
-    rec = stage_wave(scenario, spectra, wave_npz)
-    record("wave", [wave_npz], clock, steps=rec.steps, slices=int(rec.ts.size),
-           solver_processes=rec.processes, solver_cpus=rec.cpus,
-           kernel_build_s=round(rec.kernel_build_s, 3))
+        clock = start()
+        wave_json = out / "wave.json"
+        rec = stage_wave(scenario, spectra, None)
+        # the energies are exact sums of the kernel's per-node terms, so
+        # this checksum pins every stored slice
+        wave_json.write_text(json.dumps({
+            "dt": rec.dt, "steps": rec.steps, "max_trust_freq": rec.max_trust_freq,
+            "ts": rec.ts.tolist(), "energy": rec.energy.tolist()}, indent=2))
+        record("wave", [wave_json], clock, steps=rec.steps, slices=int(rec.ts.size),
+               solver_processes=rec.processes, solver_cpus=rec.cpus,
+               kernel_build_s=round(rec.kernel_build_s, 3))
 
-    clock = start()
-    probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
-    rep, health = stage_probe(cfg, spectra, scenario, probe_json, probe_csv)
-    record("probe", [probe_json, probe_csv], clock, **health)
+        clock = start()
+        probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
+        rep, health = stage_probe(cfg, spectra, oracle, probe_json, probe_csv)
+        record("probe", [probe_json, probe_csv], clock, **health)
 
     clock = start()
     comm_json = out / "commutant.json"
@@ -439,6 +581,11 @@ def cmd_report(out_dir: Path) -> int:
             print("  %-18s oracle frequencies %d, window slices %s" % (
                 "", entry["oracle_freqs"],
                 " ".join("%s=%d" % kv for kv in entry["window_slices"].items())))
+        if "oracle_s" in entry:
+            cpus = entry["oracle_cpus"]
+            print("  %-18s oracle scan %.3fs %s" % (
+                "", entry["oracle_s"],
+                "inline" if cpus is None else "in a child on cpus %s" % cpus))
     if "refused" in manifest:
         print("refused: %s" % manifest["refused"])
         return 2
@@ -451,6 +598,11 @@ def cmd_report(out_dir: Path) -> int:
         if rep.get("oracle_exponent") is not None:
             print("  oracle exponent %.3f, mismatch %.3f, step halving %.1e" % (
                 rep["oracle_exponent"], rep["oracle_mismatch"], rep["oracle_halving"]))
+        wave_path = out_dir / "wave.json"
+        if wave_path.exists():  # reported, not gated
+            print("  probe band top %.0f, max_trust_freq %.0f" % (
+                rep["fits"]["incident"]["band"][1],
+                json.loads(wave_path.read_text())["max_trust_freq"]))
         print("  verdict: %s" % rep["verdict"])
         return 0 if rep["verdict"] == "pass" else 1
     return 0
@@ -527,12 +679,14 @@ def main(argv=None) -> int:
             scenario = cfg.build_scenario()
             out = cfg.out_dir
             out.mkdir(parents=True, exist_ok=True)
-            paths, _ = stage_trace(scenario, out / "trace.csv", out / "events.json")
-            spectra = plan_spectra(scenario, paths)
-            stage_wave(scenario, spectra, None)
-            rep, _ = stage_probe(
-                cfg, spectra, scenario, out / "probe.json", out / "probe_bands.csv"
-            )
+            with Oracle(scenario) as oracle:
+                paths, _ = stage_trace(scenario, out / "trace.csv", out / "events.json")
+                oracle.join()
+                spectra = plan_spectra(scenario, paths)
+                stage_wave(scenario, spectra, None)
+                rep, _ = stage_probe(
+                    cfg, spectra, oracle, out / "probe.json", out / "probe_bands.csv"
+                )
             print("verdict: %s" % rep.verdict)
             return 0 if rep.verdict == "pass" else 1
         if args.command == "verify-commutant":

@@ -16,7 +16,6 @@ function is
     p = tau^2 - c(x)^2 xi^2,
 
 so rays travel at speed ``c`` and the time-dual ``tau`` is conserved.
-``holder_estimate`` fits the Hoelder exponent of a sampled field.
 """
 
 from __future__ import annotations
@@ -175,48 +174,3 @@ class PiecewiseSpeed:
         c^2 u_x gives R = (c_left - c_right) / (c_left + c_right)."""
         return (self.c_left - self.c_right) / (self.c_left + self.c_right)
 
-
-def holder_estimate(field, ball, probe_scales):
-    """Fit a Hoelder exponent from sup difference quotients at dyadic scales.
-
-    ``field`` maps arrays of points (N, d) or (N,) to scalar or vector values;
-    ``ball`` is (center, radius).  For each scale h the sup over base points
-    (400 drawn with seed 0) and directions of |f(x + h u) - f(x)| is
-    recorded, and the slope of log(sup) against log(h) is the exponent
-    estimate.  Returns (alpha_hat, C_hat).
-    """
-    probe_scales = np.asarray(sorted(probe_scales), float)
-    if probe_scales.size < 3:
-        raise ValueError("need at least 3 probe scales")
-    center, radius = ball
-    center = np.atleast_1d(np.asarray(center, float))
-    d = center.size
-    rng = np.random.default_rng(0)
-    base = center + (rng.uniform(-1, 1, size=(400, d))) * radius
-    # include points straddling the origin-distance extremes of the ball
-    base = np.vstack([base, center, np.zeros((1, d))])
-    base = base[np.max(np.abs(base - center), axis=1) <= radius]
-
-    sups = []
-    for h in probe_scales:
-        if d == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            dirs = rng.normal(size=(16, d))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        best = 0.0
-        for u in dirs:
-            shifted = base + h * u
-            f0 = np.asarray(field(base.squeeze(-1) if d == 1 else base), float)
-            f1 = np.asarray(field(shifted.squeeze(-1) if d == 1 else shifted), float)
-            diff = np.abs(f1 - f0)
-            if diff.ndim > 1:
-                diff = diff.max(axis=-1)
-            best = max(best, float(diff.max()))
-        sups.append(best)
-    sups = np.asarray(sups)
-    if np.any(sups <= 0):
-        # flat field: report Lipschitz-or-better with zero constant
-        return float("inf"), 0.0
-    slope, intercept = np.polyfit(np.log(probe_scales), np.log(sups), 1)
-    return float(slope), float(np.exp(intercept))

@@ -140,6 +140,15 @@ class WindowSpectrum:
             self.n_slices += 1
 
 
+def probe_band(dx: float, n_bands: int = 8) -> tuple:
+    """The span ``(k_lo, k_top)`` of the ``n_bands`` dyadic probe bands on a
+    grid of step ``dx``: the top edge is a quarter of the grid Nyquist.  It
+    depends on the grid alone, so the oracle can scan it before any solve;
+    ``decay_fit`` fits over the same edges."""
+    k_top = np.pi / dx / 4.0
+    return k_top / 2.0**n_bands, k_top
+
+
 def decay_fit(
     spec: WindowSpectrum,
     n_bands: int = 8,
@@ -158,7 +167,7 @@ def decay_fit(
     k = 2.0 * np.pi * np.fft.rfftfreq(spec.taper.size, d=spec.dx)
     nyquist = np.pi / spec.dx
     if k_top is None:
-        k_top = nyquist / 4.0
+        k_top = probe_band(spec.dx, n_bands)[1]
     if k_top > nyquist / 4.0 + 1e-9:
         raise InsufficientBandsError("top band must stay at or below a quarter Nyquist")
 

@@ -10,8 +10,9 @@ rightward using the exact discrete dispersion relation.
 
 Every scenario launches its packet from two initial levels, with no
 source term, so there is one time loop and one kernel.  ``stream`` is that
-loop: it hands each stored slice to observers (the probe's window spectra,
-the ``field.npz`` writer) and keeps only the times, energies and grid.
+loop: it hands each stored slice to observers (the probe's window spectra in
+``pipeline`` and ``probe``, the ``field.npz`` writer in ``wave run``) and
+keeps only the times, energies and grid.
 ``run`` streams into a stack of every slice for the tests that read the
 whole history; the pipeline never calls it.
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ import pytest
 from wavediff import cli, wave
 from wavediff.cli import _cpu_s, _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import _SCHEMA, ConfigError, ExperimentConfig, load_config
+from wavediff.probe import ProbeWindow, WindowSpectrum, probe_band
+
+from test_wave import assert_no_child, usable_split
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
@@ -206,13 +210,6 @@ LOAD_FAULTS = {
 }
 
 
-def usable_split():
-    """A CPU split of CPUs this process may run on: the real one, or one CPU
-    for both sides where there is only one."""
-    cpu = [min(os.sched_getaffinity(0))]
-    return wave._cpu_split() or (cpu, cpu)
-
-
 class TestPipeline:
     def test_inadmissible_refused(self, tmp_path):
         cfgf = tmp_path / "bad_s0.ini"
@@ -263,26 +260,36 @@ class TestPipeline:
         assert peaks == sorted(peaks)
         # the wave stage's work: 6.6 / dt steps, a slice every 8 and the last
         wave_entry = manifest["stages"]["wave"]
-        with np.load(tmp_path / "out" / "field.npz") as z:
-            assert wave_entry["steps"] == math.ceil(6.6 / float(z["dt"]))
-            assert wave_entry["slices"] == z["u"].shape[0] == z["ts"].size
+        record = json.loads((tmp_path / "out" / "wave.json").read_text())
+        assert wave_entry["steps"] == record["steps"] == math.ceil(6.6 / record["dt"])
+        assert wave_entry["slices"] == len(record["ts"]) == len(record["energy"])
         assert wave_entry["slices"] == 1 + math.ceil(wave_entry["steps"] / 8)
         assert wave_entry["kernel_build_s"] >= 0
         # identical rerun reproduces identical checksums for every stage
         monkeypatch.setattr(wave, "_cpu_split", lambda: split)
+        mask = os.sched_getaffinity(0)
         code2, manifest2 = run_pipeline(cfg)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
         assert len(builds) == 2
         wave_entry2 = manifest2["stages"]["wave"]
         assert (wave_entry["solver_processes"], wave_entry2["solver_processes"]) == (1, 2)
         assert (wave_entry["solver_cpus"], wave_entry2["solver_cpus"]) == (None, split)
+        # the oracle ran inline in the first run, in a child on the solver
+        # child's CPUs in the rerun
+        probes = manifest["stages"]["probe"], manifest2["stages"]["probe"]
+        assert [p["oracle_cpus"] for p in probes] == [None, split[1]]
+        assert all(p["oracle_s"] > 0 for p in probes)
         stages = ("calc", "trace", "wave", "probe", "verify-commutant")
         assert list(manifest["stages"]) == list(stages)
+        assert set(manifest["stages"]["wave"]["outputs"]) == {"wave.json"}
         for stage in stages:
             assert manifest["stages"][stage]["outputs"] == manifest2["stages"][stage]["outputs"]
         out = tmp_path / "out"
-        for name in ("calc.json", "trace.csv", "events.json", "field.npz",
+        for name in ("calc.json", "trace.csv", "events.json", "wave.json",
                      "probe.json", "probe_bands.csv", "commutant.json", "manifest.json"):
             assert (out / name).exists()
+        assert not (out / "field.npz").exists()  # `wavediff wave run` alone writes it
         probe = json.loads((out / "probe.json").read_text())
         assert probe["verdict"] == "pass"
         assert probe["oracle_exponent"] is not None  # every pipeline runs the oracle
@@ -331,12 +338,21 @@ class TestPipeline:
         assert "oracle frequencies %d, window slices %s" % (
             probe_entry["oracle_freqs"],
             " ".join("%s=%d" % kv for kv in slices.items())) in out
-        # a one-process solve names no CPUs
+        assert "oracle scan %.3fs in a child on cpus %s" % (
+            probe_entry["oracle_s"], split[1]) in out
+        # the dispersion-limited wavenumber beside the probe band's top, reported only
+        record = json.loads((tmp_path / "out" / "wave.json").read_text())
+        probe = json.loads((tmp_path / "out" / "probe.json").read_text())
+        assert "probe band top %.0f, max_trust_freq %.0f" % (
+            probe["fits"]["incident"]["band"][1], record["max_trust_freq"]) in out
+        # a one-process solve and an inline oracle name no CPUs
         wave_entry.update(solver_processes=1, solver_cpus=None)
+        probe_entry.update(oracle_cpus=None)
         (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", str(tmp_path / "out")]) == 0
-        assert "stored slices %d, solver processes 1, kernel build" % wave_entry["slices"] \
-            in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "stored slices %d, solver processes 1, kernel build" % wave_entry["slices"] in out
+        assert "oracle scan %.3fs inline" % probe_entry["oracle_s"] in out
 
     def test_missing_compiler_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(wave, "_kernel_lib", None)
@@ -401,6 +417,16 @@ class TestPipeline:
             manifest = json.loads((out / "manifest.json").read_text())
             assert reason in manifest["refused"]
             assert not (out / "field.npz").exists()
+
+    def test_probe_stage_refuses_another_band(self):
+        # the oracle must have scanned the incident fit's band, bit for bit
+        xs = np.linspace(-4.0, 4.0, 8193)
+        spec = WindowSpectrum(ProbeWindow(-3.5, -0.5, 0.0, 1.0, "incident"), xs)
+        spec(0.5, np.sin(40.0 * xs))
+        band = probe_band(float(xs[1] - xs[0]))
+        other = SimpleNamespace(band=(band[0], np.nextafter(band[1], 0.0)))
+        with pytest.raises(ValueError, match="oracle scanned the band"):
+            cli.stage_probe(None, [spec], other, Path("unused.json"), Path("unused.csv"))
 
     @pytest.mark.parametrize(
         "old, new, named",
@@ -544,6 +570,70 @@ assert not scipy_modules(), scipy_modules()
 assert cli.calc_batch(Path(sys.argv[2]), Path(sys.argv[3])) == 15
 assert not scipy_modules(), scipy_modules()
 """
+
+
+class TestOracleChild:
+    """The oracle's forked child is reaped, and this process's CPU mask is
+    restored, however a ``pipeline`` or ``probe`` run ends."""
+
+    @pytest.fixture(autouse=True)
+    def mask(self, monkeypatch):
+        split = usable_split()
+        monkeypatch.setattr(wave, "_cpu_split", lambda: split)
+        return os.sched_getaffinity(0)
+
+    def assert_reaped(self, mask):
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+
+    def config(self, tmp_path, nx=8192):
+        cfgf = tmp_path / "smoke.ini"
+        cfgf.write_text(small_config_text(tmp_path / "out").replace("nx = 8192", "nx = %d" % nx))
+        return cfgf
+
+    def test_probe_success_matches_an_inline_pipeline(self, tmp_path, monkeypatch, mask):
+        cfgf = self.config(tmp_path)
+        assert main(["probe", "--config", str(cfgf)]) == 0
+        self.assert_reaped(mask)
+        out = tmp_path / "out"
+        forked = {name: _sha256_file(out / name) for name in ("probe.json", "probe_bands.csv")}
+        monkeypatch.setattr(wave, "_cpu_split", lambda: None)
+        code, manifest = run_pipeline(load_config(cfgf))
+        assert code == 0 and manifest["stages"]["probe"]["outputs"] == forked
+
+    @pytest.mark.parametrize("command", ["pipeline", "probe"])
+    def test_plan_refusal_after_the_trace(self, tmp_path, capsys, mask, command):
+        assert main([command, "--config", str(self.config(tmp_path, nx=1024))]) == 2
+        assert "window too narrow for the grid" in capsys.readouterr().err
+        self.assert_reaped(mask)
+
+    @pytest.mark.parametrize("command", ["pipeline", "probe"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_trace_that_raises(self, tmp_path, monkeypatch, mask, command, error):
+        def fails(*args):
+            raise error("trace failed")
+
+        monkeypatch.setattr(cli, "stage_trace", fails)
+        with pytest.raises(error, match="trace failed"):
+            main([command, "--config", str(self.config(tmp_path))])
+        self.assert_reaped(mask)
+
+    def test_failed_scan_is_one_line(self, tmp_path, monkeypatch, mask):
+        def fails(*args):
+            raise ValueError("no scan\nsecond line")
+
+        monkeypatch.setattr(cli, "default_oracle_scan", fails)
+        with pytest.raises(RuntimeError) as info:
+            run_pipeline(load_config(self.config(tmp_path)))
+        assert str(info.value) == "the oracle scan's child process failed: ValueError: no scan"
+        self.assert_reaped(mask)
+
+    def test_dead_child_is_named(self, tmp_path, monkeypatch, mask):
+        monkeypatch.setattr(cli, "default_oracle_scan", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError) as info:
+            main(["probe", "--config", str(self.config(tmp_path))])
+        assert str(info.value) == "the oracle scan's child process failed: exit code 3"
+        self.assert_reaped(mask)
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):

@@ -17,6 +17,7 @@ from wavediff.probe import (
     default_oracle_scan,
     gain_report,
     oracle_band_exponent,
+    probe_band,
     window_plan,
     window_taper,
 )
@@ -126,6 +127,15 @@ class TestWindowSpectrum:
         agg, n_slices = batched_peak(u, ts, xs, w)
         assert spec.n_slices == n_slices > 1
         assert np.array_equal(spec.peak, agg)
+
+    @pytest.mark.parametrize("nx", [2**13, 3 * 2**12, 2**14])
+    def test_fit_band_is_the_probe_band_of_the_grid(self, nx):
+        # the oracle scans probe_band before any solve, so the fit's band
+        # must be it bit for bit, for the dx a scenario grid's nodes give
+        xs = -4.0 + 8.0 / nx * np.arange(nx + 1)
+        spec = WindowSpectrum(ProbeWindow(-3.5, -0.5, 0.0, 1.0, "w"), xs)
+        spec(0.5, np.sin(40.0 * xs))
+        assert decay_fit(spec).band == probe_band(float(xs[1] - xs[0]))
 
     def test_window_without_slices_refused(self):
         with pytest.raises(WindowPlanError, match="no stored slices"):
