@@ -55,6 +55,7 @@ from .orders import (
     verify_constraint_chain,
 )
 from .probe import (
+    InsufficientBandsError,
     WindowPlanError,
     WindowSpectrum,
     decay_fit,
@@ -437,9 +438,13 @@ def stage_probe(cfg: ExperimentConfig, spectra, oracle: Oracle, out_json: Path, 
 
 def plan_spectra(scenario, paths) -> list:
     """One ``WindowSpectrum`` per planned probe window; a plan the geometry
-    or the grid cannot hold raises ``WindowPlanError`` before any solve."""
+    or the grid cannot hold, or whose windows are too short for the probe
+    bands, raises ``WindowPlanError`` before any solve."""
     xs = scenario.grid()
-    return [WindowSpectrum(w, xs) for w in window_plan(scenario, paths)]
+    spectra = [WindowSpectrum(w, xs) for w in window_plan(scenario, paths)]
+    for spec in spectra:
+        spec.check_bands()
+    return spectra
 
 
 def stage_commutant(cfg: ExperimentConfig, out_json: Path) -> dict:
@@ -533,6 +538,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
             "dt": rec.dt, "steps": rec.steps, "max_trust_freq": rec.max_trust_freq,
             "ts": rec.ts.tolist(), "energy": rec.energy.tolist()}, indent=2))
         record("wave", [wave_json], clock, steps=rec.steps, slices=int(rec.ts.size),
+               cell_updates=rec.steps * int(rec.xs.size),
                solver_processes=rec.processes, solver_cpus=rec.cpus,
                kernel_build_s=round(rec.kernel_build_s, 3))
 
@@ -574,6 +580,10 @@ def cmd_report(out_dir: Path) -> int:
                       "", entry["steps"], entry["slices"], entry.get("solver_processes", 1),
                       "" if cpus is None else " on cpus %s and %s" % tuple(cpus),
                       entry.get("kernel_build_s", 0.0)))
+            if "cell_updates" in entry:  # the stage's rate: it includes the observers
+                rate = entry["cell_updates"] / entry["seconds"] if entry["seconds"] else float("inf")
+                print("  %-18s leapfrog cell updates %d, %.3g per second" % (
+                    "", entry["cell_updates"], rate))
         if "rk4_steps" in entry:
             print("  %-18s rk4 steps %d, max |p|/|xi|^2 %.1e" % (
                 "", entry["rk4_steps"], entry["p_residual_max"]))
@@ -704,7 +714,7 @@ def main(argv=None) -> int:
             code, manifest = run_pipeline(cfg)
             print(json.dumps({k: manifest[k] for k in manifest if k != "stages"}, indent=2))
             return code
-    except (ConfigError, WindowPlanError) as err:
+    except (ConfigError, WindowPlanError, InsufficientBandsError) as err:
         print("configuration error: %s" % err, file=sys.stderr)
         return 2
     except KernelBuildError as err:  # no usable C compiler

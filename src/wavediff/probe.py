@@ -34,6 +34,8 @@ TRANSMIT_TOL = 0.25
 ORACLE_TOL = 0.25
 GAIN_FLOOR = 1.0
 MARGIN = 0.25
+# the dyadic bands the probe fits, and the plan checks each window against
+N_BANDS = 8
 
 
 class WindowPlanError(ValueError):
@@ -119,7 +121,8 @@ class WindowSpectrum:
     An observer for ``wave.stream``: it is called as ``spectrum(t, u)`` with
     each stored slice and keeps only its spectrum, one transform per slice in
     the window.  A window holding fewer than 64 nodes is refused when it is
-    built, before any slice arrives.
+    built, before any slice arrives; ``check_bands`` refuses one too short
+    for the probe bands.
     """
 
     def __init__(self, window: ProbeWindow, xs):
@@ -139,8 +142,25 @@ class WindowSpectrum:
             np.maximum(self.peak, spectrum, out=self.peak)
             self.n_slices += 1
 
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        """The angular wavenumbers of the spectrum's bins."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.taper.size, d=self.dx)
 
-def probe_band(dx: float, n_bands: int = 8) -> tuple:
+    def check_bands(self):
+        """Raise ``WindowPlanError`` unless each of the ``N_BANDS`` dyadic
+        bands of ``probe_band``, which ``decay_fit`` fits, holds a bin of
+        this window's spectrum: a window spanning too few wavelengths of the
+        lowest band would fail only after the whole solve."""
+        try:
+            _dyadic_bands(self.wavenumbers, self.peak, probe_band(self.dx)[1],
+                          N_BANDS, "wavenumber of the window")
+        except InsufficientBandsError as err:
+            raise WindowPlanError("%s window too short for the probe bands: %s"
+                                  % (self.window.label, err)) from None
+
+
+def probe_band(dx: float, n_bands: int = N_BANDS) -> tuple:
     """The span ``(k_lo, k_top)`` of the ``n_bands`` dyadic probe bands on a
     grid of step ``dx``: the top edge is a quarter of the grid Nyquist.  It
     depends on the grid alone, so the oracle can scan it before any solve;
@@ -151,7 +171,7 @@ def probe_band(dx: float, n_bands: int = 8) -> tuple:
 
 def decay_fit(
     spec: WindowSpectrum,
-    n_bands: int = 8,
+    n_bands: int = N_BANDS,
     k_top: float | None = None,
 ) -> DecayFit:
     """Fit the windowed spectral decay exponent over dyadic bands.
@@ -164,7 +184,7 @@ def decay_fit(
     """
     if spec.n_slices == 0:
         raise WindowPlanError("no stored slices inside the time window")
-    k = 2.0 * np.pi * np.fft.rfftfreq(spec.taper.size, d=spec.dx)
+    k = spec.wavenumbers
     nyquist = np.pi / spec.dx
     if k_top is None:
         k_top = probe_band(spec.dx, n_bands)[1]
@@ -201,7 +221,7 @@ def decay_fit(
     )
 
 
-def oracle_band_exponent(scan: ReflectionScan, band: tuple, n_bands: int = 8):
+def oracle_band_exponent(scan: ReflectionScan, band: tuple, n_bands: int = N_BANDS):
     """Fit the oracle's |R| over the same dyadic bands the field probe uses."""
     means, centers, weights, _ = _dyadic_bands(
         scan.omegas, np.abs(scan.R), band[1], n_bands, "oracle frequency"

@@ -21,9 +21,11 @@ Each stored slice is one call of one C function over the whole grid
 previous stored slice (none for the initial one), flags a non-finite field
 and writes the staggered energy's per-node terms, which ``np.sum`` adds.
 The library is compiled with ``cc`` on the first solve of a process, never
-at import, and cached under the package's ``__pycache__``.  Per node it
-performs the IEEE operations of the tests' allocating numpy reference step
-and energy in their order, so the fields and the energies are
+at import, and cached under the package's ``__pycache__``.  It sweeps a call's
+steps in skewed space-time tiles that keep the levels in cache, with AVX2
+and AVX-512 clones on x86-64.  Per node it performs the IEEE operations of
+the tests' allocating numpy reference step and energy in their order,
+whatever the tile or the clone, so the fields and the energies are
 bit-identical to them.  Without a compiler ``stream`` raises
 ``KernelBuildError``.
 

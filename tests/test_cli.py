@@ -15,7 +15,7 @@ import pytest
 from wavediff import cli, wave
 from wavediff.cli import _cpu_s, _sha256_file, calc_batch, main, run_calc_query, run_pipeline
 from wavediff.config import _SCHEMA, ConfigError, ExperimentConfig, load_config
-from wavediff.probe import ProbeWindow, WindowSpectrum, probe_band
+from wavediff.probe import InsufficientBandsError, ProbeWindow, WindowSpectrum, probe_band
 
 from test_wave import assert_no_child, usable_split
 
@@ -329,6 +329,10 @@ class TestPipeline:
         assert "leapfrog steps %d, stored slices %d, solver processes 2 on cpus %s and %s," \
             " kernel build %.3fs" % (wave_entry["steps"], wave_entry["slices"], *split,
                                      wave_entry["kernel_build_s"]) in out
+        # the leapfrog's work, one update per node and step, and its rate
+        assert wave_entry["cell_updates"] == wave_entry["steps"] * (cfg.wave["nx"] + 1)
+        assert "leapfrog cell updates %d, %.3g per second" % (
+            wave_entry["cell_updates"], wave_entry["cell_updates"] / wave_entry["seconds"]) in out
         # the probe's work: the oracle's frequencies and each window's slices
         probe_entry = manifest["stages"]["probe"]
         assert probe_entry["oracle_freqs"] > 0
@@ -402,6 +406,9 @@ class TestPipeline:
              "reflection and one transmission branch"),
             # the windows fit the geometry but hold too few nodes of a coarse grid
             ("narrow", {"nx = 8192": "nx = 1024"}, "window too narrow for the grid"),
+            # enough nodes, but too few wavelengths of the lowest probe band
+            ("short", {"nx = 8192": "nx = 2048"},
+             "incident window too short for the probe bands: band [0.785398, 1.5708)"),
         ]
         for name, edits, reason in cases:
             out = tmp_path / name
@@ -416,7 +423,20 @@ class TestPipeline:
             # the plan is refused before the wave solve, and the manifest says why
             manifest = json.loads((out / "manifest.json").read_text())
             assert reason in manifest["refused"]
-            assert not (out / "field.npz").exists()
+            assert "wave" not in manifest["stages"]
+            assert not (out / "wave.json").exists() and not (out / "field.npz").exists()
+
+    def test_insufficient_bands_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a band left empty after the plan is a one-line fault, not a traceback
+        def empty_band(spec):
+            raise InsufficientBandsError("band [1, 2) holds no wavenumber of the window")
+
+        monkeypatch.setattr(cli, "decay_fit", empty_band)
+        cfgf = tmp_path / "smoke.ini"
+        cfgf.write_text(small_config_text(tmp_path / "out"))
+        assert main(["probe", "--config", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: band [1, 2) holds no wavenumber of the window\n"
 
     def test_probe_stage_refuses_another_band(self):
         # the oracle must have scanned the incident fit's band, bit for bit

@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import os
+import re
 import subprocess
 import time
 import zipfile
@@ -621,6 +622,43 @@ def untouched(buf):
     return np.all(buf[:GUARD] == -7.25) and np.all(buf[-GUARD:] == -7.25)
 
 
+def check_kernel_call(lib, n, n_lo, n_hi, steps, rng):
+    """One ``leapfrog`` call of ``steps`` steps on random levels of n nodes
+    with sponge ramps of n_lo and n_hi nodes, against ``reference_step`` and
+    ``reference_energy``: all three level buffers, both density arrays, the
+    flag and the summed energy bit for bit, and the guard values around
+    every array untouched."""
+    c2h, dt, dx = rng.uniform(0.5, 2.0, n - 1), 0.013, 0.021
+    lam2 = (dt / dx) ** 2
+    damp_lo, damp_hi = rng.uniform(0.9, 1.0, n_lo), rng.uniform(0.9, 1.0, n_hi)
+    damp = np.ones(n)
+    damp[:n_lo], damp[n - n_hi :] = damp_lo, damp_hi
+    levels = [guarded(rng, n) for _ in range(3)]
+    levels[2][0][:] = np.nan  # every node is written
+    (kinetic, kin_buf), (potential, pot_buf) = guarded(rng, n), guarded(rng, n - 1)
+    want_old, want_new, want_older = (u.copy() for u, _ in levels)
+    for _ in range(steps):
+        want_older = want_old
+        want_old, want_new = reference_step(want_old, want_new, c2h, lam2, damp)
+    finite = lib.leapfrog(*(u.ctypes.data for u, _ in levels), n, c2h.ctypes.data,
+                          lam2, damp_lo.ctypes.data, n_lo, damp_hi.ctypes.data, n_hi,
+                          dt, dx, kinetic.ctypes.data, potential.ctypes.data, steps)
+    new, old = levels[(1 + steps) % 3][0], levels[steps % 3][0]
+    older = levels[(2 + steps) % 3][0]
+    where = (n, n_lo, n_hi, steps)
+    assert finite == 1, where
+    assert np.array_equal(old, want_old) and np.array_equal(new, want_new), where
+    assert np.array_equal(older, want_older, equal_nan=True), where
+    ut = (want_new - want_old) / dt
+    assert np.array_equal(kinetic, ut * ut), where
+    assert np.array_equal(potential, (c2h * (np.diff(want_new) / dx))
+                          * (np.diff(want_old) / dx)), where
+    assert (0.5 * dx * (np.sum(kinetic) + np.sum(potential))
+            == reference_energy(want_new, want_old, c2h, dt, dx)), where
+    assert all(untouched(buf) for _, buf in levels), where
+    assert untouched(kin_buf) and untouched(pot_buf), where
+
+
 class TestKernelSmallGrids:
     """The compiled loops against numpy on grids of 2 to 40 nodes, so every
     remainder of a vector loop's tail runs on its own, with sponge ramps
@@ -632,34 +670,9 @@ class TestKernelSmallGrids:
     def test_step_matches_reference_step(self, n):
         lib, _ = wave._kernel()
         rng = np.random.default_rng(n)
-        c2h, dt, dx = rng.uniform(0.5, 2.0, n - 1), 0.013, 0.021
-        lam2 = (dt / dx) ** 2
         for (n_lo, n_hi), steps in itertools.product(
                 [(0, 0), (n // 3, n // 3), (n // 2, n - n // 2)], [0, 1, 2]):
-            damp_lo, damp_hi = rng.uniform(0.9, 1.0, n_lo), rng.uniform(0.9, 1.0, n_hi)
-            damp = np.ones(n)
-            damp[:n_lo], damp[n - n_hi :] = damp_lo, damp_hi
-            levels = [guarded(rng, n) for _ in range(3)]
-            levels[2][0][:] = np.nan  # every node is written
-            (kinetic, kin_buf), (potential, pot_buf) = guarded(rng, n), guarded(rng, n - 1)
-            want_old, want_new = levels[0][0].copy(), levels[1][0].copy()
-            for _ in range(steps):
-                want_old, want_new = reference_step(want_old, want_new, c2h, lam2, damp)
-            finite = lib.leapfrog(*(u.ctypes.data for u, _ in levels), n, c2h.ctypes.data,
-                                  lam2, damp_lo.ctypes.data, n_lo, damp_hi.ctypes.data, n_hi,
-                                  dt, dx, kinetic.ctypes.data, potential.ctypes.data, steps)
-            new, old = levels[(1 + steps) % 3][0], levels[steps % 3][0]
-            where = (n_lo, n_hi, steps)
-            assert finite == 1, where
-            assert np.array_equal(old, want_old) and np.array_equal(new, want_new), where
-            ut = (want_new - want_old) / dt
-            assert np.array_equal(kinetic, ut * ut), where
-            assert np.array_equal(potential, (c2h * (np.diff(want_new) / dx))
-                                  * (np.diff(want_old) / dx)), where
-            assert (0.5 * dx * (np.sum(kinetic) + np.sum(potential))
-                    == reference_energy(want_new, want_old, c2h, dt, dx)), where
-            assert all(untouched(buf) for _, buf in levels), where
-            assert untouched(kin_buf) and untouched(pot_buf), where
+            check_kernel_call(lib, n, n_lo, n_hi, steps, rng)
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_densities_match_staggered_energy(self, n):
@@ -703,6 +716,36 @@ class TestKernelSmallGrids:
                 old[j], new[j] = bad, u_new[j]  # the previous level is not checked
                 with np.errstate(invalid="ignore"):  # its energy is not finite
                     assert checked(old, new)[1]
+
+
+# the kernel's tile width in nodes, read from its source
+TILE = int(re.search(r"^#define TILE (\d+)$", wave.KERNEL_SOURCE.read_text(), re.M)[1])
+
+
+class TestKernelTiles:
+    """The space-time tiles of the kernel's sweep against numpy on grids
+    around one, two and about four tiles wide, so levels are computed and
+    damped across tile edges: sponge ramps that are empty, that span a tile
+    edge (the left one on the widest grid, the right one on every grid) and
+    that meet, and calls of 15, 16 and 17 steps, around the bundled 16 per
+    stored slice, and of 33 and 48."""
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE, 2 * TILE + 1,
+                                   4 * TILE + 52])
+    def test_step_matches_reference_step(self, n):
+        lib, _ = wave._kernel()
+        rng = np.random.default_rng(n)
+        for (n_lo, n_hi), steps in itertools.product(
+                [(0, 0), (min(TILE + 9, n // 2), 60), (n // 2, n - n // 2)],
+                [15, 16, 17, 33, 48]):
+            check_kernel_call(lib, n, n_lo, n_hi, steps, rng)
+
+    def test_skew_wider_than_a_tile(self):
+        # with more steps than a tile has nodes, a tile's last steps update
+        # nodes left of its first step's range, done by earlier tiles' steps
+        lib, _ = wave._kernel()
+        n = 2 * TILE + 1
+        check_kernel_call(lib, n, 40, n // 2, TILE + 37, np.random.default_rng(7))
 
 
 def discrete_energy(fld: WaveField, t_index: int) -> float:
