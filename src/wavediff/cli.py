@@ -218,23 +218,26 @@ def stage_trace(scenario, out_csv: Path, out_events: Path):
     Returns the paths and the trace's health numbers: ``rk4_steps`` over the
     distinct legs (branches share the legs before their event), and
     ``p_residual_max``, the largest |p| / |xi|^2 over the rows written.
+    A shared leg's rows are computed once and written for every path.
     """
     metric, src = scenario.metric, scenario.source
     q0 = ray_on_characteristic(metric, src.center, 0.0, +1)
     paths = gbb_trace(metric, q0, t_span=scenario.duration)
-    residual_max = 0.0
+    legs = {id(leg): leg for path in paths for leg in path.legs}
+    rows, residual_max = {}, 0.0
+    for key, leg in legs.items():
+        rows[key] = []
+        for s in leg[:: max(1, len(leg) // 400)]:
+            q = PhasePoint(s.q[:2], s.q[2:])
+            p = metric.dual_hamiltonian(q)
+            residual_max = max(residual_max, abs(p) / float(np.dot(q.xi, q.xi)))
+            rows[key].append(["%.9g" % s.t] + ["%.12g" % v for v in s.q.tolist()] + ["%.3e" % p])
     with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["path", "leg", "param", "x", "t", "xi", "tau", "p_residual"])
         for ip, path in enumerate(paths):
             for il, leg in enumerate(path.legs):
-                for s in leg[:: max(1, len(leg) // 400)]:
-                    q = PhasePoint(s.q[:2], s.q[2:])
-                    p = metric.dual_hamiltonian(q)
-                    residual_max = max(residual_max, abs(p) / float(np.dot(q.xi, q.xi)))
-                    w.writerow(
-                        [ip, il, "%.9g" % s.t] + ["%.12g" % v for v in s.q] + ["%.3e" % p]
-                    )
+                w.writerows([ip, il, *row] for row in rows[id(leg)])
     events = [
         {
             "path": ip,
@@ -248,7 +251,6 @@ def stage_trace(scenario, out_csv: Path, out_events: Path):
         for ev in path.events
     ]
     out_events.write_text(json.dumps(events, indent=2))
-    legs = {id(leg): leg for path in paths for leg in path.legs}
     health = {
         "rk4_steps": sum(len(leg) - 1 for leg in legs.values()),
         "p_residual_max": residual_max,

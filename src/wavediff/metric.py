@@ -77,6 +77,7 @@ class ConormalMetric:
             if not 0 < value < math.inf:  # nan fails too
                 raise ValueError("%s must be positive and finite, got %g" % (name, value))
         self.exponent = self.s0 - 1.0
+        self._field_x = self._field_profile = None  # see hamilton_field
         # the bump is at most 1 and the core holds |x| <= core_radius, so the
         # speed stays above c_bg - |amp| core_radius^(s0-1); compared in logs,
         # which never overflow
@@ -144,9 +145,16 @@ class ConormalMetric:
 
     def hamilton_field(self, state) -> tuple:
         """Hamilton vector field on states (x, t, xi, tau) as a tuple of four
-        Python floats: (-2 c^2 xi, 2 tau, 2 c c' xi^2, 0)."""
+        Python floats: (-2 c^2 xi, 2 tau, 2 c c' xi^2, 0).
+
+        The profile of the last ``x`` is kept and reused: the tracer's RK4
+        step takes its two middle stages at one position and starts where
+        the step before it ended, so it needs two profiles, not four.
+        """
         x, _t, xi, tau = state.tolist() if isinstance(state, np.ndarray) else state
-        c, dc = self._profile(x, slope=True)
+        if x != self._field_x:
+            self._field_x, self._field_profile = x, self._profile(x, slope=True)
+        c, dc = self._field_profile
         return (-2.0 * c**2) * xi, 2.0 * tau, ((2.0 * c) * dc) * (xi * xi), 0.0
 
 

@@ -8,6 +8,9 @@ through a point is unique.  Interface crossings land exactly on the clock
 origin, which turns event detection into a step-size clamp instead of a root
 search.  ``gbb_trace`` branches both ways at every crossing: one traced tree
 holds the reflected and the transmitted continuations of the packet's ray.
+It grades its steps inside the conormal core only; outside it the field is
+constant, so one RK4 step, exact up to rounding, crosses to the core's edge
+or on to the end of the run.
 
 The module also builds the dyadic polygon vertices: the 2^N + 1 points
 chosen by an oracle within C0 * delta^{1+alpha} of the Euler predictor at
@@ -28,12 +31,14 @@ from .metric import ConormalMetric, PhasePoint
 
 GLANCING_FLOOR = 1e-6
 
-# gbb_trace's clock step away from the core, its cap inside the core, its
-# floor at the interface, and the most interface events one path may carry
-LEG_STEP = 1e-2
+# gbb_trace's clock-step cap inside the core, its floor at the interface,
+# and the most interface events one path may carry
 CORE_STEP = 1e-3
 MIN_STEP = 1e-6
 MAX_EVENTS = 4
+# relative lengthening of a straight step aimed at t_end: the few roundings
+# of one RK4 step on a constant field cannot then land it short
+T_END_MARGIN = 2.0**-49
 
 
 class GlancingHalt(RuntimeError):
@@ -220,29 +225,42 @@ def gbb_trace(metric: ConormalMetric, q0: PhasePoint, t_span: float) -> list:
     """Trace broken bicharacteristics of the 1+1D product metric.
 
     Legs use the space coordinate as the clock (transversal away from
-    glancing), with steps graded geometrically toward the interface where the
-    field is merely Hoelder.  At a crossing the arriving state is projected
-    onto the characteristic set and both a reflected and a transmitted branch
-    spawn, so the tree holds every reflect-only and transmit-only path.
-    Returns one GBBPath per branch.
+    glancing).  Inside the core, |x| < core_radius, steps are graded
+    geometrically toward the interface, where the field is merely Hoelder.
+    Outside it the speed is exactly c_bg and the field constant, so a leg
+    takes one straight RK4 step there: to the core's edge when it moves
+    toward the core, else on to t_end, which its last sample passes by a
+    few roundings at most.  Time runs forward: tau > 0 and t_span > 0.  At
+    a crossing the arriving state is projected onto the characteristic set
+    and both a reflected and a transmitted branch spawn, so the tree holds
+    every reflect-only and transmit-only path.  Returns one GBBPath per
+    branch.
     """
     if abs(q0.xi[0]) < GLANCING_FLOOR * np.linalg.norm(q0.xi):
         raise GlancingHalt([], "initial point is glancing")
     if not metric.on_characteristic_set(q0, tol=1e-9):
         raise ValueError("initial point must lie on the characteristic set")
+    if not (q0.xi[-1] > 0 and t_span > 0):
+        raise ValueError("the trace runs forward in time: need tau > 0 and t_span > 0")
     state0 = np.concatenate([q0.x, q0.xi])
     t_end = q0.x[-1] + t_span
     core = metric.core_radius
 
     def step_control(x, ds):
-        # geometric grading toward the interface keeps the quadrature of the
-        # Hoelder coefficient accurate at a few hundred steps per leg; inside
-        # the core the cap also rides the bump-transition derivatives
-        if abs(x[0]) < 1.5 * core:
-            mag = max(MIN_STEP, min(CORE_STEP, abs(x[0]) / 8.0))
-        else:
-            mag = abs(ds)
-        return math.copysign(mag, ds)
+        # inside the core, geometric grading toward the interface keeps the
+        # quadrature of the Hoelder coefficient accurate at a few hundred
+        # steps per leg, and the cap rides the bump-transition derivatives;
+        # outside it the field is constant and one RK4 step is exact up to
+        # rounding: straight to the core's edge, or straight on to t_end; a
+        # leg moving in from within MIN_STEP of the edge takes a graded step
+        # across it, so an edge missed by a rounding costs no extra step
+        r = abs(x[0])
+        toward = (x[0] < 0) == (ds > 0)
+        if r < core or (toward and r - core <= MIN_STEP):
+            return math.copysign(max(MIN_STEP, min(CORE_STEP, r / 8.0)), ds)
+        v = metric.hamilton_field(x)
+        mag = (t_end - x[1]) * abs(v[0] / v[1]) * (1.0 + T_END_MARGIN)
+        return math.copysign(min(mag, r - core) if toward else mag, ds)
 
     # a metric without singular part has nothing to reflect from
     has_interface = metric.amp != 0.0
@@ -259,7 +277,7 @@ def gbb_trace(metric: ConormalMetric, q0: PhasePoint, t_span: float) -> list:
                 metric.hamilton_field,
                 state,
                 j=0,
-                h=LEG_STEP,
+                h=1.0,  # step_control sets every step, reading only the sign
                 s_target=target,
                 stop_state=lambda q: q[1] >= t_end,
                 step_control=step_control,

@@ -314,8 +314,9 @@ def _kernel():
 
     It is compiled on the first solve of a process, never at import, into
     ``KERNEL_CACHE`` as ``_leapfrog.<hash>.so``, or into a private temporary
-    directory of the process when that one cannot be written.  The seconds
-    are 0 when the library was loaded already or came from the cache.
+    directory of the process when that one cannot be written.  A build into
+    ``KERNEL_CACHE`` deletes every other ``_leapfrog.*.so`` there.  The
+    seconds are 0 when the library was loaded already or came from the cache.
     """
     global _kernel_lib, _private_cache
     if _kernel_lib is not None:
@@ -335,6 +336,10 @@ def _kernel():
                 _private_cache = tempfile.TemporaryDirectory(prefix="wavediff-")
             path = Path(_private_cache.name) / path.name
         _build(path)
+        if writable:  # the libraries of older sources or compilers are dead
+            for stale in KERNEL_CACHE.glob("_leapfrog.*.so"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)  # another process may clean up too
         build_s = time.perf_counter() - t0
     lib = ctypes.CDLL(str(path))
     ptr, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double

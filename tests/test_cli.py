@@ -671,6 +671,13 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "wavediff", "--version"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "0.1.0"), proc.stderr
+
+
 def test_benchmark_hooks_resolve_and_are_restored(monkeypatch):
     """The benchmark's traced runs (``perfbench/run.py --trace 1``) patch the
     package's functions by name: each one must still exist, and leaving the

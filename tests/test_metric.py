@@ -278,6 +278,17 @@ class TestFloatKernel:
             assert np.array_equal(got, reference_hamilton_field(metric, state)), state
             assert metric.hamilton_field(state.tolist()) == got
 
+    def test_hamilton_field_reuses_the_last_profile(self, monkeypatch):
+        metric = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
+        fresh = ConormalMetric(s0=2.5, amp=0.4, core_radius=1.0)
+        profile, calls = metric._profile, []
+        monkeypatch.setattr(metric, "_profile",
+                            lambda x, slope: calls.append(x) or profile(x, slope=slope))
+        for x, xi in [(0.25, -1.0), (0.25, 2.0), (0.5, -1.0), (0.25, -1.0), (-0.0, 1.0), (0.0, 1.0)]:
+            state = [x, 1.0, xi, 1.1]
+            assert metric.hamilton_field(state) == fresh.hamilton_field(state), state
+        assert calls == [0.25, 0.5, 0.25, -0.0]
+
     @KERNEL_METRICS
     def test_dual_hamiltonian_matches_array_code(self, metric):
         # p feeds trace.csv's p_residual column and the manifest's

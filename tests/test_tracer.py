@@ -1,8 +1,14 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from wavediff import tracer
+from wavediff.config import load_config
 from wavediff.metric import ConormalMetric, PhasePoint
+from wavediff.probe import window_plan
 from wavediff.tracer import (
     CurveSample,
     EventType,
@@ -166,6 +172,65 @@ class TestGBBTrace:
         q = ray_on_characteristic(m, -1.0, 0.0, direction=+1)
         assert m.on_characteristic_set(q)
         assert m.hamilton_field(np.concatenate([q.x, q.xi]))[0] > 0
+
+
+SCENARIO = Path(__file__).resolve().parents[1] / "src/wavediff/scenarios/reflection-gain-s0-2.5.ini"
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """The bundled scenario and the traced tree of its packet."""
+    sc = load_config(SCENARIO).build_scenario()
+    q0 = ray_on_characteristic(sc.metric, sc.source.center, 0.0, +1)
+    return sc, gbb_trace(sc.metric, q0, t_span=sc.duration)
+
+
+class TestStraightSteps:
+    """Outside the core the field is constant: one exact RK4 step crosses
+    it, to the core's edge or on to the end of the run."""
+
+    def test_one_step_outside_the_core(self, bundled):
+        sc, paths = bundled
+        core = sc.metric.core_radius
+        for p in paths:
+            for leg in p.legs:
+                outside = [abs(a.q[0]) >= core and abs(b.q[0]) >= core
+                           for a, b in zip(leg, leg[1:])]
+                assert not any(a and b for a, b in zip(outside, outside[1:]))
+                assert any(outside)
+
+    def test_paths_end_on_t_end(self, bundled):
+        # the straight step aims at t_end, lengthened by T_END_MARGIN so it
+        # never lands short; the overshoot is a few roundings
+        sc, paths = bundled
+        t_end = sc.duration
+        for p in paths:
+            t = p.legs[-1][-1].q[1]
+            assert t_end <= t <= t_end + 16 * math.ulp(t_end)
+
+    def test_reflection_time_is_the_travel_time(self, bundled):
+        sc, paths = bundled
+        m = sc.metric
+        ev = next(p.events[0] for p in paths if p.events[0].kind is EventType.REFLECTION)
+        core_time, _ = quad(lambda x: 1.0 / m.speed(x), -m.core_radius, 0.0,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+        expected = (-m.core_radius - sc.source.center) / m.c_bg + core_time
+        assert ev.time == pytest.approx(expected, rel=1e-11)
+
+    def test_incident_window_ends_on_the_straight_line(self, bundled):
+        sc, paths = bundled
+        clear = max(10 * sc.dx, 1.1 * sc.metric.core_radius)
+        edge = -(clear + 3.0 * sc.source.width + 2 * sc.dx)
+        incident = next(w for w in window_plan(sc, paths) if w.label == "incident")
+        expected = (edge - sc.source.center) / sc.metric.c_bg
+        assert incident.t_hi == pytest.approx(expected, rel=1e-12)
+
+    def test_time_must_run_forward(self):
+        m = ConormalMetric(s0=2.5, amp=0.4)
+        with pytest.raises(ValueError, match="forward in time"):
+            gbb_trace(m, PhasePoint([-1.5, 0.0], [1.0, -1.0]), 1.0)
+        with pytest.raises(ValueError, match="forward in time"):
+            gbb_trace(m, ray_on_characteristic(m, -1.5, 0.0, +1), -1.0)
 
 
 class TestDyadic:

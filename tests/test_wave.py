@@ -5,6 +5,7 @@ import re
 import subprocess
 import time
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +542,16 @@ class TestKernel:
         monkeypatch.setattr(wave, "_kernel_lib", None)
         assert wave._kernel()[1] == 0.0
         assert stream(flat_scenario(duration=0.05)).kernel_build_s == 0.0
+
+    def test_build_deletes_stale_libraries(self, cold):
+        cold.mkdir()
+        (cold / "_leapfrog.0123456789abcdef.so").write_bytes(b"an older kernel")
+        (cold / "unrelated.so").write_bytes(b"")
+        lib, build_s = wave._kernel()
+        assert build_s > 0
+        left = sorted(p.name for p in cold.iterdir())
+        assert left == [Path(lib._name).name, "unrelated.so"]
+        assert left[0].startswith("_leapfrog.") and left[0] != "_leapfrog.0123456789abcdef.so"
 
     def test_unwritable_cache_builds_in_a_private_directory(self, cold, monkeypatch, tmp_path):
         (tmp_path / "file").write_text("")
