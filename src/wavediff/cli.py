@@ -7,9 +7,10 @@ Every pipeline run writes a manifest with the config hash and, per stage, the
 output checksums, wall-clock and CPU times and the peak RSS; deterministic
 stages reproduce identical checksums on identical configs.
 
-On two CPUs, ``pipeline`` and ``probe`` scan the frequency-domain oracle in a
-forked child (``Oracle``) while this process traces, and join it before the
-wave solve forks the kernel's child.
+``pipeline`` and ``probe`` start the wave solve (``wave.Solve``) right after
+building the scenario, with the frequency-domain oracle's scan as its side
+job: on two CPUs its one forked child scans while this process traces, and
+then runs the leapfrog.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
-import os
-import pickle
 import resource
-import signal
 import sys
 import time
 import zipfile
@@ -30,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, wave
+from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .escape import run_commutant_check
 from .metric import PhasePoint
@@ -65,7 +63,7 @@ from .probe import (
     window_plan,
 )
 from .tracer import gbb_trace, ray_on_characteristic
-from .wave import KernelBuildError, stored_slices, stream
+from .wave import KernelBuildError, Solve
 
 
 def _sha256_file(path: Path) -> str:
@@ -258,9 +256,9 @@ def stage_trace(scenario, out_csv: Path, out_events: Path):
     return paths, health
 
 
-def stage_wave(scenario, spectra, out_npz: Path | None):
-    """Solve the scenario once, streaming every stored slice into the
-    window ``spectra`` and, unless ``out_npz`` is None, into ``field.npz``.
+def stage_wave(solve: Solve, spectra, out_npz: Path | None):
+    """Stream every stored slice of the ``solve`` into the window
+    ``spectra`` and, unless ``out_npz`` is None, into ``field.npz``.
     ``wavediff wave run`` is the one command that writes the archive: the
     pipeline and ``wavediff probe`` pass None, since nothing reads it back.
 
@@ -270,20 +268,18 @@ def stage_wave(scenario, spectra, out_npz: Path | None):
     whole stack, and the stack is never held.  Returns the run's record.
     """
     if out_npz is None:
-        return stream(scenario, spectra)
+        return solve.stream(spectra)
     fmt = np.lib.format
     header = {
         "descr": fmt.dtype_to_descr(np.dtype(np.float32)),
         "fortran_order": False,
-        "shape": (stored_slices(scenario), scenario.nx + 1),
+        "shape": (len(solve.stops), solve.xs.size),
     }
     try:
         with zipfile.ZipFile(out_npz, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
             with zf.open("u.npy", "w", force_zip64=True) as fh:
                 fmt.write_array_header_1_0(fh, header)
-                rec = stream(
-                    scenario, [*spectra, lambda t, u: fh.write(u.astype(np.float32))]
-                )
+                rec = solve.stream([*spectra, lambda t, u: fh.write(u.astype(np.float32))])
             for key in ("ts", "xs", "c", "energy", "dt", "max_trust_freq"):
                 with zf.open(key + ".npy", "w", force_zip64=True) as fh:
                     fmt.write_array(fh, np.asanyarray(getattr(rec, key)))
@@ -293,122 +289,24 @@ def stage_wave(scenario, spectra, out_npz: Path | None):
     return rec
 
 
-class Oracle:
-    """The frequency-domain oracle's scan of a scenario's probe band.
+def solve_with_oracle(scenario) -> Solve:
+    """The scenario's wave solve, whose side job returns the probe band of
+    the grid step and the frequency-domain oracle's scan of it.  The band
+    depends on the grid alone, so on two CPUs the solve's child scans it
+    before it runs the leapfrog."""
 
-    ``default_oracle_scan`` runs on ``probe_band`` of the grid step, which
-    depends on the grid alone.  When ``wave._cpu_split`` gives two CPU sets,
-    the scan starts at once in a forked child on the set the solver's child
-    will take, and this process keeps the other set, so it can trace
-    meanwhile; ``join`` reaps the child, which sends the pickled scan and
-    its wall time up a pipe.  Join it before the wave solve forks, so the
-    kernel's child never shares a CPU with it.  Otherwise ``scan`` runs the
-    same call inline.
-
-    Use it as a context manager: leaving the block kills and reaps a child
-    still running and restores this process's CPU mask, however the block
-    ends.  A child that fails raises a ``RuntimeError`` naming the oracle,
-    and the scan is not retried inline.
-    """
-
-    def __init__(self, scenario):
+    def oracle_scan():
         xs = scenario.grid()
-        self.metric = scenario.metric
-        self.band = probe_band(float(xs[1] - xs[0]))  # the dx WindowSpectrum takes
-        self.cpus = None  # the child's CPUs; None when the scan runs inline
-        self.seconds = None  # the scan's wall time, measured where it ran
-        self._scan = self._pid = self._fd = self._mask = None
-        split = wave._cpu_split()
-        if split is None:
-            return
-        self._mask = os.sched_getaffinity(0)
-        self._fd, write = os.pipe()
-        try:
-            self._pid = os.fork()
-            if self._pid == 0:
-                self._child(write, split[1])  # never returns
-            os.sched_setaffinity(0, split[0])
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            os.close(write)
-        self.cpus = split[1]
+        band = probe_band(float(xs[1] - xs[0]))  # the dx WindowSpectrum takes
+        return band, default_oracle_scan(scenario.metric, band)
 
-    def _child(self, write, cpus):
-        """Scan on ``cpus`` and send the pickled ``(scan, seconds)``, or one
-        line saying why the scan failed, into ``write``; never returns."""
-        status = 1
-        try:
-            os.close(self._fd)
-            os.sched_setaffinity(0, cpus)
-            t0 = time.perf_counter()
-            try:
-                result = (default_oracle_scan(self.metric, self.band),
-                          time.perf_counter() - t0)
-            except Exception as err:
-                result = ("%s: %s" % (type(err).__name__, err)).splitlines()[0]
-            with open(write, "wb") as fh:
-                fh.write(pickle.dumps(result))
-            status = 0 if isinstance(result, tuple) else 1
-        finally:
-            # never unwind into the caller, which may hold open files
-            os._exit(status)
-
-    def join(self):
-        """Wait for the child's scan; nothing to do when the scan runs
-        inline or the child was joined already."""
-        if self._pid is None:
-            return
-        fd, self._fd = self._fd, None
-        try:
-            with open(fd, "rb") as fh:
-                payload = fh.read()
-            _, status = os.waitpid(self._pid, 0)
-            self._pid = None
-        finally:
-            self.close()
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            # a scan that raised sent one line; a child that died sent none
-            why = pickle.loads(payload) if code == 1 and payload else "exit code %d" % code
-            raise RuntimeError("the oracle scan's child process failed: %s" % why)
-        self._scan, self.seconds = pickle.loads(payload)
-
-    def scan(self):
-        """The ``ReflectionScan``: the child's, once joined, or run inline now."""
-        self.join()
-        if self._scan is None:
-            t0 = time.perf_counter()
-            self._scan = default_oracle_scan(self.metric, self.band)
-            self.seconds = time.perf_counter() - t0
-        return self._scan
-
-    def close(self):
-        """Kill and reap a child still running, close the pipe and restore
-        this process's CPU mask; calling it again does nothing."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._mask is not None:
-            os.sched_setaffinity(0, self._mask)
-            self._mask = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+    return Solve(scenario, oracle_scan, "oracle scan")
 
 
-def stage_probe(cfg: ExperimentConfig, spectra, oracle: Oracle, out_json: Path, out_csv: Path):
-    """Fit each window's spectrum, take the oracle's scan and write the gain
-    report.  The oracle must have scanned the incident fit's band, bit for
-    bit.
+def stage_probe(cfg: ExperimentConfig, spectra, solve: Solve, out_json: Path, out_csv: Path):
+    """Fit each window's spectrum, take the oracle's scan, the ``solve``'s
+    side job, and write the gain report.  The oracle must have scanned the
+    incident fit's band, bit for bit.
 
     Returns the report and the stage's work counts: ``oracle_freqs``, the
     frequencies the oracle solved, ``oracle_s``, the scan's wall time where
@@ -416,10 +314,10 @@ def stage_probe(cfg: ExperimentConfig, spectra, oracle: Oracle, out_json: Path, 
     and ``window_slices``, the stored slices each window's fit saw.
     """
     fits = {spec.window.label: decay_fit(spec) for spec in spectra}
-    if fits["incident"].band != oracle.band:
+    (band, scan), seconds, cpus = solve.side_result()
+    if fits["incident"].band != band:
         raise ValueError("the oracle scanned the band %r, not the incident fit's %r"
-                         % (oracle.band, fits["incident"].band))
-    scan = oracle.scan()
+                         % (band, fits["incident"].band))
     rep = gain_report(fits, hyperbolic_window(cfg.s0, cfg.eps0, cfg.k), oracle=scan)
     out_json.write_text(json.dumps(rep.asdict(), indent=2))
     with open(out_csv, "w", newline="") as fh:
@@ -431,8 +329,8 @@ def stage_probe(cfg: ExperimentConfig, spectra, oracle: Oracle, out_json: Path, 
                 w.writerow([label, "%.6g" % c, "%.6g" % mval, "%.6g" % fitted])
     health = {
         "oracle_freqs": int(scan.omegas.size),
-        "oracle_s": round(oracle.seconds, 3),
-        "oracle_cpus": oracle.cpus,
+        "oracle_s": round(seconds, 3),
+        "oracle_cpus": cpus,
         "window_slices": {label: fit.n_slices for label, fit in fits.items()},
     }
     return rep, health
@@ -475,9 +373,19 @@ def _cpu_s() -> float:
     return time.process_time() + ru.ru_utime + ru.ru_stime
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The config's ``out_dir``, made if missing; a path that cannot be a
+    directory is a ``ConfigError``."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("[experiment] out_dir %s cannot be made: %s"
+                          % (cfg.out_dir, err.strerror)) from None
+    return cfg.out_dir
+
+
 def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     manifest = {
         "name": cfg.name,
         "config_hash": cfg.config_hash(),
@@ -518,13 +426,12 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     # config faults raise ConfigError here, before any physical work
     scenario = cfg.build_scenario()
 
-    # a forked oracle runs within the trace stage's clock, so the trace's
-    # cpu_s counts it once it is joined; an inline one runs in the probe stage
+    # the solve's child scans the oracle while this process traces; it is
+    # reaped as the stream ends, so the wave entry's cpu_s counts all its work
     clock = start()
-    with Oracle(scenario) as oracle:
+    with solve_with_oracle(scenario) as solve:
         trace_csv, events_json = out / "trace.csv", out / "events.json"
         paths, health = stage_trace(scenario, trace_csv, events_json)
-        oracle.join()
         record("trace", [trace_csv, events_json], clock, **health)
         try:
             spectra = plan_spectra(scenario, paths)
@@ -533,7 +440,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
         clock = start()
         wave_json = out / "wave.json"
-        rec = stage_wave(scenario, spectra, None)
+        rec = stage_wave(solve, spectra, None)
         # the energies are exact sums of the kernel's per-node terms, so
         # this checksum pins every stored slice
         wave_json.write_text(json.dumps({
@@ -546,7 +453,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
         clock = start()
         probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
-        rep, health = stage_probe(cfg, spectra, oracle, probe_json, probe_csv)
+        rep, health = stage_probe(cfg, spectra, solve, probe_json, probe_csv)
         record("probe", [probe_json, probe_csv], clock, **health)
 
     clock = start()
@@ -667,44 +574,40 @@ def main(argv=None) -> int:
                 return 0
             if args.config:
                 cfg = load_config(args.config)
-                cfg.out_dir.mkdir(parents=True, exist_ok=True)
-                gate = stage_calc(cfg, cfg.out_dir / "calc.json")
+                gate = stage_calc(cfg, _out_dir(cfg) / "calc.json")
                 print(json.dumps(gate, indent=2))
                 return 0 if gate["gate_ok"] else 1
             print("calc needs --batch or --config", file=sys.stderr)
             return 2
         if args.command == "trace":
             cfg = load_config(args.config)
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_trace(cfg.build_scenario(), cfg.out_dir / "trace.csv",
-                        cfg.out_dir / "events.json")
-            print("trace written to %s" % cfg.out_dir)
+            out = _out_dir(cfg)
+            stage_trace(cfg.build_scenario(), out / "trace.csv", out / "events.json")
+            print("trace written to %s" % out)
             return 0
         if args.command == "wave":
             cfg = load_config(args.config)
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stage_wave(cfg.build_scenario(), [], cfg.out_dir / "field.npz")
-            print("field written to %s" % (cfg.out_dir / "field.npz"))
+            field = _out_dir(cfg) / "field.npz"
+            with Solve(cfg.build_scenario()) as solve:
+                stage_wave(solve, [], field)
+            print("field written to %s" % field)
             return 0
         if args.command == "probe":
             cfg = load_config(args.config)
             scenario = cfg.build_scenario()
-            out = cfg.out_dir
-            out.mkdir(parents=True, exist_ok=True)
-            with Oracle(scenario) as oracle:
+            out = _out_dir(cfg)
+            with solve_with_oracle(scenario) as solve:
                 paths, _ = stage_trace(scenario, out / "trace.csv", out / "events.json")
-                oracle.join()
                 spectra = plan_spectra(scenario, paths)
-                stage_wave(scenario, spectra, None)
+                stage_wave(solve, spectra, None)
                 rep, _ = stage_probe(
-                    cfg, spectra, oracle, out / "probe.json", out / "probe_bands.csv"
+                    cfg, spectra, solve, out / "probe.json", out / "probe_bands.csv"
                 )
             print("verdict: %s" % rep.verdict)
             return 0 if rep.verdict == "pass" else 1
         if args.command == "verify-commutant":
             cfg = load_config(args.config)
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            rep = stage_commutant(cfg, cfg.out_dir / "commutant.json")
+            rep = stage_commutant(cfg, _out_dir(cfg) / "commutant.json")
             print(json.dumps({k: rep[k] for k in (
                 "min_margin", "residual_max_relative", "F_threshold", "positivity_passed")}, indent=2))
             ok = rep["positivity_passed"] and not rep["violations"]

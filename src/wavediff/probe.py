@@ -83,13 +83,13 @@ class DecayFit:
         return self.r_hat - 0.5
 
 
-def _dyadic_bands(grid, values, k_top: float, n_bands: int, what: str):
-    """Means of ``values`` over the n_bands dyadic bands [k_top/2^j, k_top/2^(j-1)),
+def _dyadic_bands(grid, values, k_top: float, what: str):
+    """Means of ``values`` over the N_BANDS dyadic bands [k_top/2^j, k_top/2^(j-1)),
     lowest first, with the geometric band centers, the fit weights sqrt(count)
     and the band edges.  A band holding no grid point is an error naming ``what``,
     the kind of grid point it lacks.
     """
-    edges = k_top / 2.0 ** np.arange(n_bands, -1, -1)
+    edges = k_top / 2.0 ** np.arange(N_BANDS, -1, -1)
     means, centers, weights = [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = (grid >= lo) & (grid < hi)
@@ -154,26 +154,22 @@ class WindowSpectrum:
         lowest band would fail only after the whole solve."""
         try:
             _dyadic_bands(self.wavenumbers, self.peak, probe_band(self.dx)[1],
-                          N_BANDS, "wavenumber of the window")
+                          "wavenumber of the window")
         except InsufficientBandsError as err:
             raise WindowPlanError("%s window too short for the probe bands: %s"
                                   % (self.window.label, err)) from None
 
 
-def probe_band(dx: float, n_bands: int = N_BANDS) -> tuple:
-    """The span ``(k_lo, k_top)`` of the ``n_bands`` dyadic probe bands on a
+def probe_band(dx: float) -> tuple:
+    """The span ``(k_lo, k_top)`` of the ``N_BANDS`` dyadic probe bands on a
     grid of step ``dx``: the top edge is a quarter of the grid Nyquist.  It
     depends on the grid alone, so the oracle can scan it before any solve;
     ``decay_fit`` fits over the same edges."""
     k_top = np.pi / dx / 4.0
-    return k_top / 2.0**n_bands, k_top
+    return k_top / 2.0**N_BANDS, k_top
 
 
-def decay_fit(
-    spec: WindowSpectrum,
-    n_bands: int = N_BANDS,
-    k_top: float | None = None,
-) -> DecayFit:
+def decay_fit(spec: WindowSpectrum) -> DecayFit:
     """Fit the windowed spectral decay exponent over dyadic bands.
 
     The top band is capped at a quarter of the grid Nyquist; eight dyadic
@@ -186,14 +182,10 @@ def decay_fit(
         raise WindowPlanError("no stored slices inside the time window")
     k = spec.wavenumbers
     nyquist = np.pi / spec.dx
-    if k_top is None:
-        k_top = probe_band(spec.dx, n_bands)[1]
-    if k_top > nyquist / 4.0 + 1e-9:
-        raise InsufficientBandsError("top band must stay at or below a quarter Nyquist")
-
+    k_top = probe_band(spec.dx)[1]
     peak = spec.peak  # per-bin maximum over the window's slices
     means, centers, weights, edges = _dyadic_bands(
-        k, peak, k_top, n_bands, "wavenumber of the window; widen the window"
+        k, peak, k_top, "wavenumber of the window; widen the window"
     )
 
     floor_band = (k >= 1.5 * k_top) & (k <= min(2.5 * k_top, 0.95 * nyquist))
@@ -211,7 +203,7 @@ def decay_fit(
         stderr=stderr,
         intercept=intercept,
         band=(float(edges[0]), float(edges[-1])),
-        n_bands=n_bands,
+        n_bands=N_BANDS,
         band_centers=centers,
         band_means=means,
         dynamic_range_decades=decades,
@@ -221,10 +213,10 @@ def decay_fit(
     )
 
 
-def oracle_band_exponent(scan: ReflectionScan, band: tuple, n_bands: int = N_BANDS):
+def oracle_band_exponent(scan: ReflectionScan, band: tuple):
     """Fit the oracle's |R| over the same dyadic bands the field probe uses."""
     means, centers, weights, _ = _dyadic_bands(
-        scan.omegas, np.abs(scan.R), band[1], n_bands, "oracle frequency"
+        scan.omegas, np.abs(scan.R), band[1], "oracle frequency"
     )
     slope, _, stderr = _weighted_slope(np.log(centers), np.log(means), weights)
     return -slope, stderr
@@ -399,7 +391,7 @@ def gain_report(
     theorem = window.theorem
     oracle_exp = oracle_err = halving = predicted = mismatch = None
     if oracle is not None:
-        oracle_exp, oracle_err = oracle_band_exponent(oracle, inc.band, inc.n_bands)
+        oracle_exp, oracle_err = oracle_band_exponent(oracle, inc.band)
         halving = oracle.halving
         predicted = inc.r_hat + oracle_exp
         mismatch = refl.r_hat - predicted

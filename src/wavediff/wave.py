@@ -9,12 +9,12 @@ synthesized in frequency space with fixed-seed random phases and launched
 rightward using the exact discrete dispersion relation.
 
 Every scenario launches its packet from two initial levels, with no
-source term, so there is one time loop and one kernel.  ``stream`` is that
-loop: it hands each stored slice to observers (the probe's window spectra in
-``pipeline`` and ``probe``, the ``field.npz`` writer in ``wave run``) and
-keeps only the times, energies and grid.
-``run`` streams into a stack of every slice for the tests that read the
-whole history; the pipeline never calls it.
+source term, so there is one time loop and one kernel.  ``Solve.stream`` is
+that loop: it hands each stored slice to observers (the probe's window
+spectra in ``pipeline`` and ``probe``, the ``field.npz`` writer in ``wave
+run``) and keeps only the times, energies and grid.  ``stream`` is a solve
+with nothing beside it; ``run`` streams into a stack of every slice for the
+tests that read the whole history, and the pipeline never calls it.
 
 Each stored slice is one call of one C function over the whole grid
 (``_leapfrog.c``, loaded through ``ctypes``): it takes the steps from the
@@ -26,23 +26,16 @@ steps in skewed space-time tiles that keep the levels in cache, with AVX2
 and AVX-512 clones on x86-64.  Per node it performs the IEEE operations of
 the tests' allocating numpy reference step and energy in their order,
 whatever the tile or the clone, so the fields and the energies are
-bit-identical to them.  Without a compiler ``stream`` raises
+bit-identical to them.  Without a compiler a ``Solve`` raises
 ``KernelBuildError``.
 
-When ``os.fork`` exists and the process may run on two CPUs, ``stream``
-forks one child after building the launch levels.  The child runs the
-kernel over the whole grid, writes each stored field into one of two rows
-of a shared map and sends the slice's finiteness flag and energy up a pipe
-in one 9-byte message.  The parent raises ``FieldBlowup`` on a non-finite
-slice, runs the observers on the others and acknowledges each slice down a
-pipe, so the child never overwrites a row the parent still reads.
-
-The two processes run on disjoint CPU sets (``_cpu_split``): the child on
-the highest CPU of the caller's mask, the parent on the rest, until the
-parent has reaped the child and restored its own mask.  Left to the
-scheduler, the two sides were found time-sliced on one CPU on every
-slice, most likely because each pipe write wakes the reader on the
-writer's CPU.
+When ``os.fork`` exists and the process may run on two CPUs, a ``Solve``
+forks the run's one child, which runs a side job (the pipeline's oracle
+scan) and then the kernel on the highest CPU of the caller's mask
+(``_cpu_split``); this process runs the observers on the rest until it has
+reaped the child and restored its mask.  Left to the scheduler, the two
+sides were found time-sliced on one CPU on every slice, most likely because
+each pipe write wakes the reader on the writer's CPU.
 """
 
 from __future__ import annotations
@@ -52,6 +45,8 @@ import hashlib
 import math
 import mmap
 import os
+import pickle
+import signal
 import struct
 import tempfile
 import time
@@ -384,16 +379,14 @@ def _leapfrog(lib, dt, dx, stops, c2h, ramps, levels):
 
 
 def _cpu_split():
-    """The CPU sets of ``stream``'s two processes, this one's and its forked
-    child's: the child takes the highest CPU of this process's mask and this
-    process keeps the rest.  None, and no child, when ``os.fork`` is missing
-    or fewer than two CPUs are usable."""
+    """The CPU sets of a ``Solve``'s two processes, this one's and its
+    forked child's: the child takes the highest CPU of this process's mask
+    and this process keeps the rest.  None, and no child, when ``os.fork``
+    is missing or fewer than two CPUs are usable."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return None
     cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < 2:
-        return None
-    return cpus[:-1], cpus[-1:]
+    return (cpus[:-1], cpus[-1:]) if len(cpus) >= 2 else None
 
 
 # the child's report of one slice: its finiteness flag and its energy, in
@@ -401,145 +394,214 @@ def _cpu_split():
 REPORT = struct.Struct("=?d")
 
 
-def _fork_producer(blocks, shared, down, up, cpus) -> int:
-    """Fork a child that runs ``blocks``, the whole grid's leapfrog slices,
-    on the CPU set ``cpus`` and return its pid; the child never returns.
+class Solve:
+    """One leapfrog solve of a scenario and one side job, run by a forked
+    child on a CPU of its own when ``_cpu_split`` allows.
 
-    The child writes the field of slice ``j`` into row ``j % 2`` of
-    ``shared`` and sends its finiteness flag and energy up as one
-    ``REPORT``.  Before it overwrites a row it waits for the parent's byte
-    on ``down`` that acknowledges the slice two back.  It exits only when
-    ``down`` reads end of file, so the parent's last acknowledgement never
-    meets a closed pipe.
+    Creating it loads the kernel, so a missing compiler raises
+    ``KernelBuildError`` before anything runs.  With a split it then forks
+    one child onto the split's second CPU set and moves this process onto
+    the first, where it may work meanwhile (the pipeline traces).  The child
+    runs ``side()``, when given, and sends the pickled ``(result, seconds)``
+    up a pipe, or one line saying why the job failed.  Then it builds the
+    launch levels and runs the kernel, writes each stored field into one of
+    two rows of a shared map and sends the slice's ``REPORT``; it overwrites
+    a row only once this process has acknowledged the slice two back.
+    Without a split nothing forks, and ``stream`` and ``side_result`` run
+    their jobs inline.
+
+    ``stream`` reaps the child when the slices end, and leaving the solve's
+    ``with`` block kills and reaps one still running; either restores this
+    process's CPU mask.  A side job that fails in the child raises a
+    ``RuntimeError`` naming ``side_name``, and is not retried inline.
     """
-    pid = os.fork()
-    if pid:
-        os.close(down[0])
-        os.close(up[1])
-        return pid
-    status = 1
-    try:
-        os.sched_setaffinity(0, cpus)
-        os.close(down[1])
-        os.close(up[0])
-        for j, (_, finite, energy, curr) in enumerate(blocks):
-            if j >= 2 and not os.read(down[0], 1):
-                break  # the parent has stopped
-            shared[j % 2] = curr
-            os.write(up[1], REPORT.pack(finite, energy))
-        while os.read(down[0], 1):
-            pass
-        status = 0
-    finally:
-        # never unwind into the caller, which may hold open files
-        os._exit(status)
 
-
-def _received(stops, shared, down, up):
-    """The parent's side of ``_fork_producer``: yield ``(m, finite, energy,
-    u_curr)`` of each stored step ``m`` of ``stops`` once the child reports
-    it, and acknowledge the slice when the consumer asks for the next one."""
-    for j, m in enumerate(stops):
-        report = os.read(up[0], REPORT.size)
-        if len(report) != REPORT.size:
-            raise RuntimeError("the solver's child process ended early")
-        yield (m, *REPORT.unpack(report), shared[j % 2])
+    def __init__(self, scenario: WaveScenario, side=None, side_name="side job"):
+        self.scenario, self.side, self.side_name = scenario, side, side_name
+        self.lib, self.build_s = _kernel()  # before the fork, so the child never compiles
+        self.xs, self.c_nodes, c_half = _speeds(scenario)
+        self.c2h = c_half**2
+        self.dt, self.stops = _clock(scenario, self.c_nodes, c_half)
+        self.cpus = _cpu_split()
+        self._side = self._pid = self._down = self._up = self._mask = None
+        if self.cpus is None:
+            return
+        self._mask = os.sched_getaffinity(0)
+        # two rows, so one is read while the next is written
+        n = self.xs.size
+        self._shared = np.frombuffer(mmap.mmap(-1, 2 * n * 8), float).reshape(2, n)
+        down, up = os.pipe(), os.pipe()  # to the child, from the child
+        self._down, self._up = down[1], open(up[0], "rb")
         try:
-            os.write(down[1], b"\0")
-        except BrokenPipeError:
-            raise RuntimeError("the solver's child process ended early") from None
+            self._pid = os.fork()
+            if not self._pid:
+                self._child(down[0], up[1])  # never returns
+            os.sched_setaffinity(0, self.cpus[0])
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(down[0])
+            os.close(up[1])
+
+    def _child(self, down, up):
+        """The child's part, as the class describes it; never returns.  It
+        exits only when ``down`` reads end of file, so this process's last
+        acknowledgement never meets a closed pipe."""
+        status = 1
+        try:
+            os.sched_setaffinity(0, self.cpus[1])
+            os.close(self._down)
+            self._up.close()
+            if self.side is not None:
+                t0 = time.perf_counter()
+                try:
+                    outcome = (self.side(), time.perf_counter() - t0)
+                except Exception as err:
+                    outcome = ("%s: %s" % (type(err).__name__, err)).splitlines()[0]
+                with open(up, "wb", closefd=False) as fh:
+                    pickle.dump(outcome, fh)
+                if isinstance(outcome, str):
+                    return  # the finally exits with status 1
+            for j, (_, finite, energy, curr) in enumerate(self._blocks()):
+                if j >= 2 and not os.read(down, 1):
+                    break  # the parent has stopped
+                self._shared[j % 2] = curr
+                os.write(up, REPORT.pack(finite, energy))
+            while os.read(down, 1):
+                pass
+            status = 0
+        finally:
+            # never unwind into the caller, which may hold open files
+            os._exit(status)
+
+    def _blocks(self):
+        """The kernel's stored slices, from launch levels built here: in the
+        child when there is one, so this process never holds them."""
+        sc, dt, n = self.scenario, self.dt, self.xs.size
+        # three rotating time levels, updated in place
+        levels = np.zeros((3, n))
+        levels[1] = make_pulse(sc)
+        levels[0] = _one_way_previous(levels[1], sc, dt)
+        # sponge: exponential damping ramp applied multiplicatively to both levels;
+        # damp is exactly 1.0 between the two ramps, so only their cells are touched;
+        # on a grid narrower than two ramps the right one starts where the left ends
+        sp = sc.sponge
+        damp = np.ones(n)
+        damp[: sp.cells] = np.exp(-sp.strength * dt * np.linspace(1.0, 0.0, sp.cells) ** 2)
+        damp[-sp.cells :] = np.exp(-sp.strength * dt * np.linspace(0.0, 1.0, sp.cells) ** 2)
+        ramps = (damp[: sp.cells], damp[max(sp.cells, n - sp.cells) :])
+        return _leapfrog(self.lib, dt, sc.dx, self.stops, self.c2h, ramps, levels)
+
+    def _received(self):
+        """Yield ``(m, finite, energy, u_curr)`` of each stored step ``m`` once
+        the child reports it, and acknowledge the slice when the consumer
+        asks for the next one."""
+        for j, m in enumerate(self.stops):
+            report = self._up.read(REPORT.size)
+            if len(report) != REPORT.size:
+                raise RuntimeError("the solver's child process ended early")
+            yield (m, *REPORT.unpack(report), self._shared[j % 2])
+            try:
+                os.write(self._down, b"\0")
+            except BrokenPipeError:
+                raise RuntimeError("the solver's child process ended early") from None
+
+    def side_result(self):
+        """The side job's result, its wall time where it ran and the CPUs of
+        the child that ran it, None when it ran inline: the outcome the
+        child sends first, or, when no child runs the job, the job run
+        inline now; either is taken once."""
+        if self._side is None and self._pid is not None:
+            try:
+                outcome = pickle.load(self._up)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None
+            if not isinstance(outcome, tuple):
+                status = os.waitpid(self._pid, 0)[1]
+                self._pid = None
+                # a job that raised sent one line; a child that died sent none
+                why = outcome or "exit code %d" % os.waitstatus_to_exitcode(status)
+                raise RuntimeError("the %s's child process failed: %s" % (self.side_name, why))
+            self._side = (*outcome, self.cpus[1])
+        if self._side is None:
+            t0 = time.perf_counter()
+            self._side = (self.side(), time.perf_counter() - t0, None)
+        return self._side
+
+    def stream(self, observers=()) -> WaveRecord:
+        """Leapfrog-integrate the scenario; deterministic for fixed inputs.
+
+        At each stored slice every observer is called as ``observer(t, u)``,
+        where ``u`` is the solver's live level: an observer that keeps it must
+        copy it.  No slice stack is held, so the memory is a few grid arrays
+        whatever the duration.
+
+        The kernel checks each stored slice as it computes it: a non-finite
+        slice raises ``FieldBlowup`` before any observer sees it, and the
+        others add their energy to the record.  When the child runs the
+        kernel, this process first takes the side job's outcome and then
+        runs the observers on the slices the child hands over; else the
+        kernel runs here.  The record's ``cpus`` says which path ran.  The
+        solve is closed when the stream returns or raises.
+        """
+        ts = np.empty(len(self.stops))
+        energy = np.empty(len(self.stops))
+        forked = self._pid is not None
+        try:
+            if forked and self.side is not None:
+                self.side_result()
+            for j, (m, finite, e, curr) in enumerate(
+                    self._received() if forked else self._blocks()):
+                t = m * self.dt
+                if not finite:
+                    raise FieldBlowup("non-finite field at t=%g" % t)
+                for obs in observers:
+                    obs(t, curr)
+                ts[j] = t
+                energy[j] = e
+        finally:
+            self.close()
+
+        # trustworthy wavenumber: group-velocity error under 2 percent
+        dx = self.scenario.dx
+        k_probe = np.linspace(1e-3, np.pi / dx * 0.5, 2048)
+        cfl_eff = self.c_nodes.min() * self.dt / dx
+        vg = np.cos(k_probe * dx / 2.0) / np.sqrt(
+            np.clip(1.0 - (cfl_eff * np.sin(k_probe * dx / 2.0)) ** 2, 1e-12, None)
+        )
+        ok = np.abs(vg - 1.0) < 0.02
+        max_trust = float(k_probe[ok].max()) if np.any(ok) else float(k_probe[0])
+
+        return WaveRecord(ts=ts, xs=self.xs, c=self.c_nodes, dt=self.dt, energy=energy,
+                          max_trust_freq=max_trust, steps=self.stops[-1],
+                          cpus=self.cpus if forked else None, kernel_build_s=self.build_s)
+
+    def close(self):
+        """Close the pipes, kill and reap a child still running and restore
+        this process's CPU mask; calling it again does nothing."""
+        if self._up is not None:
+            os.close(self._down)
+            self._up.close()
+            self._down = self._up = None
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._mask is not None:
+            os.sched_setaffinity(0, self._mask)
+            self._mask = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def stream(scenario: WaveScenario, observers=()) -> WaveRecord:
-    """Leapfrog-integrate the scenario; deterministic for fixed inputs.
-
-    At each stored slice every observer is called as ``observer(t, u)``,
-    where ``u`` is the solver's live level: an observer that keeps it must
-    copy it.  No slice stack is held, so the memory is a few grid arrays
-    whatever the duration.
-
-    The kernel checks each stored slice as it computes it: a non-finite
-    slice raises ``FieldBlowup`` before any observer sees it, and the
-    others add their energy to the record.  When ``_cpu_split`` allows, a
-    forked child runs the kernel on one CPU, and this process runs the
-    observers on the slices it hands over, on the others; its own CPU mask
-    is restored however the solve ends.  The record's ``cpus`` says which
-    path ran.
-    Raises ``KernelBuildError`` before any step when the kernel cannot be
-    built.
-    """
-    xs, c_nodes, c_half = _speeds(scenario)
-    n = xs.size
-    dx = scenario.dx
-    dt, stops = _clock(scenario, c_nodes, c_half)
-    lib, build_s = _kernel()  # before any fork, so the child never compiles
-
-    # three rotating time levels, updated in place
-    levels = np.zeros((3, n))
-    u_prev, u_curr = levels[0], levels[1]
-    u_curr[:] = make_pulse(scenario)
-    u_prev[:] = _one_way_previous(u_curr, scenario, dt)
-
-    # sponge: exponential damping ramp applied multiplicatively to both levels;
-    # damp is exactly 1.0 between the two ramps, so only their cells are touched;
-    # on a grid narrower than two ramps the right one starts where the left ends
-    sp = scenario.sponge
-    damp = np.ones(n)
-    damp[: sp.cells] = np.exp(-sp.strength * dt * np.linspace(1.0, 0.0, sp.cells) ** 2)
-    damp[-sp.cells :] = np.exp(-sp.strength * dt * np.linspace(0.0, 1.0, sp.cells) ** 2)
-    ramps = (damp[: sp.cells], damp[max(sp.cells, n - sp.cells) :])
-
-    ts = np.empty(len(stops))
-    energy = np.empty(len(stops))
-    blocks = _leapfrog(lib, dt, dx, stops, c_half**2, ramps, levels)
-    cpus = _cpu_split()
-    pid = None
-    if cpus is not None:
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, cpus[0])
-    try:
-        if cpus is not None:
-            # two rows, so one is read while the next is written
-            shared = np.frombuffer(mmap.mmap(-1, 2 * n * 8), float).reshape(2, n)
-            down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
-            pid = _fork_producer(blocks, shared, down, up, cpus[1])
-            blocks = _received(stops, shared, down, up)
-        for j, (m, finite, e, curr) in enumerate(blocks):
-            t = m * dt
-            if not finite:
-                raise FieldBlowup("non-finite field at t=%g" % t)
-            for obs in observers:
-                obs(t, curr)
-            ts[j] = t
-            energy[j] = e
-    finally:
-        if pid is not None:
-            os.close(down[1])
-            os.close(up[0])
-            os.waitpid(pid, 0)
-        if cpus is not None:
-            os.sched_setaffinity(0, mask)
-
-    # trustworthy wavenumber: group-velocity error under 2 percent
-    k_probe = np.linspace(1e-3, np.pi / dx * 0.5, 2048)
-    cfl_eff = c_nodes.min() * dt / dx
-    vg = np.cos(k_probe * dx / 2.0) / np.sqrt(
-        np.clip(1.0 - (cfl_eff * np.sin(k_probe * dx / 2.0)) ** 2, 1e-12, None)
-    )
-    ok = np.abs(vg - 1.0) < 0.02
-    max_trust = float(k_probe[ok].max()) if np.any(ok) else float(k_probe[0])
-
-    return WaveRecord(
-        ts=ts,
-        xs=xs,
-        c=c_nodes,
-        dt=dt,
-        energy=energy,
-        max_trust_freq=max_trust,
-        steps=stops[-1],
-        cpus=cpus,
-        kernel_build_s=build_s,
-    )
+    """``Solve.stream`` of a solve with no side job."""
+    return Solve(scenario).stream(observers)
 
 
 @dataclass
@@ -552,10 +614,11 @@ class WaveField(WaveRecord):
 def run(scenario: WaveScenario) -> WaveField:
     """``stream`` into a stack of every stored slice: the whole field
     history, for the tests that read it."""
-    u = np.empty((stored_slices(scenario), scenario.nx + 1))
-    rows = iter(u)
+    with Solve(scenario) as solve:
+        u = np.empty((len(solve.stops), scenario.nx + 1))
+        rows = iter(u)
 
-    def keep(t, u_curr):
-        next(rows)[:] = u_curr
+        def keep(t, u_curr):
+            next(rows)[:] = u_curr
 
-    return WaveField(**vars(stream(scenario, [keep])), u=u)
+        return WaveField(**vars(solve.stream([keep])), u=u)

@@ -368,6 +368,8 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("wavediff: cannot build the leapfrog kernel: `wavediff-no-such-cc ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        # the kernel is loaded before the solve forks, which is before the trace
+        assert not (tmp_path / "out" / "trace.csv").exists()
         assert not (tmp_path / "out" / "field.npz").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -444,9 +446,10 @@ class TestPipeline:
         spec = WindowSpectrum(ProbeWindow(-3.5, -0.5, 0.0, 1.0, "incident"), xs)
         spec(0.5, np.sin(40.0 * xs))
         band = probe_band(float(xs[1] - xs[0]))
-        other = SimpleNamespace(band=(band[0], np.nextafter(band[1], 0.0)))
+        other = (band[0], np.nextafter(band[1], 0.0))
+        solve = SimpleNamespace(side_result=lambda: ((other, None), 0.0, None))
         with pytest.raises(ValueError, match="oracle scanned the band"):
-            cli.stage_probe(None, [spec], other, Path("unused.json"), Path("unused.csv"))
+            cli.stage_probe(None, [spec], solve, Path("unused.json"), Path("unused.csv"))
 
     @pytest.mark.parametrize(
         "old, new, named",
@@ -549,6 +552,24 @@ class TestPipeline:
         assert err == "configuration error: no directory for the results at %s\n" % out
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command", [["calc"], ["trace"], ["wave", "run"], ["probe"],
+                                         ["verify-commutant"], ["pipeline"]],
+                             ids=["calc", "trace", "wave-run", "probe", "verify-commutant",
+                                  "pipeline"])
+    def test_out_dir_that_cannot_be_made_exit_2(self, tmp_path, capsys, command):
+        # under a regular file, or the file itself: one line, no traceback
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        for out in (afile / "sub", afile):
+            cfgf = tmp_path / "smoke.ini"
+            cfgf.write_text(small_config_text(out))
+            assert main([*command, "--config", str(cfgf)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                "configuration error: [experiment] out_dir %s cannot be made: " % out)
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert afile.read_text() == "kept"
+
     def test_cli_bad_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[metric]\nnope = 1\n")
@@ -593,8 +614,9 @@ assert not scipy_modules(), scipy_modules()
 
 
 class TestOracleChild:
-    """The oracle's forked child is reaped, and this process's CPU mask is
-    restored, however a ``pipeline`` or ``probe`` run ends."""
+    """The solve's forked child, which scans the oracle and then runs the
+    kernel, is reaped, and this process's CPU mask is restored, however a
+    ``pipeline`` or ``probe`` run ends."""
 
     @pytest.fixture(autouse=True)
     def mask(self, monkeypatch):
@@ -646,6 +668,27 @@ class TestOracleChild:
         with pytest.raises(RuntimeError) as info:
             run_pipeline(load_config(self.config(tmp_path)))
         assert str(info.value) == "the oracle scan's child process failed: ValueError: no scan"
+        self.assert_reaped(mask)
+
+    @pytest.mark.parametrize("split", ["split", "none"])
+    @pytest.mark.parametrize("command", ["pipeline", "probe"])
+    def test_run_forks_once(self, tmp_path, monkeypatch, mask, command, split):
+        # one child scans the oracle and runs the kernel; no split, no child
+        if split == "none":
+            monkeypatch.setattr(wave, "_cpu_split", lambda: None)
+        fork, forks = os.fork, []
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        cfgf = self.config(tmp_path)
+        if command == "pipeline":
+            assert run_pipeline(load_config(cfgf))[0] == 0
+        else:
+            assert main(["probe", "--config", str(cfgf)]) == 0
+        assert len(forks) == (1 if split == "split" else 0)
         self.assert_reaped(mask)
 
     def test_dead_child_is_named(self, tmp_path, monkeypatch, mask):

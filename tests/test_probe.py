@@ -26,12 +26,12 @@ from wavediff.tracer import gbb_trace, ray_on_characteristic
 from wavediff.wave import PulseSpec, SpongeSpec, WaveScenario, make_pulse, run, stream
 
 
-def fit_window(u0, window, **kw):
+def fit_window(u0, window):
     """Fit one profile on a uniform grid over [-8, 8], handed to the window's
     spectrum as a single slice at t = 0."""
     spec = WindowSpectrum(window, np.linspace(-8.0, 8.0, u0.size))
     spec(0.0, u0)
-    return decay_fit(spec, **kw)
+    return decay_fit(spec)
 
 
 def streamed_fits(scenario, spectra):
@@ -90,11 +90,6 @@ class TestDecayFit:
         u = self._power_law_profile(1.0)
         with pytest.raises((WindowPlanError, InsufficientBandsError)):
             fit_window(u, ProbeWindow(-0.01, 0.01, -1, 1, "tiny"))
-
-    def test_rejects_excess_top_band(self):
-        u = self._power_law_profile(1.0)
-        with pytest.raises(InsufficientBandsError):
-            fit_window(u, ProbeWindow(-7.6, 7.6, -1, 1, "x"), k_top=np.pi / (16 / 2**15) / 2)
 
     def test_taper_invariance(self):
         # doubling the window changes the exponent mildly

@@ -222,6 +222,13 @@ def use_parts(monkeypatch, parts):
     monkeypatch.setattr(wave, "_cpu_split", lambda: split)
 
 
+def archive(sc, observers, out_npz):
+    """``cli.stage_wave`` of a solve of ``sc`` with no side job: the
+    ``field.npz`` that ``wavediff wave run`` writes."""
+    with wave.Solve(sc) as solve:
+        return stage_wave(solve, observers, out_npz)
+
+
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -329,8 +336,8 @@ class TestFieldArchive:
     def test_stage_wave_writes_stored_repeatable_npz(self, tmp_path):
         sc = flat_scenario(duration=0.2)
         fld = run(sc)
-        stage_wave(sc, [], tmp_path / "a.npz")
-        stage_wave(sc, [], tmp_path / "b.npz")
+        archive(sc, [], tmp_path / "a.npz")
+        archive(sc, [], tmp_path / "b.npz")
         with zipfile.ZipFile(tmp_path / "a.npz") as zf:
             assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
         with np.load(tmp_path / "a.npz") as z:
@@ -345,7 +352,7 @@ class TestFieldArchive:
                              ids=["even", "ragged"])
     def test_streamed_archive_is_savez_of_the_stack(self, tmp_path, kw):
         sc = flat_scenario(**kw)
-        stage_wave(sc, [], tmp_path / "streamed.npz")
+        archive(sc, [], tmp_path / "streamed.npz")
         savez_of_stack(tmp_path / "stacked.npz", run(sc))
         streamed = (tmp_path / "streamed.npz").read_bytes()
         assert streamed == (tmp_path / "stacked.npz").read_bytes()
@@ -363,7 +370,7 @@ class TestFieldArchive:
 
         wrap_kernel(monkeypatch, nan_on_block_3)
         with pytest.raises(FieldBlowup) as info:
-            stage_wave(sc, [lambda t, u: seen.append(t)], tmp_path / "f.npz")
+            archive(sc, [lambda t, u: seen.append(t)], tmp_path / "f.npz")
         assert str(info.value) == "non-finite field at t=%g" % (3 * sc.store_stride * dt)
         assert len(seen) == 3  # the initial slice and blocks 1 and 2
         assert not (tmp_path / "f.npz").exists()
@@ -392,7 +399,7 @@ class TestSolverChild:
                 raise RuntimeError("observer failed")
 
         with pytest.raises(RuntimeError, match="observer failed"):
-            stage_wave(flat_scenario(duration=0.2), [third_fails], tmp_path / "f.npz")
+            archive(flat_scenario(duration=0.2), [third_fails], tmp_path / "f.npz")
         assert len(calls) == 3
         assert not (tmp_path / "f.npz").exists()
         assert_no_child()
@@ -407,7 +414,7 @@ class TestSolverChild:
 
         wrap_kernel(monkeypatch, fails_in_child)
         with pytest.raises(RuntimeError, match="child process ended early"):
-            stage_wave(flat_scenario(duration=0.2), [], tmp_path / "f.npz")
+            archive(flat_scenario(duration=0.2), [], tmp_path / "f.npz")
         assert not (tmp_path / "f.npz").exists()
         assert_no_child()
 
@@ -442,16 +449,16 @@ class TestSolverChild:
             pytest.skip("this process may run on one CPU only")
         mask = os.sched_getaffinity(0)
         parent_cpus, child_cpus = wave._cpu_split()
-        fork, pids, seen = wave._fork_producer, [], []
+        fork, pids, seen = os.fork, [], []
 
-        def recording_fork(*args):
-            pids.append(fork(*args))
+        def recording_fork():
+            pids.append(fork())
             return pids[-1]
 
         def masks(t, u):
             seen.append((os.sched_getaffinity(0), os.sched_getaffinity(pids[0])))
 
-        monkeypatch.setattr(wave, "_fork_producer", recording_fork)
+        monkeypatch.setattr(os, "fork", recording_fork)
         sc = flat_scenario(duration=0.2)
         rec = stream(sc, [masks])
         assert rec.cpus == (parent_cpus, child_cpus)
@@ -566,7 +573,7 @@ class TestKernel:
         use_parts(monkeypatch, parts)
         monkeypatch.setattr(wave, "CC", ("wavediff-no-such-cc", *wave.CC[1:]))
         with pytest.raises(KernelBuildError) as info:
-            stage_wave(flat_scenario(duration=0.05), [], tmp_path / "f.npz")
+            archive(flat_scenario(duration=0.05), [], tmp_path / "f.npz")
         err = info.value
         assert err.command[0] == "wavediff-no-such-cc" and "wavediff-no-such-cc" in err.stderr
         assert "wavediff-no-such-cc" in str(err) and "\n" not in str(err)
