@@ -2,15 +2,17 @@
 report, and the end-to-end pipeline.
 
 Exit codes: 0 success, 1 assertion/verdict failure, 2 configuration error or
-no C compiler to build the leapfrog kernel with.
+no C compiler to build the leapfrog kernel with, 3 a wave solve whose forked
+child failed (a side job raised, or the child ended early).
 Every pipeline run writes a manifest with the config hash and, per stage, the
 output checksums, wall-clock and CPU times and the peak RSS; deterministic
 stages reproduce identical checksums on identical configs.
 
 ``pipeline`` and ``probe`` start the wave solve (``wave.Solve``) right after
 building the scenario, with the frequency-domain oracle's scan as its side
-job: on two CPUs its one forked child scans while this process traces, and
-then runs the leapfrog.
+job, and in ``pipeline`` the escape-function commutant check after it: on
+two CPUs its one forked child runs them while this process traces, and
+then runs the leapfrog.  This process only writes what they return.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .probe import (
     window_plan,
 )
 from .tracer import gbb_trace, ray_on_characteristic
-from .wave import KernelBuildError, Solve
+from .wave import KernelBuildError, Solve, SolverChildError, timed
 
 
 def _sha256_file(path: Path) -> str:
@@ -289,24 +291,26 @@ def stage_wave(solve: Solve, spectra, out_npz: Path | None):
     return rec
 
 
-def solve_with_oracle(scenario) -> Solve:
-    """The scenario's wave solve, whose side job returns the probe band of
-    the grid step and the frequency-domain oracle's scan of it.  The band
-    depends on the grid alone, so on two CPUs the solve's child scans it
-    before it runs the leapfrog."""
+ORACLE, COMMUTANT = "oracle scan", "commutant check"  # the solve's side jobs
 
-    def oracle_scan():
+
+def oracle_scan(scenario):
+    """The side job ``ORACLE``: the probe band of the scenario's grid step
+    and the frequency-domain oracle's scan of it.  It depends on the grid
+    alone, so on two CPUs the solve's child runs it before the leapfrog."""
+
+    def scan():
         xs = scenario.grid()
         band = probe_band(float(xs[1] - xs[0]))  # the dx WindowSpectrum takes
         return band, default_oracle_scan(scenario.metric, band)
 
-    return Solve(scenario, oracle_scan, "oracle scan")
+    return scan
 
 
 def stage_probe(cfg: ExperimentConfig, spectra, solve: Solve, out_json: Path, out_csv: Path):
     """Fit each window's spectrum, take the oracle's scan, the ``solve``'s
-    side job, and write the gain report.  The oracle must have scanned the
-    incident fit's band, bit for bit.
+    side job ``ORACLE``, and write the gain report.  The oracle must have
+    scanned the incident fit's band, bit for bit.
 
     Returns the report and the stage's work counts: ``oracle_freqs``, the
     frequencies the oracle solved, ``oracle_s``, the scan's wall time where
@@ -314,7 +318,7 @@ def stage_probe(cfg: ExperimentConfig, spectra, solve: Solve, out_json: Path, ou
     and ``window_slices``, the stored slices each window's fit saw.
     """
     fits = {spec.window.label: decay_fit(spec) for spec in spectra}
-    (band, scan), seconds, cpus = solve.side_result()
+    (band, scan), seconds, cpus = solve.side_result(ORACLE)
     if fits["incident"].band != band:
         raise ValueError("the oracle scanned the band %r, not the incident fit's %r"
                          % (band, fits["incident"].band))
@@ -347,9 +351,11 @@ def plan_spectra(scenario, paths) -> list:
     return spectra
 
 
-def stage_commutant(cfg: ExperimentConfig, out_json: Path) -> dict:
+def commutant_check(cfg: ExperimentConfig) -> dict:
+    """The escape-function commutant check of the config's ``[commutant]``
+    section: ``escape.run_commutant_check``'s report."""
     c = cfg.commutant
-    rep = run_commutant_check(
+    return run_commutant_check(
         c["frame"],
         delta=c["delta"],
         eps=c["eps"],
@@ -362,8 +368,22 @@ def stage_commutant(cfg: ExperimentConfig, out_json: Path) -> dict:
         grid=c["grid"],
         seed=cfg.seed,
     )
+
+
+def stage_commutant(cfg: ExperimentConfig, out_json: Path, solve: Solve | None = None):
+    """Write the config's commutant check to ``out_json``: the ``solve``'s
+    side job ``COMMUTANT`` when given (the pipeline), else run here.
+
+    Returns the report and the check's health numbers: ``commutant_s``, its
+    wall time where it ran, and ``commutant_cpus``, the CPUs of the child
+    that ran it (None when it ran inline).
+    """
+    if solve is None:
+        rep, seconds, cpus = (*timed(lambda: commutant_check(cfg)), None)
+    else:
+        rep, seconds, cpus = solve.side_result(COMMUTANT)
     out_json.write_text(json.dumps(rep, indent=2))
-    return rep
+    return rep, {"commutant_s": round(seconds, 3), "commutant_cpus": cpus}
 
 
 def _cpu_s() -> float:
@@ -426,10 +446,12 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
     # config faults raise ConfigError here, before any physical work
     scenario = cfg.build_scenario()
 
-    # the solve's child scans the oracle while this process traces; it is
-    # reaped as the stream ends, so the wave entry's cpu_s counts all its work
+    # the solve's child scans the oracle and checks the commutant while this
+    # process traces; it is reaped as the stream ends, so the wave entry's
+    # cpu_s counts all its work
     clock = start()
-    with solve_with_oracle(scenario) as solve:
+    sides = {ORACLE: oracle_scan(scenario), COMMUTANT: lambda: commutant_check(cfg)}
+    with Solve(scenario, sides) as solve:
         trace_csv, events_json = out / "trace.csv", out / "events.json"
         paths, health = stage_trace(scenario, trace_csv, events_json)
         record("trace", [trace_csv, events_json], clock, **health)
@@ -456,10 +478,11 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
         rep, health = stage_probe(cfg, spectra, solve, probe_json, probe_csv)
         record("probe", [probe_json, probe_csv], clock, **health)
 
+    # the check's report, taken from the child or run here
     clock = start()
     comm_json = out / "commutant.json"
-    comm = stage_commutant(cfg, comm_json)
-    record("verify-commutant", [comm_json], clock)
+    comm, health = stage_commutant(cfg, comm_json, solve)
+    record("verify-commutant", [comm_json], clock, **health)
 
     manifest["verdict"] = rep.verdict
     manifest["commutant_ok"] = bool(
@@ -500,11 +523,12 @@ def cmd_report(out_dir: Path) -> int:
             print("  %-18s oracle frequencies %d, window slices %s" % (
                 "", entry["oracle_freqs"],
                 " ".join("%s=%d" % kv for kv in entry["window_slices"].items())))
-        if "oracle_s" in entry:
-            cpus = entry["oracle_cpus"]
-            print("  %-18s oracle scan %.3fs %s" % (
-                "", entry["oracle_s"],
-                "inline" if cpus is None else "in a child on cpus %s" % cpus))
+        for job, key in ((ORACLE, "oracle"), (COMMUTANT, "commutant")):
+            if key + "_s" in entry:
+                cpus = entry[key + "_cpus"]
+                print("  %-18s %s %.3fs %s" % (
+                    "", job, entry[key + "_s"],
+                    "inline" if cpus is None else "in a child on cpus %s" % cpus))
     if "refused" in manifest:
         print("refused: %s" % manifest["refused"])
         return 2
@@ -596,7 +620,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             scenario = cfg.build_scenario()
             out = _out_dir(cfg)
-            with solve_with_oracle(scenario) as solve:
+            with Solve(scenario, {ORACLE: oracle_scan(scenario)}) as solve:
                 paths, _ = stage_trace(scenario, out / "trace.csv", out / "events.json")
                 spectra = plan_spectra(scenario, paths)
                 stage_wave(solve, spectra, None)
@@ -607,7 +631,7 @@ def main(argv=None) -> int:
             return 0 if rep.verdict == "pass" else 1
         if args.command == "verify-commutant":
             cfg = load_config(args.config)
-            rep = stage_commutant(cfg, _out_dir(cfg) / "commutant.json")
+            rep, _ = stage_commutant(cfg, _out_dir(cfg) / "commutant.json")
             print(json.dumps({k: rep[k] for k in (
                 "min_margin", "residual_max_relative", "F_threshold", "positivity_passed")}, indent=2))
             ok = rep["positivity_passed"] and not rep["violations"]
@@ -625,6 +649,9 @@ def main(argv=None) -> int:
     except KernelBuildError as err:  # no usable C compiler
         print("wavediff: %s" % err, file=sys.stderr)
         return 2
+    except SolverChildError as err:  # a side job or the kernel failed in the child
+        print("wavediff: %s" % err, file=sys.stderr)
+        return 3
     return 2
 
 

@@ -169,6 +169,14 @@ def probe_band(dx: float) -> tuple:
     return k_top / 2.0**N_BANDS, k_top
 
 
+def _median(values) -> float:
+    """``np.median`` of a non-empty 1-d array of finite numbers, bit for bit:
+    ``np.mean`` of its one or two middle order statistics.  Unlike
+    ``np.median`` it makes no nan check, which imports ``numpy.ma``."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    return float(np.mean(np.partition(values, (lo, hi))[lo : hi + 1]))
+
+
 def decay_fit(spec: WindowSpectrum) -> DecayFit:
     """Fit the windowed spectral decay exponent over dyadic bands.
 
@@ -189,7 +197,7 @@ def decay_fit(spec: WindowSpectrum) -> DecayFit:
     )
 
     floor_band = (k >= 1.5 * k_top) & (k <= min(2.5 * k_top, 0.95 * nyquist))
-    floor = float(np.median(peak[floor_band])) if np.any(floor_band) else 0.0
+    floor = _median(peak[floor_band]) if np.any(floor_band) else 0.0
     floor = max(floor, 1e-300)
     decades = float(np.log10(max(means.max(), 1e-300) / floor))
     smooth_here = bool(means[-1] < 10.0 * floor)

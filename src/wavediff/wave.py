@@ -30,12 +30,13 @@ bit-identical to them.  Without a compiler a ``Solve`` raises
 ``KernelBuildError``.
 
 When ``os.fork`` exists and the process may run on two CPUs, a ``Solve``
-forks the run's one child, which runs a side job (the pipeline's oracle
-scan) and then the kernel on the highest CPU of the caller's mask
-(``_cpu_split``); this process runs the observers on the rest until it has
-reaped the child and restored its mask.  Left to the scheduler, the two
-sides were found time-sliced on one CPU on every slice, most likely because
-each pipe write wakes the reader on the writer's CPU.
+forks the run's one child, which runs the side jobs (the oracle scan and,
+in the pipeline, the commutant check) and then the kernel on the highest
+CPU of the caller's mask (``_cpu_split``); this process runs the observers
+on the rest until it has reaped the child and restored its mask.  Left to
+the scheduler, the two sides were found time-sliced on one CPU on every
+slice, most likely because each pipe write wakes the reader on the
+writer's CPU.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class CFLViolation(ValueError):
 
 class FieldBlowup(RuntimeError):
     pass
+
+
+class SolverChildError(RuntimeError):
+    """The solve's forked child failed: a side job raised or the child
+    ended early.  The message is one line."""
 
 
 @dataclass(frozen=True)
@@ -234,12 +240,6 @@ def _clock(scenario: WaveScenario, c_nodes, c_half):
     return dt, [0, *range(stride, n_steps, stride), n_steps]
 
 
-def stored_slices(scenario: WaveScenario) -> int:
-    """Number of slices ``stream`` hands to its observers."""
-    _, c_nodes, c_half = _speeds(scenario)
-    return len(_clock(scenario, c_nodes, c_half)[1])
-
-
 @dataclass
 class WaveRecord:
     """What ``stream`` keeps of a run: everything but the slices."""
@@ -369,11 +369,13 @@ def _leapfrog(lib, dt, dx, stops, c2h, ramps, levels):
              damp_hi.ctypes.data, damp_hi.size, dt, dx, kinetic.ctypes.data,
              potential.ctypes.data)
     rows = list(levels)
+    addresses = [u.ctypes.data for u in rows]  # each read costs about 1.4 us
     m = 0
     for stop in stops:
         k, m = stop - m, stop
-        finite = lib.leapfrog(*(u.ctypes.data for u in rows), *fixed, k)
-        rows = rows[k % 3 :] + rows[: k % 3]  # the kernel rotated the levels k times
+        finite = lib.leapfrog(*addresses, *fixed, k)
+        r = k % 3  # the kernel rotated the levels k times
+        rows, addresses = rows[r:] + rows[:r], addresses[r:] + addresses[:r]
         energy = 0.5 * dx * (np.sum(kinetic) + np.sum(potential)) if finite else math.nan
         yield m, bool(finite), energy, rows[1]
 
@@ -394,36 +396,43 @@ def _cpu_split():
 REPORT = struct.Struct("=?d")
 
 
+def timed(job):
+    """``job()`` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    return job(), time.perf_counter() - t0
+
+
 class Solve:
-    """One leapfrog solve of a scenario and one side job, run by a forked
+    """One leapfrog solve of a scenario and its side jobs, run by a forked
     child on a CPU of its own when ``_cpu_split`` allows.
 
     Creating it loads the kernel, so a missing compiler raises
     ``KernelBuildError`` before anything runs.  With a split it then forks
     one child onto the split's second CPU set and moves this process onto
     the first, where it may work meanwhile (the pipeline traces).  The child
-    runs ``side()``, when given, and sends the pickled ``(result, seconds)``
-    up a pipe, or one line saying why the job failed.  Then it builds the
-    launch levels and runs the kernel, writes each stored field into one of
-    two rows of a shared map and sends the slice's ``REPORT``; it overwrites
-    a row only once this process has acknowledged the slice two back.
-    Without a split nothing forks, and ``stream`` and ``side_result`` run
-    their jobs inline.
+    runs the ``sides``, a mapping of names to jobs, in their order, and
+    sends each job's pickled ``(result, seconds)`` up a pipe, or one line
+    saying why it failed and nothing more.  Then it builds the launch levels
+    and runs the kernel, writes each stored field into one of two rows of a
+    shared map and sends the slice's ``REPORT``; it overwrites a row only
+    once this process has acknowledged the slice two back.  Without a split
+    nothing forks, and ``stream`` and ``side_result`` run their jobs inline.
 
     ``stream`` reaps the child when the slices end, and leaving the solve's
     ``with`` block kills and reaps one still running; either restores this
     process's CPU mask.  A side job that fails in the child raises a
-    ``RuntimeError`` naming ``side_name``, and is not retried inline.
+    ``SolverChildError`` naming it, and is not retried inline.
     """
 
-    def __init__(self, scenario: WaveScenario, side=None, side_name="side job"):
-        self.scenario, self.side, self.side_name = scenario, side, side_name
+    def __init__(self, scenario: WaveScenario, sides=()):
+        self.scenario, self.sides = scenario, dict(sides)
         self.lib, self.build_s = _kernel()  # before the fork, so the child never compiles
         self.xs, self.c_nodes, c_half = _speeds(scenario)
         self.c2h = c_half**2
         self.dt, self.stops = _clock(scenario, self.c_nodes, c_half)
         self.cpus = _cpu_split()
-        self._side = self._pid = self._down = self._up = self._mask = None
+        self._outcomes = {}  # name -> (result, seconds, child cpus or None)
+        self._pid = self._down = self._up = self._mask = None
         if self.cpus is None:
             return
         self._mask = os.sched_getaffinity(0)
@@ -453,10 +462,9 @@ class Solve:
             os.sched_setaffinity(0, self.cpus[1])
             os.close(self._down)
             self._up.close()
-            if self.side is not None:
-                t0 = time.perf_counter()
+            for job in self.sides.values():
                 try:
-                    outcome = (self.side(), time.perf_counter() - t0)
+                    outcome = timed(job)
                 except Exception as err:
                     outcome = ("%s: %s" % (type(err).__name__, err)).splitlines()[0]
                 with open(up, "wb", closefd=False) as fh:
@@ -500,19 +508,17 @@ class Solve:
         for j, m in enumerate(self.stops):
             report = self._up.read(REPORT.size)
             if len(report) != REPORT.size:
-                raise RuntimeError("the solver's child process ended early")
+                raise SolverChildError("the solver's child process ended early")
             yield (m, *REPORT.unpack(report), self._shared[j % 2])
             try:
                 os.write(self._down, b"\0")
             except BrokenPipeError:
-                raise RuntimeError("the solver's child process ended early") from None
+                raise SolverChildError("the solver's child process ended early") from None
 
-    def side_result(self):
-        """The side job's result, its wall time where it ran and the CPUs of
-        the child that ran it, None when it ran inline: the outcome the
-        child sends first, or, when no child runs the job, the job run
-        inline now; either is taken once."""
-        if self._side is None and self._pid is not None:
+    def _take_outcomes(self):
+        """Take the outcome of every side job the child has not yet sent,
+        in the jobs' order."""
+        for name in list(self.sides)[len(self._outcomes) :]:
             try:
                 outcome = pickle.load(self._up)
             except (EOFError, pickle.UnpicklingError):
@@ -522,12 +528,19 @@ class Solve:
                 self._pid = None
                 # a job that raised sent one line; a child that died sent none
                 why = outcome or "exit code %d" % os.waitstatus_to_exitcode(status)
-                raise RuntimeError("the %s's child process failed: %s" % (self.side_name, why))
-            self._side = (*outcome, self.cpus[1])
-        if self._side is None:
-            t0 = time.perf_counter()
-            self._side = (self.side(), time.perf_counter() - t0, None)
-        return self._side
+                raise SolverChildError("the %s's child process failed: %s" % (name, why))
+            self._outcomes[name] = (*outcome, self.cpus[1])
+
+    def side_result(self, name):
+        """The side job ``name``'s result, its wall time where it ran and
+        the CPUs of the child that ran it, None when it ran inline: the
+        outcome the child sends before its slices, or, when no child runs
+        the jobs, the job run inline now; either is taken once."""
+        if self._pid is not None:
+            self._take_outcomes()
+        if name not in self._outcomes:
+            self._outcomes[name] = (*timed(self.sides[name]), None)
+        return self._outcomes[name]
 
     def stream(self, observers=()) -> WaveRecord:
         """Leapfrog-integrate the scenario; deterministic for fixed inputs.
@@ -540,7 +553,7 @@ class Solve:
         The kernel checks each stored slice as it computes it: a non-finite
         slice raises ``FieldBlowup`` before any observer sees it, and the
         others add their energy to the record.  When the child runs the
-        kernel, this process first takes the side job's outcome and then
+        kernel, this process first takes every side job's outcome and then
         runs the observers on the slices the child hands over; else the
         kernel runs here.  The record's ``cpus`` says which path ran.  The
         solve is closed when the stream returns or raises.
@@ -549,8 +562,8 @@ class Solve:
         energy = np.empty(len(self.stops))
         forked = self._pid is not None
         try:
-            if forked and self.side is not None:
-                self.side_result()
+            if forked:
+                self._take_outcomes()
             for j, (m, finite, e, curr) in enumerate(
                     self._received() if forked else self._blocks()):
                 t = m * self.dt

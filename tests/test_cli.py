@@ -265,7 +265,8 @@ class TestPipeline:
         assert wave_entry["slices"] == len(record["ts"]) == len(record["energy"])
         assert wave_entry["slices"] == 1 + math.ceil(wave_entry["steps"] / 8)
         assert wave_entry["kernel_build_s"] >= 0
-        # identical rerun reproduces identical checksums for every stage
+        # identical rerun reproduces identical checksums for every stage,
+        # commutant.json too, which the rerun takes from the solve's child
         monkeypatch.setattr(wave, "_cpu_split", lambda: split)
         mask = os.sched_getaffinity(0)
         code2, manifest2 = run_pipeline(cfg)
@@ -275,11 +276,14 @@ class TestPipeline:
         wave_entry2 = manifest2["stages"]["wave"]
         assert (wave_entry["solver_processes"], wave_entry2["solver_processes"]) == (1, 2)
         assert (wave_entry["solver_cpus"], wave_entry2["solver_cpus"]) == (None, split)
-        # the oracle ran inline in the first run, in a child on the solver
-        # child's CPUs in the rerun
+        # the oracle and the commutant check ran inline in the first run, in
+        # a child on the solver child's CPUs in the rerun
         probes = manifest["stages"]["probe"], manifest2["stages"]["probe"]
         assert [p["oracle_cpus"] for p in probes] == [None, split[1]]
         assert all(p["oracle_s"] > 0 for p in probes)
+        checks = manifest["stages"]["verify-commutant"], manifest2["stages"]["verify-commutant"]
+        assert [c["commutant_cpus"] for c in checks] == [None, split[1]]
+        assert all(c["commutant_s"] > 0 for c in checks)
         stages = ("calc", "trace", "wave", "probe", "verify-commutant")
         assert list(manifest["stages"]) == list(stages)
         assert set(manifest["stages"]["wave"]["outputs"]) == {"wave.json"}
@@ -344,19 +348,26 @@ class TestPipeline:
             " ".join("%s=%d" % kv for kv in slices.items())) in out
         assert "oracle scan %.3fs in a child on cpus %s" % (
             probe_entry["oracle_s"], split[1]) in out
+        # the commutant check's own time, in the same child
+        comm_entry = manifest["stages"]["verify-commutant"]
+        assert comm_entry["commutant_cpus"] == split[1]
+        assert "commutant check %.3fs in a child on cpus %s" % (
+            comm_entry["commutant_s"], split[1]) in out
         # the dispersion-limited wavenumber beside the probe band's top, reported only
         record = json.loads((tmp_path / "out" / "wave.json").read_text())
         probe = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert "probe band top %.0f, max_trust_freq %.0f" % (
             probe["fits"]["incident"]["band"][1], record["max_trust_freq"]) in out
-        # a one-process solve and an inline oracle name no CPUs
+        # a one-process solve, an inline oracle and an inline check name no CPUs
         wave_entry.update(solver_processes=1, solver_cpus=None)
         probe_entry.update(oracle_cpus=None)
+        comm_entry.update(commutant_cpus=None)
         (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "stored slices %d, solver processes 1, kernel build" % wave_entry["slices"] in out
         assert "oracle scan %.3fs inline" % probe_entry["oracle_s"] in out
+        assert "commutant check %.3fs inline" % comm_entry["commutant_s"] in out
 
     def test_missing_compiler_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(wave, "_kernel_lib", None)
@@ -447,7 +458,7 @@ class TestPipeline:
         spec(0.5, np.sin(40.0 * xs))
         band = probe_band(float(xs[1] - xs[0]))
         other = (band[0], np.nextafter(band[1], 0.0))
-        solve = SimpleNamespace(side_result=lambda: ((other, None), 0.0, None))
+        solve = SimpleNamespace(side_result=lambda name: ((other, None), 0.0, None))
         with pytest.raises(ValueError, match="oracle scanned the band"):
             cli.stage_probe(None, [spec], solve, Path("unused.json"), Path("unused.csv"))
 
@@ -595,28 +606,47 @@ bootstrap_schedule 1 4/5
 """
 
 IMPORT_GUARD = """
+import os
 import sys
 from pathlib import Path
 
 import wavediff
 import wavediff.cli as cli
+from wavediff import wave
 from wavediff.config import load_config
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-code, _ = cli.run_pipeline(load_config(Path(sys.argv[1])))
+mode, config, queries, results = sys.argv[1:]
+if mode == "inline":
+    # the oracle scan and the commutant check run in this process
+    wave._cpu_split = lambda: None
+else:
+    # a forked solve, one CPU for both sides where there is only one
+    cpu = [min(os.sched_getaffinity(0))]
+    split = wave._cpu_split() or (cpu, cpu)
+    wave._cpu_split = lambda: split
+code, manifest = cli.run_pipeline(load_config(Path(config)))
 assert code == 0, code
+assert (manifest["stages"]["wave"]["solver_processes"] == 1) == (mode == "inline")
 assert not scipy_modules(), scipy_modules()
-assert cli.calc_batch(Path(sys.argv[2]), Path(sys.argv[3])) == 15
+# the probe's noise floor takes no np.median, which imports numpy.ma
+assert "numpy.ma" not in sys.modules
+if mode == "forked":
+    # the launch pulse and the commutant check, which draw from
+    # numpy.random, ran in the solve's child
+    assert "numpy.random" not in sys.modules
+assert cli.calc_batch(Path(queries), Path(results)) == 15
 assert not scipy_modules(), scipy_modules()
 """
 
 
 class TestOracleChild:
-    """The solve's forked child, which scans the oracle and then runs the
-    kernel, is reaped, and this process's CPU mask is restored, however a
-    ``pipeline`` or ``probe`` run ends."""
+    """The solve's forked child, which scans the oracle, checks the
+    commutant in ``pipeline`` and then runs the kernel, is reaped, and this
+    process's CPU mask is restored, however a ``pipeline`` or ``probe`` run
+    ends."""
 
     @pytest.fixture(autouse=True)
     def mask(self, monkeypatch):
@@ -673,7 +703,8 @@ class TestOracleChild:
     @pytest.mark.parametrize("split", ["split", "none"])
     @pytest.mark.parametrize("command", ["pipeline", "probe"])
     def test_run_forks_once(self, tmp_path, monkeypatch, mask, command, split):
-        # one child scans the oracle and runs the kernel; no split, no child
+        # one child scans the oracle, checks the commutant (pipeline) and
+        # runs the kernel; no split, no child
         if split == "none":
             monkeypatch.setattr(wave, "_cpu_split", lambda: None)
         fork, forks = os.fork, []
@@ -691,27 +722,80 @@ class TestOracleChild:
         assert len(forks) == (1 if split == "split" else 0)
         self.assert_reaped(mask)
 
-    def test_dead_child_is_named(self, tmp_path, monkeypatch, mask):
+    @pytest.mark.parametrize("ending, why", [("raises", "ValueError: no check"),
+                                             ("dies", "exit code 4")])
+    def test_failed_commutant_check_is_one_line(self, tmp_path, monkeypatch, capsys, mask,
+                                                ending, why):
+        # the oracle's outcome arrives whole, then the check's one line, or
+        # the end of the pipe from a child that died in the check; the run
+        # ends as the wave stage takes them, after the trace
+        def fails(*args, **kwargs):
+            if ending == "dies":
+                os._exit(4)
+            raise ValueError("no check\nsecond line")
+
+        monkeypatch.setattr(cli, "run_commutant_check", fails)
+        assert main(["pipeline", "--config", str(self.config(tmp_path))]) == 3
+        assert capsys.readouterr().err == (
+            "wavediff: the commutant check's child process failed: %s\n" % why)
+        out = tmp_path / "out"
+        assert (out / "trace.csv").exists()
+        assert not (out / "wave.json").exists() and not (out / "commutant.json").exists()
+        self.assert_reaped(mask)
+
+    def test_probe_runs_no_commutant_check(self, tmp_path, monkeypatch, mask):
+        def fails(*args, **kwargs):
+            raise AssertionError("probe ran the commutant check")
+
+        monkeypatch.setattr(cli, "run_commutant_check", fails)
+        assert main(["probe", "--config", str(self.config(tmp_path))]) == 0
+        assert not (tmp_path / "out" / "commutant.json").exists()
+        self.assert_reaped(mask)
+
+    def test_verify_commutant_runs_inline(self, tmp_path, monkeypatch, mask, capsys):
+        # `wavediff verify-commutant` forks nothing and writes the bytes a
+        # forked pipeline's child computed
+        cfgf = self.config(tmp_path)
+        manifest = run_pipeline(load_config(cfgf))[1]
+        assert manifest["stages"]["verify-commutant"]["commutant_cpus"] is not None
+        fork, forks = os.fork, []
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert main(["verify-commutant", "--config", str(cfgf)]) == 0
+        assert '"positivity_passed": true' in capsys.readouterr().out
+        assert not forks
+        assert {"commutant.json": _sha256_file(tmp_path / "out" / "commutant.json")} \
+            == manifest["stages"]["verify-commutant"]["outputs"]
+
+    def test_dead_child_is_named(self, tmp_path, monkeypatch, capsys, mask):
         monkeypatch.setattr(cli, "default_oracle_scan", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError) as info:
-            main(["probe", "--config", str(self.config(tmp_path))])
-        assert str(info.value) == "the oracle scan's child process failed: exit code 3"
+        assert main(["probe", "--config", str(self.config(tmp_path))]) == 3
+        assert capsys.readouterr().err == (
+            "wavediff: the oracle scan's child process failed: exit code 3\n")
         self.assert_reaped(mask)
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    """The package, its CLI, a pipeline run and a calc batch load no scipy:
-    scipy is the DOP853 test reference's dependency only."""
+    """The package, its CLI, a pipeline run and a calc batch load no scipy
+    and no numpy.ma, whether the oracle and the commutant check run inline
+    or in the solve's child: scipy is the DOP853 test reference's dependency
+    only.  A forked pipeline run leaves numpy.random to the child."""
     cfgf = tmp_path / "smoke.ini"
     cfgf.write_text(small_config_text(tmp_path / "out"))
     queries = tmp_path / "queries.txt"
     queries.write_text(ALL_OPERATIONS)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(cfgf), str(queries), str(tmp_path / "res.csv")],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for mode in ("inline", "forked"):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, mode, str(cfgf), str(queries),
+             str(tmp_path / "res.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, (mode, proc.stderr)
 
 
 def test_python_dash_m_runs_the_cli():

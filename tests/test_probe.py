@@ -12,6 +12,7 @@ from wavediff.probe import (
     ProbeWindow,
     WindowPlanError,
     WindowSpectrum,
+    _median,
     _weighted_slope,
     decay_fit,
     default_oracle_scan,
@@ -90,6 +91,17 @@ class TestDecayFit:
         u = self._power_law_profile(1.0)
         with pytest.raises((WindowPlanError, InsufficientBandsError)):
             fit_window(u, ProbeWindow(-0.01, 0.01, -1, 1, "tiny"))
+
+    def test_noise_floor_median_is_numpys(self):
+        # the noise floor's median carries np.median's bits, at odd and even
+        # lengths, with ties and over the magnitudes a spectrum spans
+        rng = np.random.default_rng(11)
+        for n in [1, 2, 3, 4, *rng.integers(5, 3000, size=60)]:
+            for scale in (1e-300, 1e-9, 1.0, 1e12):
+                x = scale * rng.random(n)
+                if n > 3:
+                    x[rng.integers(0, n, size=n // 3)] = x[0]
+                assert _median(x).hex() == float(np.median(x)).hex(), (n, scale)
 
     def test_taper_invariance(self):
         # doubling the window changes the exponent mildly

@@ -26,7 +26,6 @@ from wavediff.wave import (
     make_pulse,
     run,
     smooth_envelope,
-    stored_slices,
     stream,
 )
 
@@ -227,6 +226,13 @@ def archive(sc, observers, out_npz):
     ``field.npz`` that ``wavediff wave run`` writes."""
     with wave.Solve(sc) as solve:
         return stage_wave(solve, observers, out_npz)
+
+
+def stored_slices(sc):
+    """Number of slices a solve of ``sc`` hands to its observers, counted
+    from the scenario's clock without starting a solve."""
+    _, c_nodes, c_half = wave._speeds(sc)
+    return len(wave._clock(sc, c_nodes, c_half)[1])
 
 
 def assert_no_child():
