@@ -2,17 +2,17 @@
 report, and the end-to-end pipeline.
 
 Exit codes: 0 success, 1 assertion/verdict failure, 2 configuration error or
-no C compiler to build the leapfrog kernel with, 3 a wave solve whose forked
-child failed (a side job raised, or the child ended early).
-Every pipeline run writes a manifest with the config hash and, per stage, the
-output checksums, wall-clock and CPU times and the peak RSS; deterministic
-stages reproduce identical checksums on identical configs.
+no C compiler to build the leapfrog kernel with, 3 a wave solve whose side
+job raised or whose forked child ended early.
+Every pipeline run, however it ends, writes a manifest with the config hash
+and, per stage, the output checksums, wall-clock and CPU times and the peak
+RSS; deterministic stages reproduce identical checksums on identical configs.
 
 ``pipeline`` and ``probe`` start the wave solve (``wave.Solve``) right after
 building the scenario, with the frequency-domain oracle's scan as its side
-job, and in ``pipeline`` the escape-function commutant check after it: on
-two CPUs its one forked child runs them while this process traces, and
-then runs the leapfrog.  This process only writes what they return.
+job, and in ``pipeline`` the escape-function commutant check after it; they
+run before the first slice, on two CPUs in the solve's forked child while
+this process traces.  This process only writes what they return.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .probe import (
     window_plan,
 )
 from .tracer import gbb_trace, ray_on_characteristic
-from .wave import KernelBuildError, Solve, SolverChildError, timed
+from .wave import KernelBuildError, Solve, SolverChildError, reason, timed
 
 
 def _sha256_file(path: Path) -> str:
@@ -297,7 +297,7 @@ ORACLE, COMMUTANT = "oracle scan", "commutant check"  # the solve's side jobs
 def oracle_scan(scenario):
     """The side job ``ORACLE``: the probe band of the scenario's grid step
     and the frequency-domain oracle's scan of it.  It depends on the grid
-    alone, so on two CPUs the solve's child runs it before the leapfrog."""
+    alone, so the solve runs it before the leapfrog."""
 
     def scan():
         xs = scenario.grid()
@@ -314,11 +314,10 @@ def stage_probe(cfg: ExperimentConfig, spectra, solve: Solve, out_json: Path, ou
 
     Returns the report and the stage's work counts: ``oracle_freqs``, the
     frequencies the oracle solved, ``oracle_s``, the scan's wall time where
-    it ran, ``oracle_cpus``, the CPUs of its child (None when it ran inline),
-    and ``window_slices``, the stored slices each window's fit saw.
+    it ran, and ``window_slices``, the stored slices each window's fit saw.
     """
     fits = {spec.window.label: decay_fit(spec) for spec in spectra}
-    (band, scan), seconds, cpus = solve.side_result(ORACLE)
+    (band, scan), seconds = solve.side_result(ORACLE)
     if fits["incident"].band != band:
         raise ValueError("the oracle scanned the band %r, not the incident fit's %r"
                          % (band, fits["incident"].band))
@@ -334,7 +333,6 @@ def stage_probe(cfg: ExperimentConfig, spectra, solve: Solve, out_json: Path, ou
     health = {
         "oracle_freqs": int(scan.omegas.size),
         "oracle_s": round(seconds, 3),
-        "oracle_cpus": cpus,
         "window_slices": {label: fit.n_slices for label, fit in fits.items()},
     }
     return rep, health
@@ -354,36 +352,16 @@ def plan_spectra(scenario, paths) -> list:
 def commutant_check(cfg: ExperimentConfig) -> dict:
     """The escape-function commutant check of the config's ``[commutant]``
     section: ``escape.run_commutant_check``'s report."""
-    c = cfg.commutant
-    return run_commutant_check(
-        c["frame"],
-        delta=c["delta"],
-        eps=c["eps"],
-        beta=c["beta"],
-        F=c["F"],
-        c0=c["c0"],
-        alpha=c["alpha"],
-        C0=c["C0"],
-        dim=c["dim"],
-        grid=c["grid"],
-        seed=cfg.seed,
-    )
+    c = dict(cfg.commutant)
+    return run_commutant_check(c.pop("frame"), **c, seed=cfg.seed)
 
 
-def stage_commutant(cfg: ExperimentConfig, out_json: Path, solve: Solve | None = None):
-    """Write the config's commutant check to ``out_json``: the ``solve``'s
-    side job ``COMMUTANT`` when given (the pipeline), else run here.
-
-    Returns the report and the check's health numbers: ``commutant_s``, its
-    wall time where it ran, and ``commutant_cpus``, the CPUs of the child
-    that ran it (None when it ran inline).
-    """
-    if solve is None:
-        rep, seconds, cpus = (*timed(lambda: commutant_check(cfg)), None)
-    else:
-        rep, seconds, cpus = solve.side_result(COMMUTANT)
+def stage_commutant(outcome, out_json: Path):
+    """Write the report of the commutant check's ``outcome``, a ``(report,
+    seconds)`` pair, to ``out_json``; returns the report and ``commutant_s``."""
+    rep, seconds = outcome
     out_json.write_text(json.dumps(rep, indent=2))
-    return rep, {"commutant_s": round(seconds, 3), "commutant_cpus": cpus}
+    return rep, {"commutant_s": round(seconds, 3)}
 
 
 def _cpu_s() -> float:
@@ -405,6 +383,8 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
+    """Run every stage and write ``manifest.json`` once, however the run ends;
+    one that raises records its first unrecorded stage and why as ``failed``."""
     out = _out_dir(cfg)
     manifest = {
         "name": cfg.name,
@@ -412,14 +392,25 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
         "code_version": __version__,
         "stages": {},
     }
+    try:
+        return _run_stages(cfg, out, manifest)
+    except BaseException as err:
+        stages = ("calc", "trace", "wave", "probe", "verify-commutant")
+        stage = next((s for s in stages if s not in manifest["stages"]), None)
+        manifest["failed"] = {"stage": stage, "reason": reason(err)}
+        raise
+    finally:
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
+
+def _run_stages(cfg: ExperimentConfig, out: Path, manifest: dict) -> tuple[int, dict]:
     def start():
-        return time.time(), _cpu_s()
+        return time.perf_counter(), _cpu_s()
 
     def record(stage, paths, clock, **health):
         wall0, cpu0 = clock
         entry = {
-            "seconds": round(time.time() - wall0, 3),
+            "seconds": round(time.perf_counter() - wall0, 3),
             "cpu_s": round(_cpu_s() - cpu0, 3),
             # the process's peak so far, read as the stage ends (KiB on Linux)
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -431,7 +422,6 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     def refuse(reason, message):
         manifest["refused"] = reason
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
         print("pipeline refused: %s" % message, file=sys.stderr)
         return 2, manifest
 
@@ -448,7 +438,7 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     # the solve's child scans the oracle and checks the commutant while this
     # process traces; it is reaped as the stream ends, so the wave entry's
-    # cpu_s counts all its work
+    # cpu_s counts all its work.  On one CPU the stream runs both here.
     clock = start()
     sides = {ORACLE: oracle_scan(scenario), COMMUTANT: lambda: commutant_check(cfg)}
     with Solve(scenario, sides) as solve:
@@ -463,6 +453,8 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
         clock = start()
         wave_json = out / "wave.json"
         rec = stage_wave(solve, spectra, None)
+        # the peak of any child reaped so far, this solve's among them
+        child_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
         # the energies are exact sums of the kernel's per-node terms, so
         # this checksum pins every stored slice
         wave_json.write_text(json.dumps({
@@ -470,25 +462,23 @@ def run_pipeline(cfg: ExperimentConfig) -> tuple[int, dict]:
             "ts": rec.ts.tolist(), "energy": rec.energy.tolist()}, indent=2))
         record("wave", [wave_json], clock, steps=rec.steps, slices=int(rec.ts.size),
                cell_updates=rec.steps * int(rec.xs.size),
-               solver_processes=rec.processes, solver_cpus=rec.cpus,
-               kernel_build_s=round(rec.kernel_build_s, 3))
+               solver_cpus=rec.cpus, kernel_build_s=round(rec.kernel_build_s, 3),
+               child_peak_rss_mb=None if rec.cpus is None else round(child_rss, 1))
 
         clock = start()
         probe_json, probe_csv = out / "probe.json", out / "probe_bands.csv"
         rep, health = stage_probe(cfg, spectra, solve, probe_json, probe_csv)
         record("probe", [probe_json, probe_csv], clock, **health)
 
-    # the check's report, taken from the child or run here
     clock = start()
     comm_json = out / "commutant.json"
-    comm, health = stage_commutant(cfg, comm_json, solve)
+    comm, health = stage_commutant(solve.side_result(COMMUTANT), comm_json)
     record("verify-commutant", [comm_json], clock, **health)
 
     manifest["verdict"] = rep.verdict
     manifest["commutant_ok"] = bool(
         comm["positivity_passed"] and not comm["violations"]
     )
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     ok = rep.verdict == "pass" and manifest["commutant_ok"]
     return (0 if ok else 1), manifest
 
@@ -499,6 +489,9 @@ def cmd_report(out_dir: Path) -> int:
         print("no manifest at %s" % manifest_path, file=sys.stderr)
         return 2
     manifest = json.loads(manifest_path.read_text())
+    # the side jobs ran where the kernel did: in the solve's child or inline
+    cpus = manifest.get("stages", {}).get("wave", {}).get("solver_cpus")
+    where = "inline" if cpus is None else "in a child on cpus %s" % cpus[1]
     print("experiment: %s  (config %s, code %s)" % (
         manifest.get("name"), manifest.get("config_hash"), manifest.get("code_version")))
     for stage, entry in manifest.get("stages", {}).items():
@@ -506,12 +499,12 @@ def cmd_report(out_dir: Path) -> int:
             stage, entry["seconds"], entry["cpu_s"], entry["peak_rss_mb"],
             " ".join("%s=%s" % kv for kv in entry["outputs"].items())))
         if "steps" in entry:
-            cpus = entry.get("solver_cpus")
-            print("  %-18s leapfrog steps %d, stored slices %d, solver processes %d%s,"
-                  " kernel build %.3fs" % (
-                      "", entry["steps"], entry["slices"], entry.get("solver_processes", 1),
-                      "" if cpus is None else " on cpus %s and %s" % tuple(cpus),
-                      entry.get("kernel_build_s", 0.0)))
+            print("  %-18s leapfrog steps %d, stored slices %d, %s%s, kernel build %.3fs" % (
+                "", entry["steps"], entry["slices"], where,
+                "" if cpus is None else " beside cpus %s" % cpus[0],
+                entry.get("kernel_build_s", 0.0)))
+            if entry.get("child_peak_rss_mb") is not None:
+                print("  %-18s child peak rss %6.1f MB" % ("", entry["child_peak_rss_mb"]))
             if "cell_updates" in entry:  # the stage's rate: it includes the observers
                 rate = entry["cell_updates"] / entry["seconds"] if entry["seconds"] else float("inf")
                 print("  %-18s leapfrog cell updates %d, %.3g per second" % (
@@ -523,15 +516,15 @@ def cmd_report(out_dir: Path) -> int:
             print("  %-18s oracle frequencies %d, window slices %s" % (
                 "", entry["oracle_freqs"],
                 " ".join("%s=%d" % kv for kv in entry["window_slices"].items())))
-        for job, key in ((ORACLE, "oracle"), (COMMUTANT, "commutant")):
-            if key + "_s" in entry:
-                cpus = entry[key + "_cpus"]
-                print("  %-18s %s %.3fs %s" % (
-                    "", job, entry[key + "_s"],
-                    "inline" if cpus is None else "in a child on cpus %s" % cpus))
+        for job, key in ((ORACLE, "oracle_s"), (COMMUTANT, "commutant_s")):
+            if key in entry:
+                print("  %-18s %s %.3fs %s" % ("", job, entry[key], where))
     if "refused" in manifest:
         print("refused: %s" % manifest["refused"])
         return 2
+    if "failed" in manifest:
+        print("failed in %s: %s" % (manifest["failed"]["stage"], manifest["failed"]["reason"]))
+        return 3
     probe_path = out_dir / "probe.json"
     if probe_path.exists():
         rep = json.loads(probe_path.read_text())
@@ -631,7 +624,8 @@ def main(argv=None) -> int:
             return 0 if rep.verdict == "pass" else 1
         if args.command == "verify-commutant":
             cfg = load_config(args.config)
-            rep, _ = stage_commutant(cfg, _out_dir(cfg) / "commutant.json")
+            rep, _ = stage_commutant(timed(lambda: commutant_check(cfg)),
+                                     _out_dir(cfg) / "commutant.json")
             print(json.dumps({k: rep[k] for k in (
                 "min_margin", "residual_max_relative", "F_threshold", "positivity_passed")}, indent=2))
             ok = rep["positivity_passed"] and not rep["violations"]

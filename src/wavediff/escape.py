@@ -126,7 +126,6 @@ class EscapeFrame:
     def __init__(self, dim: int, hp_sigmas: Callable):
         self.dim = dim
         self.n_sigma = dim - 1
-        self.base_point = np.zeros(dim)
         self._hp_sigmas = hp_sigmas
 
     def eta(self, q):
@@ -147,10 +146,6 @@ class EscapeFrame:
 
     def hp_omega(self, q):
         return 2.0 * np.sum(self.sigmas(q) * self.hp_sigmas(q), axis=-1)
-
-    def check_base_point(self, tol=1e-6):
-        """The flow must not move the transverse coordinates at the base point."""
-        return bool(np.all(np.abs(self.hp_sigmas(self.base_point)) <= tol))
 
 
 def precise_localizer_frame(dim: int) -> EscapeFrame:
@@ -354,7 +349,7 @@ def sample_chart(params: EscapeParams, frame: EscapeFrame, n_grid: int, n_quasi:
     if n_quasi:
         extra = (halton(n_quasi, d, seed) * 2.0 - 1.0) * half
         pts = np.vstack([pts, extra])
-    return pts + frame.base_point
+    return pts
 
 
 def derive_c_prime(C0: float, c0: float, n_sigma: int, alpha: float) -> float:

@@ -29,14 +29,14 @@ whatever the tile or the clone, so the fields and the energies are
 bit-identical to them.  Without a compiler a ``Solve`` raises
 ``KernelBuildError``.
 
-When ``os.fork`` exists and the process may run on two CPUs, a ``Solve``
-forks the run's one child, which runs the side jobs (the oracle scan and,
-in the pipeline, the commutant check) and then the kernel on the highest
-CPU of the caller's mask (``_cpu_split``); this process runs the observers
-on the rest until it has reaped the child and restored its mask.  Left to
-the scheduler, the two sides were found time-sliced on one CPU on every
-slice, most likely because each pipe write wakes the reader on the
-writer's CPU.
+A ``Solve``'s side jobs (the oracle scan and, in the pipeline, the
+commutant check) run before its first slice.  When ``os.fork`` exists and
+the process may run on two CPUs, a ``Solve`` forks the run's one child,
+which runs them and then the kernel on the highest CPU of the caller's
+mask (``_cpu_split``); this process runs the observers on the rest until
+it has reaped the child and restored its mask.  Left to the scheduler, the
+two sides were found time-sliced on one CPU on every slice, most likely
+because each pipe write wakes the reader on the writer's CPU.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class FieldBlowup(RuntimeError):
 
 
 class SolverChildError(RuntimeError):
-    """The solve's forked child failed: a side job raised or the child
-    ended early.  The message is one line."""
+    """A solve's side job raised, inline or in the forked child, or the
+    child ended early.  The message is one line."""
 
 
 @dataclass(frozen=True)
@@ -255,11 +255,6 @@ class WaveRecord:
                             # that ran the kernel; None when no child ran
     kernel_build_s: float   # compiling the kernel; 0 when it was loaded or cached
 
-    @property
-    def processes(self) -> int:
-        """2 when a forked child ran the kernel, else 1."""
-        return 1 if self.cpus is None else 2
-
 
 class KernelBuildError(RuntimeError):
     """The leapfrog kernel could not be compiled: ``command`` is the compiler
@@ -402,6 +397,12 @@ def timed(job):
     return job(), time.perf_counter() - t0
 
 
+def reason(err: BaseException) -> str:
+    """The one line that says why ``err`` was raised: its type and the first
+    line of its message."""
+    return ("%s: %s" % (type(err).__name__, err)).splitlines()[0]
+
+
 class Solve:
     """One leapfrog solve of a scenario and its side jobs, run by a forked
     child on a CPU of its own when ``_cpu_split`` allows.
@@ -410,18 +411,18 @@ class Solve:
     ``KernelBuildError`` before anything runs.  With a split it then forks
     one child onto the split's second CPU set and moves this process onto
     the first, where it may work meanwhile (the pipeline traces).  The child
-    runs the ``sides``, a mapping of names to jobs, in their order, and
-    sends each job's pickled ``(result, seconds)`` up a pipe, or one line
-    saying why it failed and nothing more.  Then it builds the launch levels
-    and runs the kernel, writes each stored field into one of two rows of a
-    shared map and sends the slice's ``REPORT``; it overwrites a row only
-    once this process has acknowledged the slice two back.  Without a split
-    nothing forks, and ``stream`` and ``side_result`` run their jobs inline.
+    runs the ``sides``, a mapping of names to jobs, in their order
+    (``_side_outcomes``) and sends each outcome pickled up a pipe.  Then it
+    builds the launch levels and runs the kernel, writes each stored field
+    into one of two rows of a shared map and sends the slice's ``REPORT``;
+    it overwrites a row only once this process has acknowledged the slice
+    two back.  Without a split nothing forks, and ``stream`` runs the side
+    jobs and then the kernel here.
 
     ``stream`` reaps the child when the slices end, and leaving the solve's
     ``with`` block kills and reaps one still running; either restores this
-    process's CPU mask.  A side job that fails in the child raises a
-    ``SolverChildError`` naming it, and is not retried inline.
+    process's CPU mask.  A side job that fails raises a ``SolverChildError``
+    naming it as ``stream`` starts, on either path, and runs no slice.
     """
 
     def __init__(self, scenario: WaveScenario, sides=()):
@@ -431,7 +432,7 @@ class Solve:
         self.c2h = c_half**2
         self.dt, self.stops = _clock(scenario, self.c_nodes, c_half)
         self.cpus = _cpu_split()
-        self._outcomes = {}  # name -> (result, seconds, child cpus or None)
+        self._outcomes = {}  # name -> (result, seconds), taken by ``stream``
         self._pid = self._down = self._up = self._mask = None
         if self.cpus is None:
             return
@@ -462,11 +463,7 @@ class Solve:
             os.sched_setaffinity(0, self.cpus[1])
             os.close(self._down)
             self._up.close()
-            for job in self.sides.values():
-                try:
-                    outcome = timed(job)
-                except Exception as err:
-                    outcome = ("%s: %s" % (type(err).__name__, err)).splitlines()[0]
+            for outcome in self._side_outcomes():
                 with open(up, "wb", closefd=False) as fh:
                     pickle.dump(outcome, fh)
                 if isinstance(outcome, str):
@@ -515,31 +512,43 @@ class Solve:
             except BrokenPipeError:
                 raise SolverChildError("the solver's child process ended early") from None
 
-    def _take_outcomes(self):
-        """Take the outcome of every side job the child has not yet sent,
-        in the jobs' order."""
-        for name in list(self.sides)[len(self._outcomes) :]:
+    def _side_outcomes(self):
+        """Run the side jobs in their order and yield each one's outcome:
+        ``(result, seconds)``, or the one line saying why it failed, last."""
+        for job in self.sides.values():
             try:
-                outcome = pickle.load(self._up)
-            except (EOFError, pickle.UnpicklingError):
-                outcome = None
-            if not isinstance(outcome, tuple):
-                status = os.waitpid(self._pid, 0)[1]
-                self._pid = None
-                # a job that raised sent one line; a child that died sent none
-                why = outcome or "exit code %d" % os.waitstatus_to_exitcode(status)
-                raise SolverChildError("the %s's child process failed: %s" % (name, why))
-            self._outcomes[name] = (*outcome, self.cpus[1])
+                outcome = timed(job)
+            except Exception as err:
+                yield reason(err)
+                return
+            yield outcome
+
+    def _sent_outcome(self):
+        """The next outcome the child sends; a child that sent a failure or
+        died is reaped, and one that died is named by its exit code."""
+        try:
+            outcome = pickle.load(self._up)
+        except (EOFError, pickle.UnpicklingError):
+            outcome = None
+        if not isinstance(outcome, tuple):
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+            outcome = outcome or "exit code %d" % os.waitstatus_to_exitcode(status)
+        return outcome
+
+    def _take_outcomes(self, forked):
+        """Take every side job's outcome, sent by the child or run here; a
+        failed job raises ``SolverChildError`` naming it."""
+        outcomes = (self._sent_outcome() for _ in self.sides) if forked else self._side_outcomes()
+        for name, outcome in zip(self.sides, outcomes):
+            if isinstance(outcome, str):
+                where = "'s child process" if forked else ""
+                raise SolverChildError("the %s%s failed: %s" % (name, where, outcome))
+            self._outcomes[name] = outcome
 
     def side_result(self, name):
-        """The side job ``name``'s result, its wall time where it ran and
-        the CPUs of the child that ran it, None when it ran inline: the
-        outcome the child sends before its slices, or, when no child runs
-        the jobs, the job run inline now; either is taken once."""
-        if self._pid is not None:
-            self._take_outcomes()
-        if name not in self._outcomes:
-            self._outcomes[name] = (*timed(self.sides[name]), None)
+        """The side job ``name``'s result and its wall time where it ran, as
+        ``stream`` took them before its first slice."""
         return self._outcomes[name]
 
     def stream(self, observers=()) -> WaveRecord:
@@ -552,18 +561,17 @@ class Solve:
 
         The kernel checks each stored slice as it computes it: a non-finite
         slice raises ``FieldBlowup`` before any observer sees it, and the
-        others add their energy to the record.  When the child runs the
-        kernel, this process first takes every side job's outcome and then
-        runs the observers on the slices the child hands over; else the
-        kernel runs here.  The record's ``cpus`` says which path ran.  The
-        solve is closed when the stream returns or raises.
+        others add their energy to the record.  It first takes every side
+        job's outcome, from the child or run here.  When the child runs the
+        kernel, this process runs the observers on the slices it hands over;
+        else the kernel runs here.  The record's ``cpus`` says which path
+        ran.  The solve is closed when the stream returns or raises.
         """
         ts = np.empty(len(self.stops))
         energy = np.empty(len(self.stops))
         forked = self._pid is not None
         try:
-            if forked:
-                self._take_outcomes()
+            self._take_outcomes(forked)
             for j, (m, finite, e, curr) in enumerate(
                     self._received() if forked else self._blocks()):
                 t = m * self.dt

@@ -274,15 +274,14 @@ class TestPipeline:
         assert_no_child()
         assert len(builds) == 2
         wave_entry2 = manifest2["stages"]["wave"]
-        assert (wave_entry["solver_processes"], wave_entry2["solver_processes"]) == (1, 2)
+        # the oracle, the commutant check and the kernel ran in this process
+        # in the first run, in the solve's child in the rerun
         assert (wave_entry["solver_cpus"], wave_entry2["solver_cpus"]) == (None, split)
-        # the oracle and the commutant check ran inline in the first run, in
-        # a child on the solver child's CPUs in the rerun
+        assert wave_entry["child_peak_rss_mb"] is None
+        assert wave_entry2["child_peak_rss_mb"] > 0
         probes = manifest["stages"]["probe"], manifest2["stages"]["probe"]
-        assert [p["oracle_cpus"] for p in probes] == [None, split[1]]
         assert all(p["oracle_s"] > 0 for p in probes)
         checks = manifest["stages"]["verify-commutant"], manifest2["stages"]["verify-commutant"]
-        assert [c["commutant_cpus"] for c in checks] == [None, split[1]]
         assert all(c["commutant_s"] > 0 for c in checks)
         stages = ("calc", "trace", "wave", "probe", "verify-commutant")
         assert list(manifest["stages"]) == list(stages)
@@ -330,9 +329,10 @@ class TestPipeline:
             assert "peak rss %6.1f MB" % entry["peak_rss_mb"] in line
         wave_entry = manifest["stages"]["wave"]
         assert wave_entry["solver_cpus"] == list(split)
-        assert "leapfrog steps %d, stored slices %d, solver processes 2 on cpus %s and %s," \
-            " kernel build %.3fs" % (wave_entry["steps"], wave_entry["slices"], *split,
-                                     wave_entry["kernel_build_s"]) in out
+        assert "leapfrog steps %d, stored slices %d, in a child on cpus %s beside cpus %s," \
+            " kernel build %.3fs" % (wave_entry["steps"], wave_entry["slices"], split[1],
+                                     split[0], wave_entry["kernel_build_s"]) in out
+        assert "child peak rss %6.1f MB" % wave_entry["child_peak_rss_mb"] in out
         # the leapfrog's work, one update per node and step, and its rate
         assert wave_entry["cell_updates"] == wave_entry["steps"] * (cfg.wave["nx"] + 1)
         assert "leapfrog cell updates %d, %.3g per second" % (
@@ -350,7 +350,6 @@ class TestPipeline:
             probe_entry["oracle_s"], split[1]) in out
         # the commutant check's own time, in the same child
         comm_entry = manifest["stages"]["verify-commutant"]
-        assert comm_entry["commutant_cpus"] == split[1]
         assert "commutant check %.3fs in a child on cpus %s" % (
             comm_entry["commutant_s"], split[1]) in out
         # the dispersion-limited wavenumber beside the probe band's top, reported only
@@ -358,14 +357,13 @@ class TestPipeline:
         probe = json.loads((tmp_path / "out" / "probe.json").read_text())
         assert "probe band top %.0f, max_trust_freq %.0f" % (
             probe["fits"]["incident"]["band"][1], record["max_trust_freq"]) in out
-        # a one-process solve, an inline oracle and an inline check name no CPUs
-        wave_entry.update(solver_processes=1, solver_cpus=None)
-        probe_entry.update(oracle_cpus=None)
-        comm_entry.update(commutant_cpus=None)
+        # a one-process solve, with the oracle and the check inline, names no CPUs
+        wave_entry.update(solver_cpus=None, child_peak_rss_mb=None)
         (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
-        assert "stored slices %d, solver processes 1, kernel build" % wave_entry["slices"] in out
+        assert "stored slices %d, inline, kernel build" % wave_entry["slices"] in out
+        assert "child peak rss" not in out
         assert "oracle scan %.3fs inline" % probe_entry["oracle_s"] in out
         assert "commutant check %.3fs inline" % comm_entry["commutant_s"] in out
 
@@ -458,7 +456,7 @@ class TestPipeline:
         spec(0.5, np.sin(40.0 * xs))
         band = probe_band(float(xs[1] - xs[0]))
         other = (band[0], np.nextafter(band[1], 0.0))
-        solve = SimpleNamespace(side_result=lambda name: ((other, None), 0.0, None))
+        solve = SimpleNamespace(side_result=lambda name: ((other, None), 0.0))
         with pytest.raises(ValueError, match="oracle scanned the band"):
             cli.stage_probe(None, [spec], solve, Path("unused.json"), Path("unused.csv"))
 
@@ -629,7 +627,7 @@ else:
     wave._cpu_split = lambda: split
 code, manifest = cli.run_pipeline(load_config(Path(config)))
 assert code == 0, code
-assert (manifest["stages"]["wave"]["solver_processes"] == 1) == (mode == "inline")
+assert (manifest["stages"]["wave"]["solver_cpus"] is None) == (mode == "inline")
 assert not scipy_modules(), scipy_modules()
 # the probe's noise floor takes no np.median, which imports numpy.ma
 assert "numpy.ma" not in sys.modules
@@ -690,14 +688,31 @@ class TestOracleChild:
             main([command, "--config", str(self.config(tmp_path))])
         self.assert_reaped(mask)
 
-    def test_failed_scan_is_one_line(self, tmp_path, monkeypatch, mask):
+    def assert_failed_in_the_wave_stage(self, tmp_path, err, why):
+        """One line naming the failed job, the run stopped after the trace,
+        and a manifest that says so."""
+        assert err == "wavediff: %s\n" % why
+        out = tmp_path / "out"
+        assert (out / "trace.csv").exists()
+        assert not (out / "wave.json").exists() and not (out / "commutant.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == {"stage": "wave", "reason": "SolverChildError: " + why}
+        assert list(manifest["stages"]) == ["calc", "trace"]
+
+    @pytest.mark.parametrize("split", ["split", "none"])
+    def test_failed_scan_is_one_line(self, tmp_path, monkeypatch, capsys, mask, split):
+        # on one CPU the stream runs the scan inline, at the same point
         def fails(*args):
             raise ValueError("no scan\nsecond line")
 
+        if split == "none":
+            monkeypatch.setattr(wave, "_cpu_split", lambda: None)
         monkeypatch.setattr(cli, "default_oracle_scan", fails)
-        with pytest.raises(RuntimeError) as info:
-            run_pipeline(load_config(self.config(tmp_path)))
-        assert str(info.value) == "the oracle scan's child process failed: ValueError: no scan"
+        assert main(["pipeline", "--config", str(self.config(tmp_path))]) == 3
+        where = "'s child process" if split == "split" else ""
+        self.assert_failed_in_the_wave_stage(
+            tmp_path, capsys.readouterr().err,
+            "the oracle scan%s failed: ValueError: no scan" % where)
         self.assert_reaped(mask)
 
     @pytest.mark.parametrize("split", ["split", "none"])
@@ -722,25 +737,51 @@ class TestOracleChild:
         assert len(forks) == (1 if split == "split" else 0)
         self.assert_reaped(mask)
 
-    @pytest.mark.parametrize("ending, why", [("raises", "ValueError: no check"),
-                                             ("dies", "exit code 4")])
+    @pytest.mark.parametrize(
+        "ending, why, split",
+        [("raises", "ValueError: no check", "split"), ("dies", "exit code 4", "split"),
+         ("raises", "ValueError: no check", "none")],
+        ids=["raises-ValueError: no check", "dies-exit code 4", "raises-ValueError: no check-none"])
     def test_failed_commutant_check_is_one_line(self, tmp_path, monkeypatch, capsys, mask,
-                                                ending, why):
+                                                ending, why, split):
         # the oracle's outcome arrives whole, then the check's one line, or
         # the end of the pipe from a child that died in the check; the run
-        # ends as the wave stage takes them, after the trace
+        # ends as the wave stage takes them, after the trace.  On one CPU the
+        # stream runs both inline at the same point (a check that dies there
+        # would end this process, so only the raising one is run)
         def fails(*args, **kwargs):
             if ending == "dies":
                 os._exit(4)
             raise ValueError("no check\nsecond line")
 
+        if split == "none":
+            monkeypatch.setattr(wave, "_cpu_split", lambda: None)
         monkeypatch.setattr(cli, "run_commutant_check", fails)
         assert main(["pipeline", "--config", str(self.config(tmp_path))]) == 3
-        assert capsys.readouterr().err == (
-            "wavediff: the commutant check's child process failed: %s\n" % why)
-        out = tmp_path / "out"
-        assert (out / "trace.csv").exists()
-        assert not (out / "wave.json").exists() and not (out / "commutant.json").exists()
+        where = "'s child process" if split == "split" else ""
+        self.assert_failed_in_the_wave_stage(
+            tmp_path, capsys.readouterr().err, "the commutant check%s failed: %s" % (where, why))
+        self.assert_reaped(mask)
+
+    def test_failed_run_replaces_a_passing_manifest(self, tmp_path, monkeypatch, capsys, mask):
+        # the manifest in the directory is the last run's, and `wavediff
+        # report` names the failure
+        cfgf = self.config(tmp_path)
+        assert main(["pipeline", "--config", str(cfgf)]) == 0
+        manifest_path = tmp_path / "out" / "manifest.json"
+        assert json.loads(manifest_path.read_text())["verdict"] == "pass"
+
+        def fails(*args, **kwargs):
+            raise ValueError("no check")
+
+        monkeypatch.setattr(cli, "run_commutant_check", fails)
+        assert main(["pipeline", "--config", str(cfgf)]) == 3
+        manifest = json.loads(manifest_path.read_text())
+        assert "verdict" not in manifest and manifest["failed"]["stage"] == "wave"
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 3
+        assert "failed in wave: SolverChildError: the commutant check's child process failed:" \
+            " ValueError: no check" in capsys.readouterr().out
         self.assert_reaped(mask)
 
     def test_probe_runs_no_commutant_check(self, tmp_path, monkeypatch, mask):
@@ -757,7 +798,7 @@ class TestOracleChild:
         # forked pipeline's child computed
         cfgf = self.config(tmp_path)
         manifest = run_pipeline(load_config(cfgf))[1]
-        assert manifest["stages"]["verify-commutant"]["commutant_cpus"] is not None
+        assert manifest["stages"]["wave"]["solver_cpus"] is not None
         fork, forks = os.fork, []
 
         def counted():

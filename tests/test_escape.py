@@ -92,8 +92,9 @@ def make_params(delta=0.125, eps=0.5, beta=1.0, F=8.0, c0=1.0):
 class TestFrames:
     @pytest.mark.parametrize("factory", [precise_localizer_frame, smooth_frame])
     def test_base_point_normalization(self, factory):
+        # the flow must not move the transverse coordinates at the base point 0
         frame = factory(4)
-        assert frame.check_base_point()
+        assert np.all(np.abs(frame.hp_sigmas(np.zeros(4))) <= 1e-6)
 
     def test_localizer_comparable_to_distance(self):
         # omega^{1/2} + |eta| is equivalent to the chart distance from the
@@ -101,7 +102,7 @@ class TestFrames:
         frame = smooth_frame(3)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.5, 0.5, size=(500, 3))
-        dist = np.linalg.norm(pts - frame.base_point, axis=1)
+        dist = np.linalg.norm(pts, axis=1)
         gauge = np.sqrt(frame.omega(pts)) + np.abs(np.asarray(frame.eta(pts)))
         ratio = gauge / dist
         assert ratio.min() > 0.5 and ratio.max() < 2.0
@@ -111,7 +112,7 @@ class TestSymbol:
     def test_phi_at_base_point(self):
         frame = precise_localizer_frame(3)
         params = make_params()
-        assert eval_phi(frame.base_point, frame, params) == 0.0
+        assert eval_phi(np.zeros(3), frame, params) == 0.0
 
     def test_phi_on_omega_zero_ray(self):
         frame = precise_localizer_frame(3)
@@ -130,7 +131,7 @@ class TestSymbol:
         frame = precise_localizer_frame(3)
         params = make_params()
         expected = chi0(2 * params.beta / params.F)
-        assert eval_a(frame.base_point, frame, params) == pytest.approx(expected, rel=1e-13)
+        assert eval_a(np.zeros(3), frame, params) == pytest.approx(expected, rel=1e-13)
         assert expected > 0
 
     def test_a_vanishes_at_chi0_boundary(self):
@@ -193,7 +194,7 @@ class TestSupport:
             a = eval_a(pts, frame, params)
             on = a > 0
             assert np.any(on)
-            dist = np.linalg.norm(pts[on] - frame.base_point, axis=1)
+            dist = np.linalg.norm(pts[on], axis=1)
             max_dist.append(dist.max())
             max_om.append(np.sqrt(frame.omega(pts[on])).max())
         assert max_dist[0] > max_dist[1] > max_dist[2]

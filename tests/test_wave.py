@@ -298,7 +298,7 @@ class TestInPlaceLeapfrog:
                    ProbeWindow(0.1, 1.4, 0.6, 2.0, "right")]
         spectra = [WindowSpectrum(w, sc.grid()) for w in windows]
         rec = stream(sc, spectra)
-        assert rec.processes == parts
+        assert (rec.cpus is None) == (parts == 1)
         fld = run(sc)
         assert np.array_equal(rec.ts, fld.ts) and np.array_equal(rec.energy, fld.energy)
         assert rec.steps == round(fld.ts[-1] / fld.dt) and rec.ts.size == stored_slices(sc)
@@ -431,7 +431,7 @@ class TestSolverChild:
         monkeypatch.setattr(wave, "_cpu_split", lambda: (cpu, cpu))
         sc = inplace_scenario(store_stride=1, duration=1.0)
         fld = run(sc)
-        assert fld.processes == 2 and fld.cpus == (cpu, cpu)
+        assert fld.cpus == (cpu, cpu)
         u, ts, energy, _ = reference_leapfrog(sc, fld.dt)
         assert np.array_equal(fld.u, u) and np.array_equal(fld.energy, energy)
         assert_no_child()
@@ -439,7 +439,7 @@ class TestSolverChild:
     def test_one_usable_cpu_solves_in_one_part(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
         rec = stream(flat_scenario(duration=0.2))
-        assert rec.processes == 1 and rec.cpus is None
+        assert rec.cpus is None
 
     def test_split_gives_the_child_one_cpu(self, monkeypatch):
         # asks the kernel for no mask: the split is read off a faked one
@@ -499,7 +499,7 @@ class TestSolverChild:
         error = {"success": None, "blowup": FieldBlowup,
                  "observer": RuntimeError, "child": RuntimeError}[ending]
         if error is None:
-            assert stream(flat_scenario(duration=0.2), [observer]).processes == 2
+            assert stream(flat_scenario(duration=0.2), [observer]).cpus is not None
         else:
             with pytest.raises(error):
                 stream(flat_scenario(duration=0.2), [observer])
@@ -523,10 +523,59 @@ class TestSolverChild:
             kept.append(u.copy())
 
         rec = stream(sc, [slow])
-        assert rec.processes == 2
+        assert rec.cpus is not None
         u, ts, energy, _ = reference_leapfrog(sc, rec.dt)
         assert np.array_equal(np.asarray(kept), u)
         assert np.array_equal(rec.ts, ts) and np.array_equal(rec.energy, energy)
+        assert_no_child()
+
+
+class TestSideJobs:
+    """A solve's side jobs run in their order before its first slice, in
+    this process on one CPU and in the forked child on two, and a failed
+    one ends the solve there on either path."""
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_side_jobs_run_before_the_first_slice(self, monkeypatch, parts):
+        use_parts(monkeypatch, parts)
+        ran, seen = [], []
+
+        def job(name):
+            def run_job():
+                ran.append(name)
+                return name, os.getpid()
+            return run_job
+
+        with wave.Solve(flat_scenario(duration=0.2), {"a": job("a"), "b": job("b")}) as solve:
+            def observer(t, u):
+                if not seen:
+                    seen.append((list(ran), solve.side_result("a"), solve.side_result("b")))
+
+            rec = solve.stream([observer])
+        [(ran_first, (a, a_s), (b, b_s))] = seen
+        here = parts == 1
+        assert ran_first == (["a", "b"] if here else [])
+        assert [a[0], b[0]] == ["a", "b"]
+        assert (a[1] == os.getpid(), b[1] == os.getpid()) == (here, here)
+        assert a_s >= 0 and b_s >= 0
+        assert (rec.cpus is None) == here
+        assert_no_child()
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_failed_side_job_runs_no_slice(self, monkeypatch, parts):
+        use_parts(monkeypatch, parts)
+        ran, seen = [], []
+
+        def fails():
+            raise ValueError("no job\nsecond line")
+
+        sides = {"first job": fails, "second job": lambda: ran.append(1)}
+        where = "" if parts == 1 else "'s child process"
+        with pytest.raises(wave.SolverChildError) as info:
+            with wave.Solve(flat_scenario(duration=0.2), sides) as solve:
+                solve.stream([lambda t, u: seen.append(t)])
+        assert str(info.value) == "the first job%s failed: ValueError: no job" % where
+        assert not ran and not seen
         assert_no_child()
 
 
