@@ -3,7 +3,9 @@ report, and the end-to-end pipeline.
 
 Exit codes: 0 success, 1 assertion/verdict failure, 2 configuration error or
 no C compiler to build the leapfrog kernel with, 3 a wave solve whose side
-job raised or whose forked child ended early.
+job raised or whose forked child ended early.  ``calc --batch`` exits 0 for
+any query file it can read: a query with an unknown operation, the wrong
+number of arguments or a token that does not parse gets an ``error`` row.
 Every pipeline run, however it ends, writes a manifest with the config hash
 and, per stage, the output checksums, wall-clock and CPU times and the peak
 RSS; deterministic stages reproduce identical checksums on identical configs.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import resource
@@ -82,9 +85,15 @@ def _sha256_file(path: Path) -> str:
 # ---------------------------------------------------------------------------
 # calc batch queries
 
+# ``Fraction`` memoised by token: query files repeat the same few orders, and
+# ``Fraction(str)`` runs a regex.  A token that does not parse raises on every
+# use (``lru_cache`` keeps no exceptions).  ``calc_batch`` empties it when it
+# returns, so each batch starts cold.
+_fraction = functools.lru_cache(maxsize=None)(Fraction)
+
 
 def _po(args):
-    return PairOrder(Fraction(args[0]), Fraction(args[1]), int(args[2]))
+    return PairOrder(_fraction(args[0]), _fraction(args[1]), int(args[2]))
 
 
 def _fmt_pair(o: PairOrder) -> str:
@@ -97,6 +106,10 @@ def _fmt_decomp(dec) -> str:
     return " + ".join(parts)
 
 
+def _fmt_window(w) -> str:
+    return "admissible=%s window=(%s,%s)" % (w.admissible, w.lo, w.hi)
+
+
 def _side(token: str) -> Side:
     try:
         return {"left": Side.LEFT, "right": Side.RIGHT}[token.lower()]
@@ -104,79 +117,123 @@ def _side(token: str) -> Side:
         raise ValueError("side must be left or right, got %r" % token) from None
 
 
+# Each evaluator takes the query's tokens and returns (result, witness); the
+# ``orders`` functions are looked up by name when a query runs.
+
+
+def _include_filter(a):
+    conds = include_filter(_po(a[:3]), _po(a[3:]), conditions=True)
+    return str(all(conds)), "p1<=p2:%s;p1+l1<=p2+l2:%s" % conds
+
+
+def _compose_flowout(a):
+    try:
+        return _fmt_pair(compose_flowout(_po(a[:3]), _po(a[3:]))), ""
+    except FlowoutCompositionError as err:
+        return "error", "l+l'>=0; fallback available via shift > %s" % (err.a.l + err.b.l)
+
+
+def _bounded_gu(a):
+    conds = bounded_gu(_po(a[:3]), _fraction(a[3]), _fraction(a[4]), conditions=True)
+    return str(all(conds)), "p+k/2<=gap:%s;p+l<=gap:%s" % conds
+
+
+def _bounded_diag_flowout(a):
+    conds = bounded_diag_flowout(_po(a[:3]), _fraction(a[3]), _fraction(a[4]), conditions=True)
+    return str(all(conds)), "p<=gap:%s;p+l<gap-k/2:%s" % conds
+
+
+def _bounded_one_sided(a):
+    side = _side(a[6])
+    first, second = bounded_one_sided(
+        _po(a[:3]), int(a[3]), _fraction(a[4]), _fraction(a[5]), side, conditions=True)
+    return str(first and second), "p+l<m+m'-k/2:%s;p<%s-n/2:%s" % (
+        first, "m" if side is Side.LEFT else "m'", second)
+
+
+def _mult_bounded_range(a):
+    w = mult_bounded_range(_fraction(a[0]), int(a[1]))
+    return _fmt_window(w), "s0>k:%s" % w.admissible
+
+
+def _hyperbolic_window(a):
+    w = hyperbolic_window(_fraction(a[0]), _fraction(a[1]), int(a[2]))
+    return (
+        "admissible=%s theorem=(%s,%s) derived_lo=%s"
+        % (w.admissible, w.theorem.lo, w.theorem.hi, w.derived_lo),
+        "k+1+2eps0<s0:%s" % w.admissible,
+    )
+
+
+def _verify_constraint_chain(a):
+    F = _fraction
+    rep = verify_constraint_chain(F(a[0]), F(a[1]), F(a[2]), int(a[3]), int(a[4]))
+    return (
+        "prelim=%s reduced=%s reduction=%s" % (rep.prelim, rep.reduced, rep.reduction),
+        "prelim==reduced:%s;reduced=>reduction:%s;second_auto:%s"
+        % (rep.prelim_matches_reduced, rep.reduced_implies_reduction, rep.second_automatic),
+    )
+
+
+def _bootstrap_schedule(a):
+    sched = bootstrap_schedule(_fraction(a[0]), _fraction(a[1]))
+    return "[" + ", ".join(str(s) for s in sched) + "]", "length=%d" % len(sched)
+
+
+# operation -> (argument count, evaluator)
+CALC_OPERATIONS = {
+    "include_filter": (6, _include_filter),
+    "embed_lambda0": (2, lambda a: (_fmt_pair(embed_lambda0(_fraction(a[0]), int(a[1]))), "")),
+    "reverse_pair": (4, lambda a: (_fmt_decomp(reverse_pair(_po(a[:3]), _fraction(a[3]))), "")),
+    "compose_au": (6, lambda a: (_fmt_pair(compose_au(_po(a[:3]), _po(a[3:]))), "")),
+    "compose_flowout": (6, _compose_flowout),
+    "bounded_gu": (5, _bounded_gu),
+    "bounded_diag_flowout": (5, _bounded_diag_flowout),
+    "bounded_one_sided": (7, _bounded_one_sided),
+    "psdo_shift": (5, lambda a: (
+        _fmt_pair(psdo_shift(_po(a[:3]), _fraction(a[3]), _side(a[4]))), "")),
+    "mult_decompose": (4, lambda a: (_fmt_decomp(mult_decompose(
+        _fraction(a[0]), _fraction(a[1]), int(a[2]), int(a[3]))), "")),
+    "mult_bounded_range": (2, _mult_bounded_range),
+    "elliptic_window": (3, lambda a: (_fmt_window(
+        elliptic_window(_fraction(a[0]), _fraction(a[1]), int(a[2]))), "")),
+    "hyperbolic_window": (3, _hyperbolic_window),
+    "verify_constraint_chain": (5, _verify_constraint_chain),
+    "bootstrap_schedule": (2, _bootstrap_schedule),
+}
+
+
 def run_calc_query(op: str, args: list):
-    """Evaluate one batch query; returns (result, witness) strings."""
-    F = Fraction
-    if op == "include_filter":
-        conds = include_filter(_po(args[:3]), _po(args[3:6]), conditions=True)
-        return str(all(conds)), "p1<=p2:%s;p1+l1<=p2+l2:%s" % conds
-    if op == "embed_lambda0":
-        return _fmt_pair(embed_lambda0(F(args[0]), int(args[1]))), ""
-    if op == "reverse_pair":
-        return _fmt_decomp(reverse_pair(_po(args[:3]), F(args[3]))), ""
-    if op == "compose_au":
-        return _fmt_pair(compose_au(_po(args[:3]), _po(args[3:6]))), ""
-    if op == "compose_flowout":
-        try:
-            return _fmt_pair(compose_flowout(_po(args[:3]), _po(args[3:6]))), ""
-        except FlowoutCompositionError as err:
-            return "error", "l+l'>=0; fallback available via shift > %s" % (err.a.l + err.b.l)
-    if op == "bounded_gu":
-        conds = bounded_gu(_po(args[:3]), F(args[3]), F(args[4]), conditions=True)
-        return str(all(conds)), "p+k/2<=gap:%s;p+l<=gap:%s" % conds
-    if op == "bounded_diag_flowout":
-        conds = bounded_diag_flowout(_po(args[:3]), F(args[3]), F(args[4]), conditions=True)
-        return str(all(conds)), "p<=gap:%s;p+l<gap-k/2:%s" % conds
-    if op == "bounded_one_sided":
-        side = _side(args[6])
-        first, second = bounded_one_sided(
-            _po(args[:3]), int(args[3]), F(args[4]), F(args[5]), side, conditions=True)
-        return str(first and second), "p+l<m+m'-k/2:%s;p<%s-n/2:%s" % (
-            first, "m" if side is Side.LEFT else "m'", second)
-    if op == "psdo_shift":
-        return _fmt_pair(psdo_shift(_po(args[:3]), F(args[3]), _side(args[4]))), ""
-    if op == "mult_decompose":
-        return _fmt_decomp(mult_decompose(F(args[0]), F(args[1]), int(args[2]), int(args[3]))), ""
-    if op == "mult_bounded_range":
-        w = mult_bounded_range(F(args[0]), int(args[1]))
-        return "admissible=%s window=(%s,%s)" % (w.admissible, w.lo, w.hi), "s0>k:%s" % w.admissible
-    if op == "elliptic_window":
-        w = elliptic_window(F(args[0]), F(args[1]), int(args[2]))
-        return "admissible=%s window=(%s,%s)" % (w.admissible, w.lo, w.hi), ""
-    if op == "hyperbolic_window":
-        w = hyperbolic_window(F(args[0]), F(args[1]), int(args[2]))
-        return (
-            "admissible=%s theorem=(%s,%s) derived_lo=%s"
-            % (w.admissible, w.theorem.lo, w.theorem.hi, w.derived_lo),
-            "k+1+2eps0<s0:%s" % w.admissible,
-        )
-    if op == "verify_constraint_chain":
-        rep = verify_constraint_chain(F(args[0]), F(args[1]), F(args[2]), int(args[3]), int(args[4]))
-        return (
-            "prelim=%s reduced=%s reduction=%s" % (rep.prelim, rep.reduced, rep.reduction),
-            "prelim==reduced:%s;reduced=>reduction:%s;second_auto:%s"
-            % (rep.prelim_matches_reduced, rep.reduced_implies_reduction, rep.second_automatic),
-        )
-    if op == "bootstrap_schedule":
-        sched = bootstrap_schedule(F(args[0]), F(args[1]))
-        return "[" + ", ".join(str(s) for s in sched) + "]", "length=%d" % len(sched)
-    raise ValueError("unknown calc operation %r" % op)
+    """Evaluate one batch query; returns (result, witness) strings.  A query
+    with the wrong number of arguments raises ``ValueError`` naming both.
+    Its rationals are parsed through ``_fraction``, which only ``calc_batch``
+    empties."""
+    try:
+        nargs, evaluate = CALC_OPERATIONS[op]
+    except KeyError:
+        raise ValueError("unknown calc operation %r" % op) from None
+    if len(args) != nargs:
+        raise ValueError("%s takes %d arguments, got %d" % (op, nargs, len(args)))
+    return evaluate(args)
 
 
 def calc_batch(in_path: Path, out_path: Path) -> int:
     rows = []
-    with open(in_path) as fh:
-        for i, line in enumerate(fh):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            op, args = tokens[0], tokens[1:]
-            try:
-                result, witness = run_calc_query(op, args)
-            except Exception as err:  # report, keep batch going
-                result, witness = "error", str(err)
-            rows.append((i + 1, op, " ".join(args), result, witness))
+    try:
+        with open(in_path) as fh:
+            for i, line in enumerate(fh):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                tokens = line.split()
+                op, args = tokens[0], tokens[1:]
+                try:
+                    result, witness = run_calc_query(op, args)
+                except Exception as err:  # report, keep batch going
+                    result, witness = "error", str(err)
+                rows.append((i + 1, op, " ".join(args), result, witness))
+    finally:
+        _fraction.cache_clear()
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["query_id", "operation", "inputs", "result", "witness_inequalities"])

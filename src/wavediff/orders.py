@@ -11,10 +11,11 @@ predicates are decided with zero tolerance, and the strict / non-strict
 distinctions between the various Sobolev boundedness criteria are preserved
 exactly as they come out of the underlying kernel estimates.  No floating
 point enters any code path here.  The composition, embedding and
-decomposition rules, the windows, the constraint chain and the boundedness
-predicates scale their rational inputs once to one integer lattice (see
-``_lattice``), decide their branches and gates on ``int``s, and build each
-order they return once as a ``Fraction`` over that lattice.
+decomposition rules, the windows, the constraint chain, the bootstrap
+schedule and the boundedness predicates scale their rational inputs once to
+one integer lattice (see ``_lattice``), decide their branches and gates on
+``int``s, and build each order they return once as a ``Fraction`` over that
+lattice.
 """
 
 from __future__ import annotations
@@ -587,13 +588,16 @@ def bootstrap_schedule(s_target: Rational, eps0: Rational) -> list[Fraction]:
     a-priori order ``s_target - eps0``.
 
     Starts at ``min(s_target - eps0 + 1/2, s_target)`` and climbs by ``1/2``
-    per step, clamped at ``s_target``.
+    (``h`` on the lattice) per step, clamped at ``s_target``.
     """
     s_target, eps0 = frac(s_target), frac(eps0)
-    if eps0 <= 0:
+    h, S, E = _lattice(s_target, eps0)
+    if E <= 0:
         raise OrderError("eps0 must be positive")
-    half = Fraction(1, 2)
-    steps = [min(s_target - eps0 + half, s_target)]
-    while steps[-1] < s_target:
-        steps.append(min(steps[-1] + half, s_target))
+    two_h = 2 * h
+    x = min(S - E + h, S)
+    steps = [Fraction(x, two_h)]
+    while x < S:
+        x = min(x + h, S)
+        steps.append(Fraction(x, two_h))
     return steps

@@ -103,6 +103,80 @@ bogus_op 1 2 3
         assert rows[1][3] == "error" and "sideways" in rows[1][4]
         assert rows[2][3] != "error"
 
+    @pytest.mark.parametrize("query, counts", [
+        ("embed_lambda0 1 2 3", "embed_lambda0 takes 2 arguments, got 3"),
+        ("compose_au 1 2", "compose_au takes 6 arguments, got 2"),
+        ("bootstrap_schedule 1", "bootstrap_schedule takes 2 arguments, got 1"),
+        ("mult_bounded_range", "mult_bounded_range takes 2 arguments, got 0"),
+    ])
+    def test_wrong_argument_count(self, tmp_path, query, counts):
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text(query + "\nembed_lambda0 0 2\n")
+        out = tmp_path / "res.csv"
+        assert calc_batch(qfile, out) == 2
+        rows = list(csv.reader(out.open()))
+        assert rows[1][3:] == ["error", counts]
+        assert rows[2][3] == "(-1, 1; k=2)"
+
+    def test_every_operation_has_its_count(self):
+        queries = [line.split() for line in ALL_OPERATIONS.split("\n") if line]
+        assert sorted(cli.CALC_OPERATIONS) == sorted(op for op, *_ in queries)
+        for op, *args in queries:
+            assert cli.CALC_OPERATIONS[op][0] == len(args), op
+
+    @pytest.mark.parametrize("token, message", [
+        ("3/0", "Fraction(3, 0)"),
+        ("x/2", "Invalid literal for Fraction: 'x/2'"),
+    ])
+    def test_malformed_token_fails_every_time(self, tmp_path, token, message):
+        """A token that does not parse is not remembered: each use raises."""
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("embed_lambda0 %s 1\nembed_lambda0 %s 1\n" % (token, token))
+        out = tmp_path / "res.csv"
+        assert calc_batch(qfile, out) == 2
+        rows = list(csv.reader(out.open()))
+        assert rows[1][1:] == rows[2][1:] == ["embed_lambda0", token + " 1", "error", message]
+
+    def test_memo_is_empty_after_a_batch(self, tmp_path):
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text(ALL_OPERATIONS)
+        calc_batch(qfile, tmp_path / "res.csv")
+        assert cli._fraction.cache_info().currsize == 0
+        # also when reading the query file fails after queries ran
+        qfile.write_bytes(b"embed_lambda0 1/2 1\n" * 1000 + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            calc_batch(qfile, tmp_path / "res.csv")
+        assert cli._fraction.cache_info().currsize == 0
+
+    def test_every_operation_twice_keeps_its_bytes(self, tmp_path):
+        """Every operation, each token repeated, and malformed tokens and an
+        unknown operation: the CSV is byte for byte the one written before
+        tokens were parsed once per batch."""
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text(2 * ALL_OPERATIONS.lstrip() + "embed_lambda0 3/0 1\n"
+                         "embed_lambda0 3/0 1\nbootstrap_schedule x/2 1\nbogus_op 1 2 3\n")
+        out = tmp_path / "res.csv"
+        assert calc_batch(qfile, out) == 34
+        assert _sha256_file(out) == "21dd56a9c4a1f4c4"
+
+    def test_orders_functions_are_looked_up_when_a_query_runs(self, tmp_path, monkeypatch):
+        """The benchmark's traced runs count ``orders`` calls by patching the
+        names ``cli`` imported; a query must reach the patched function."""
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "compose_au", counted(cli.compose_au))
+        monkeypatch.setattr(cli, "bounded_gu", counted(cli.bounded_gu))
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text(ALL_OPERATIONS)
+        calc_batch(qfile, tmp_path / "res.csv")
+        assert calls == ["compose_au", "bounded_gu"]
+
 
 # one valid value per config key, each different from the key's default;
 # its table is the schema, so a key that load_config does not read fails

@@ -586,6 +586,17 @@ def ref_hyperbolic_window(s0: Rational, eps0: Rational, k: int) -> HyperbolicWin
     return HyperbolicWindow(theorem=theorem, derived_lo=derived_lo, intersected=intersected)
 
 
+def ref_bootstrap_schedule(s_target: Rational, eps0: Rational) -> list[Fraction]:
+    s_target, eps0 = frac(s_target), frac(eps0)
+    if eps0 <= 0:
+        raise OrderError("eps0 must be positive")
+    half = Fraction(1, 2)
+    steps = [min(s_target - eps0 + half, s_target)]
+    while steps[-1] < s_target:
+        steps.append(min(steps[-1] + half, s_target))
+    return steps
+
+
 DENOMS = (1, 2, 3, 4, 6, 8, 12, 16, 64, 128)
 DIMS = [(k, n) for k in (1, 2, 3) for n in range(k + 1, 7)]
 
@@ -720,6 +731,19 @@ class TestLatticeConstructors:
             # the dimension gate, with its message
             self.same(mult_decompose, ref_mult_decompose, F(5, 2), 0, k, k)
 
+    def test_bootstrap_schedule(self):
+        # every (s_target, eps0) on a grid of small rationals, eps0 <= 0 included,
+        # so the ladders run from one rung (eps0 <= 1/2) to a dozen
+        grid = sorted({F(j, d) for j in range(-12, 13) for d in (1, 2, 3, 4, 6, 10)})
+        for s_target in grid:
+            for eps0 in grid:
+                self.same(bootstrap_schedule, ref_bootstrap_schedule, s_target, eps0)
+        rng = random.Random(1209)
+        for _ in range(300):
+            s_target = spelled(rng, rat(rng))
+            eps0 = spelled(rng, rng.choice((pos(rng) / 16, pos(rng) / 64, rat(rng) / 64)))
+            self.same(bootstrap_schedule, ref_bootstrap_schedule, s_target, eps0)
+
     def test_float_argument_on_every_entry_point(self):
         o = PairOrder(F(1, 3), F(-1, 2), 1)
         calls = [
@@ -741,6 +765,8 @@ class TestLatticeConstructors:
             (elliptic_window, ref_elliptic_window, (F(5, 2), 0.25, 1)),
             (hyperbolic_window, ref_hyperbolic_window, (2.5, F(1, 4), 1)),
             (hyperbolic_window, ref_hyperbolic_window, (F(5, 2), 0.25, 1)),
+            (bootstrap_schedule, ref_bootstrap_schedule, (1.0, F(1, 4))),
+            (bootstrap_schedule, ref_bootstrap_schedule, (1, 0.25)),
             (PairOrder, PairOrder, (0.5, 0, 1)),
             (PairOrder, PairOrder, (0, 0.5, 1)),
             (LagrangianTerm, LagrangianTerm, (Tag.DIAG, 0.5)),
